@@ -70,6 +70,7 @@ from .markov import (
     StochasticMatrix,
     TimeVaryingChain,
     _settle_time,
+    _window_tv,
     distribution_from_json,
     is_irreducible,
     lazy_walk,
@@ -165,7 +166,10 @@ def _read_distribution(spec: str, n: int) -> Distribution:
     if spec == "uniform":
         return uniform_distribution(n)
     if spec.startswith("e:"):
-        return point_distribution(n, int(spec[2:]))
+        k = spec[2:]
+        if not (k.isdecimal() and int(k) < n):
+            raise BadSize(f"point mass {spec!r} needs a node index in [0, {n})")
+        return point_distribution(n, int(k))
     d = distribution_from_json(_load_json(spec))
     if d.n != n:
         raise BadSize(f"distribution has size {d.n}, expected {n}")
@@ -197,19 +201,11 @@ def _tau_from_start(L: Lift, pi: Distribution, x0: Distribution, eps: float,
     """Marginal settle time from one explicit lifted start.
 
     A start that is an exact fixed point of the dynamics has a constant
-    trajectory, so its verdict needs no window scan.
+    trajectory, so its window is t = 0 alone.
     """
-    x = np.asarray(x0.weights, dtype=float).copy()
-    target = pi.weights
-    C = L.map.C
-    tv0 = 0.5 * np.abs(C @ x - target).sum()
-    if np.abs(L.A.entries @ x - x).max() <= 1e-15:
-        return 0 if tv0 <= eps else UNMIXED
-    worst = np.empty(t_max + 1)
-    worst[0] = tv0
-    for t in range(1, t_max + 1):
-        x = L.A.entries @ x
-        worst[t] = 0.5 * np.abs(C @ x - target).sum()
+    x = x0.weights
+    fixed = np.abs(L.A.entries @ x - x).max() <= 1e-15
+    worst = _window_tv(L.A.entries, x, pi.weights, 0 if fixed else t_max, L.map.C)
     return _settle_time(worst, eps)
 
 

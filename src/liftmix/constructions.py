@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     BadSize,
-    DisconnectedGraph,
     EmptyChain,
     GammaTooLarge,
     GammaTooLargeForDelta,
@@ -23,7 +22,15 @@ from .errors import (
     NegativeEntry,
     NotStationary,
 )
-from .graph_core import Graph, cycle, diameter, distance_matrix, rooted_spanning_tree, shortest_path
+from .graph_core import (
+    Graph,
+    _strong_components,
+    cycle,
+    diameter,
+    distance_matrix,
+    rooted_spanning_tree,
+    shortest_path,
+)
 from .lift import InitMap, Lift, LiftMap
 from .markov import (
     Distribution,
@@ -425,8 +432,11 @@ def diameter_mixer(
         for v0 in range(n):
             for v in range(n):
                 A_full[idx(0, v, v), idx(T + 1, v0, v)] += gamma
-        keep = _forward_closure(A_full, [idx(0, v, v) for v in range(n)])
-        keep = _strongly_connected_core(A_full, keep)
+        # keep the strong component of the start states (0, v, v), which
+        # the restarts make mutually reachable; the rest is never reached
+        # from a start or never returns to one
+        labels = _strong_components(A_full > 1e-12)
+        keep = np.flatnonzero(labels == labels[idx(0, 0, 0)]).tolist()
         A_red = A_full[np.ix_(keep, keep)]
         proj_red = [proj[k] for k in keep]
         pos = {k: r for r, k in enumerate(keep)}
@@ -436,51 +446,6 @@ def diameter_mixer(
         meta = dict(meta, gamma=gamma)
         return _make_lift(g, proj_red, A_red, F_red, meta)
     raise last_error if last_error is not None else GammaTooLarge("gamma retry failed")
-
-
-def _forward_closure(A: np.ndarray, seeds) -> list[int]:
-    """Sorted nodes reachable from the seeds along the support digraph."""
-    support = A > 1e-12
-    seen = set()
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        for v in np.nonzero(support[:, u])[0]:
-            if int(v) not in seen:
-                stack.append(int(v))
-    return sorted(seen)
-
-
-def _strongly_connected_core(A: np.ndarray, keep: list[int]) -> list[int]:
-    """Iteratively drop nodes of keep that cannot both reach and be reached
-    by the rest, until the remainder is strongly connected."""
-    keep = list(keep)
-    while True:
-        if not keep:
-            raise DisconnectedGraph("mixer pruning removed every node")
-        sub = A[np.ix_(keep, keep)]
-        support = sub > 1e-12
-        m = len(keep)
-
-        def reach(adj) -> np.ndarray:
-            seen = np.zeros(m, dtype=bool)
-            seen[0] = True
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for v in np.nonzero(adj[:, u])[0]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(int(v))
-            return seen
-
-        ok = reach(support) & reach(support.T)
-        if ok.all():
-            return keep
-        keep = [k for k, good in zip(keep, ok) if good]
 
 
 def diaconis_cycle_lift(N: int) -> Lift:

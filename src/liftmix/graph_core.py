@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import BadSize, DisconnectedGraph, EmptyCutWeight, NoSpanningTree, TooManyNodes
 
@@ -120,11 +122,17 @@ def _bfs_dist_from(g: Graph, src: int, forward: bool = True) -> np.ndarray:
     return dist
 
 
+def _strong_components(support: np.ndarray) -> np.ndarray:
+    """Strong-component label (0..k-1) of each node of the digraph whose
+    boolean adjacency matrix is `support`.  Components are the same for a
+    digraph and its reverse, so either orientation of `support` will do."""
+    _, labels = connected_components(csr_array(support), directed=True, connection="strong")
+    return labels
+
+
 def is_connected(g: Graph) -> bool:
     """Strong connectivity of the arc digraph (single node counts as connected)."""
-    if g.n == 1:
-        return True
-    return bool((_bfs_dist_from(g, 0, True) >= 0).all() and (_bfs_dist_from(g, 0, False) >= 0).all())
+    return bool(_strong_components(g.adjacency()).max() == 0)
 
 
 def distance_matrix(g: Graph) -> np.ndarray:

@@ -46,6 +46,7 @@ from .markov import (
     is_irreducible,
     stationary,
     _settle_time,
+    _window_tv,
 )
 
 __all__ = [
@@ -302,15 +303,7 @@ def lifted_stationary(L: Lift, seed_init: Distribution) -> Distribution:
         raise DimensionMismatch("seed does not live on the lifted nodes")
     if is_irreducible(L.A):
         return stationary(L.A)
-    A = L.A.entries
-    y = seed_init.weights.copy()
-    for _ in range(100_000):
-        z = 0.5 * (y + A @ y)
-        if 0.5 * np.abs(z - y).sum() < 1e-10:
-            if np.abs(A @ z - z).sum() <= 1e-9:
-                return Distribution(z)
-        y = z
-    raise NoConvergence("steady-state averaging did not settle in 1e5 steps")
+    return Distribution(_batch_limits(L.A.entries, seed_init.weights))
 
 
 def check_invariance(
@@ -334,25 +327,21 @@ def check_invariance(
         M = L.map.C @ L.A.entries
         if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > 1e-12:
             return False, xs
-        for fiber in L.map.fibers:
-            j0 = fiber[0]
-            for k in fiber[1:]:
-                if np.abs(M[:, k] - M[:, j0]).max() > 1e-12:
-                    w = xs.weights.copy()
-                    w[k] += w[j0]
-                    w[j0] = 0.0
-                    return False, Distribution(w)
-        return True, None
+        pair = _fiber_column_mismatch(L)
+        if pair is None:
+            return True, None
+        j0, k = pair
+        w = xs.weights.copy()
+        w[k] += w[j0]
+        w[j0] = 0.0
+        return False, Distribution(w)
     if scenario_init == "S":
         if L.F is None:
             raise MissingInitMap("scenario (S) needs an initialization map")
         x = L.F.entries @ pi.weights
-        A = L.A.entries
-        C = L.map.C
-        for _ in range(horizon):
-            x = A @ x
-            if 0.5 * np.abs(C @ x - pi.weights).sum() > 1e-9:
-                return False, Distribution(L.F.entries @ pi.weights)
+        worst = _window_tv(L.A.entries, x, pi.weights, horizon, L.map.C)
+        if (worst[1:] > 1e-9).any():
+            return False, Distribution(x)
         return True, None
     raise BadScenario(f"scenario_init must be 'S' or 's', got {scenario_init!r}")
 
@@ -386,19 +375,13 @@ def marginal_mixing_time(
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
-    A = L.A.entries
-    C = L.map.C
-    target = pi.weights[:, None]
-    worst = np.empty(t_max + 1)
-    worst[0] = 0.5 * np.abs(C @ X - target).sum(axis=0).max()
-    for t in range(1, t_max + 1):
-        X = A @ X
-        worst[t] = 0.5 * np.abs(C @ X - target).sum(axis=0).max()
+    worst = _window_tv(L.A.entries, X, pi.weights[:, None], t_max, L.map.C)
     return _settle_time(worst, eps)
 
 
 def _batch_limits(A: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    """Long-run average limit of each column's trajectory under A."""
+    """Long-run average limit of each column's trajectory under A (a 1-D
+    X0 is a single start and gives a 1-D limit)."""
     Y = X0.copy()
     for _ in range(100_000):
         Z = 0.5 * (Y + A @ Y)
@@ -429,17 +412,10 @@ def full_mixing_time(
     X = _init_batch(L, scenario_init)
     A = L.A.entries
     if is_irreducible(L.A):
-        targets = np.broadcast_to(
-            stationary(L.A).weights[:, None], X.shape
-        ).copy()
+        targets = stationary(L.A).weights[:, None]
     else:
         targets = _batch_limits(A, X)
-    worst = np.empty(t_max + 1)
-    worst[0] = 0.5 * np.abs(X - targets).sum(axis=0).max()
-    for t in range(1, t_max + 1):
-        X = A @ X
-        worst[t] = 0.5 * np.abs(X - targets).sum(axis=0).max()
-    return _settle_time(worst, eps)
+    return _settle_time(_window_tv(A, X, targets, t_max), eps)
 
 
 def check_flow_match(
@@ -466,16 +442,19 @@ def check_flow_match(
     return max_dev, max_dev <= threshold
 
 
-def _fiber_columns_constant(L: Lift) -> bool:
-    """True when C A has identical columns inside every fiber, i.e. the
-    marginal step does not depend on where mass sits within a fiber."""
+def _fiber_column_mismatch(L: Lift) -> tuple[int, int] | None:
+    """First same-fiber pair (j0, k) whose columns of C A differ, else None.
+
+    None means the marginal step does not depend on where mass sits within
+    a fiber; j0 is the first lifted node of the fiber holding k.
+    """
     M = L.map.C @ L.A.entries
     for fiber in L.map.fibers:
         j0 = fiber[0]
         for k in fiber[1:]:
             if np.abs(M[:, k] - M[:, j0]).max() > 1e-12:
-                return False
-    return True
+                return j0, k
+    return None
 
 
 def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
@@ -494,7 +473,7 @@ def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
                 f"choice for base node {j} is {k}, not in its fiber"
             )
     P = (m.C @ L.A.entries)[:, q]
-    if not _fiber_columns_constant(L):
+    if _fiber_column_mismatch(L) is not None:
         warnings.warn(
             "lift marginal depends on placement within fibers; the unlifted "
             "chain does not reproduce its trajectories",

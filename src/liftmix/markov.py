@@ -20,7 +20,7 @@ from .errors import (
     NotStationary,
     ReducibleChain,
 )
-from .graph_core import Graph
+from .graph_core import Graph, _strong_components
 
 #: Sentinel returned by mixing-time measurements that never settle below eps.
 UNMIXED = math.inf
@@ -42,7 +42,7 @@ class Distribution:
             raise BadColumnSum(f"negative probability entry: min={w.min()}")
         w[w < 0] = 0.0
         s = w.sum()
-        if abs(s - 1.0) > 1e-9:
+        if not abs(s - 1.0) <= 1e-9:  # NaN-safe: a NaN sum fails too
             raise BadColumnSum(f"distribution sums to {s}, not 1")
         object.__setattr__(self, "weights", w)
         self.weights.setflags(write=False)
@@ -89,7 +89,7 @@ class StochasticMatrix:
             raise BadColumnSum("matrix entries outside [0,1] beyond clamp tolerance")
         M = np.clip(M, 0.0, 1.0)
         sums = M.sum(axis=0)
-        bad = np.abs(sums - 1.0) > _COLUMN_TOL
+        bad = ~(np.abs(sums - 1.0) <= _COLUMN_TOL)  # NaN-safe
         if bad.any():
             j = int(np.nonzero(bad)[0][0])
             raise BadColumnSum(f"column {j} sums to {sums[j]}")
@@ -172,22 +172,7 @@ def evolve(P: StochasticMatrix, p: Distribution, t: int) -> Distribution:
 
 def is_irreducible(P: StochasticMatrix) -> bool:
     """Strong connectivity of the support digraph (entries > 1e-12)."""
-    support = P.entries > _ENTRY_CLAMP
-    n = P.n
-    # arc i -> j when P[j, i] > 0
-    def reach(adj) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[:, u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
-
-    return reach(support) and reach(support.T)
+    return bool(_strong_components(P.entries > _ENTRY_CLAMP).max() == 0)
 
 
 def stationary(P: StochasticMatrix) -> Distribution:
@@ -233,6 +218,25 @@ def _settle_time(worst_tv: np.ndarray, eps: float) -> float:
     return t
 
 
+def _window_tv(
+    A: np.ndarray, X: np.ndarray, target: np.ndarray, t_max: int,
+    C: np.ndarray | None = None,
+) -> np.ndarray:
+    """Worst column TV of C A^t X against target for t = 0..t_max.
+
+    X is a batch of starts as columns, or a single 1-D start; C (default
+    identity) projects each state before comparing.  Single starts stay
+    1-D, since a one-column matrix would sum in a different order.
+    """
+    worst = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        if t:
+            X = A @ X
+        Y = X if C is None else C @ X
+        worst[t] = 0.5 * np.abs(Y - target).sum(axis=0).max()
+    return worst
+
+
 def mixing_time(
     P: StochasticMatrix, pi: Distribution, eps: float, t_max: int | None = None
 ) -> float:
@@ -244,13 +248,7 @@ def mixing_time(
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    target = pi.weights[:, None]
-    M = np.eye(P.n)
-    worst = np.empty(t_max + 1)
-    worst[0] = 0.5 * np.abs(M - target).sum(axis=0).max()
-    for t in range(1, t_max + 1):
-        M = P.entries @ M
-        worst[t] = 0.5 * np.abs(M - target).sum(axis=0).max()
+    worst = _window_tv(P.entries, np.eye(P.n), pi.weights[:, None], t_max)
     return _settle_time(worst, eps)
 
 

@@ -190,6 +190,15 @@ def test_bridge_command_shapes(tmp_path, capsys):
     assert main(["bridge", "--graph", gfile, "--dst", "uniform"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["e:-1", "e:99", "e:x"])
+def test_bridge_rejects_bad_point_mass(tmp_path, capsys, spec):
+    gfile = write_graph(tmp_path, path(4))
+    assert main(["bridge", "--graph", gfile, "--src", spec, "--dst", "uniform"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_lift_build_and_analyze_round_trip(tmp_path, capsys):
     bundle = tmp_path / "lift.json"
     ref = tmp_path / "ref.json"

@@ -47,6 +47,7 @@ from liftmix import (
     lifted_stationary,
     marginal,
     marginal_mixing_time,
+    mixing_time,
     parse_scenario,
     path,
     phi_chain,
@@ -58,6 +59,7 @@ from liftmix import (
     uniform_distribution,
     unlift_si,
 )
+from liftmix.cli import _tau_from_start
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -277,6 +279,15 @@ def test_check_invariance_controlled_four_cycle():
     assert ok and witness is None
 
 
+def test_check_invariance_S_fails_on_reducible_mixer():
+    # the bridges pass through intermediate marginals that are not pi
+    pi = Distribution([0.1, 0.2, 0.3, 0.4])
+    L = diameter_mixer(path(4), pi, "reducible")
+    ok, witness = check_invariance(L, pi, "S")
+    assert not ok
+    assert np.array_equal(witness.weights, L.F.entries @ pi.weights)
+
+
 def test_check_invariance_errors():
     L = diaconis_cycle_lift(8)
     with pytest.raises(MissingInitMap):
@@ -383,6 +394,43 @@ def test_mixing_times_unmixed_on_even_direction_lift():
     pi = uniform_distribution(8)
     assert marginal_mixing_time(L, pi, 0.25, "s", t_max=300) == UNMIXED
     assert full_mixing_time(L, 0.25, "s", t_max=300) == UNMIXED
+
+
+def _random_lift(rng, mixer_variants=("reducible", "irreducible")):
+    """Replicated lift of a random local chain, or a small diameter mixer of
+    one of the given variants, with its base target law."""
+    g = random_connected_graph(rng, n_max=4)
+    if rng.random() < 0.5:
+        P = random_local_chain(rng, g)
+        return si_replicated_lift(P, copies=int(rng.integers(2, 4))), stationary(P)
+    pi = random_distribution(rng, g.n)
+    variant = mixer_variants[int(rng.integers(0, len(mixer_variants)))]
+    return diameter_mixer(g, pi, variant), pi
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_marginal_mixing_time_is_worst_single_start(seed):
+    # the settle time of a max of TV curves is the max of their settle times
+    rng = rng_from_seed(seed)
+    L, pi = _random_lift(rng)
+    t_max = 30
+    singles = [
+        _tau_from_start(L, pi, point_distribution(L.map.lifted_n, k), 0.25, t_max)
+        for k in range(L.map.lifted_n)
+    ]
+    assert marginal_mixing_time(L, pi, 0.25, "s", t_max) == max(singles)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_full_mixing_time_matches_chain_mixing_time_when_irreducible(seed):
+    rng = rng_from_seed(seed)
+    L, _ = _random_lift(rng, mixer_variants=("irreducible",))
+    assert is_irreducible(L.A)
+    t_max = 40
+    expected = mixing_time(L.A, stationary(L.A), 0.25, t_max)
+    assert full_mixing_time(L, 0.25, "s", t_max) == expected
 
 
 def test_scenario_parse_and_format_round_trip():

@@ -1,5 +1,7 @@
 """Distributions, column-stochastic matrices, mixing times, flows."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from liftmix import (
     BadColumnSum,
     DimensionMismatch,
     Distribution,
+    Graph,
     LengthMismatch,
     LocalityViolation,
     NotStationary,
@@ -24,6 +27,7 @@ from liftmix import (
     distribution_from_json,
     ergodic_flows,
     evolve,
+    is_connected,
     is_irreducible,
     lazy_walk,
     matrix_from_json,
@@ -61,6 +65,14 @@ def test_distribution_validation():
     assert d.weights[1] == 0.0
     with pytest.raises(ValueError):
         d.weights[0] = 1.0  # frozen storage
+
+
+def test_nan_fails_column_sum_checks():
+    # json.load accepts NaN; NaN compares False against any tolerance
+    with pytest.raises(BadColumnSum):
+        distribution_from_json(json.loads('{"weights": [NaN, 0.5, 0.5]}'))
+    with pytest.raises(BadColumnSum):
+        matrix_from_json(json.loads('{"n": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}'))
 
 
 def test_point_and_uniform():
@@ -151,6 +163,31 @@ def test_is_irreducible_cases():
     # one-way absorbing pair
     P = StochasticMatrix([[1.0, 0.5], [0.0, 0.5]])
     assert not is_irreducible(P)
+
+
+def _strongly_connected_reference(support: np.ndarray) -> bool:
+    """Transitive closure by repeated boolean squaring."""
+    reach = support | np.eye(len(support), dtype=bool)
+    while True:
+        nxt = (reach.astype(int) @ reach.astype(int)) > 0
+        if (nxt == reach).all():
+            return bool(reach.all())
+        reach = nxt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_irreducible_and_connected_match_closure_reference(seed):
+    rng = rng_from_seed(seed)
+    n = int(rng.integers(1, 8))
+    arcs = (rng.random((n, n)) < rng.uniform(0.1, 0.6)) & ~np.eye(n, dtype=bool)
+    g = Graph(n=n, arcs=frozenset(map(tuple, np.argwhere(arcs).tolist())))
+    # entry (j, i) carries arc i -> j; the diagonal keeps columns stochastic
+    W = arcs.T * rng.uniform(0.05, 1.0, (n, n)) + np.eye(n)
+    P = StochasticMatrix(W / W.sum(axis=0))
+    expected = _strongly_connected_reference(arcs)
+    assert is_connected(g) == expected
+    assert is_irreducible(P) == expected
 
 
 def test_stationary_known_chains():
