@@ -4,7 +4,8 @@ Conductance of a set X under stationary weights pi is the probability mass
 flowing out of X in one step, normalized by pi(X).  Chain conductance
 minimizes over cuts; graph conductance maximizes chain conductance over all
 chains respecting the graph's locality, solved here as a single linear
-program (the cut minimum linearizes because the pi(X) are constants).
+program (the cut minimum linearizes because the pi(X) are constants) whose
+cut rows are generated on demand.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from .errors import (
     DimensionMismatch,
     EmptyCutWeight,
     InfeasibleLP,
-    NotStationary,
-    TooManyNodes,
 )
-from .graph_core import Cut, Graph, enumerate_cuts
+from .graph_core import Cut, Graph, _cut_chunks
 from .markov import Distribution, StochasticMatrix, check_stationary
 
-_PHI_CHAIN_MAX_NODES = 24
-_PHI_GRAPH_MAX_NODES = 14
-_CHUNK_BITS = 16
+# Most violated cuts that each chunk adds to phi_graph's LP per round.
+_CUTS_PER_ROUND = 32
 
 __all__ = [
     "phi_cut",
@@ -71,23 +69,17 @@ def phi_cut(P: StochasticMatrix, pi: Distribution, X) -> float:
     return max(weight - internal, 0.0) / weight
 
 
-def _cut_chunks(n: int, w: np.ndarray):
-    """Yield (masks, members, weights) for all cuts with pi-weight <= 1/2.
-
-    Masks ascend across and within chunks; both halves of an exact 1/2
-    split are kept, matching enumerate_cuts.
-    """
-    total = 1 << n
-    bits = np.arange(n, dtype=np.int64)
-    step = 1 << _CHUNK_BITS
-    for start in range(1, total - 1, step):
-        stop = min(start + step, total - 1)
-        masks = np.arange(start, stop, dtype=np.int64)
-        members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
-        weights = members @ w
-        keep = weights <= 0.5 + 1e-12
-        if keep.any():
-            yield masks[keep], members[keep], weights[keep]
+def _cut_phis(chunks, flows: np.ndarray):
+    """Yield (masks, members, weights, phis) for the positive-weight cuts of
+    each chunk, phis being their conductances under the stationary flows
+    flows[j, i] = P[j, i] pi_i."""
+    for masks, members, weights in chunks:
+        positive = weights > 0.0
+        if not positive.any():
+            continue
+        masks, members, weights = masks[positive], members[positive], weights[positive]
+        internal = ((members @ flows.T) * members).sum(axis=1)
+        yield masks, members, weights, np.maximum(weights - internal, 0.0) / weights
 
 
 def phi_chain(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
@@ -99,26 +91,13 @@ def phi_chain(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         raise DimensionMismatch("chain and distribution sizes differ")
     if P.n < 2:
         raise DimensionMismatch("conductance needs at least two nodes")
-    if P.n > _PHI_CHAIN_MAX_NODES:
-        raise TooManyNodes(
-            f"phi_chain enumerates cuts; {P.n} nodes exceeds the "
-            f"{_PHI_CHAIN_MAX_NODES}-node guard"
-        )
-    check_stationary(P, pi, tol=1e-9)
     w = pi.weights
-    flows = P.entries * w[None, :]
+    chunks = _cut_chunks(P.n, w)
+    check_stationary(P, pi, tol=1e-9)
     best_phi = math.inf
     best_mask = 0
     best_weight = 0.0
-    for masks, members, weights in _cut_chunks(P.n, w):
-        positive = weights > 0.0
-        if not positive.any():
-            continue
-        masks = masks[positive]
-        members = members[positive]
-        weights = weights[positive]
-        internal = ((members @ flows.T) * members).sum(axis=1)
-        phis = np.maximum(weights - internal, 0.0) / weights
+    for masks, _, weights, phis in _cut_phis(chunks, P.entries * w[None, :]):
         k = int(np.argmin(phis))
         if phis[k] < best_phi:
             best_phi = float(phis[k])
@@ -183,16 +162,16 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     Linear program: variables are the permitted entries of P (arcs of g
     plus the diagonal) and a scalar t; constraints fix column sums to one,
     impose P pi = pi, and require every cut's outflow to be at least
-    t * pi(X); the objective maximizes t.
+    t * pi(X); the objective maximizes t.  The cut rows are generated
+    (Kelley's cutting planes): starting from the identity chain at t = 1,
+    every cut is scanned against the current chain and t, each chunk's
+    most violated cuts join the LP, and the LP is solved again, until no
+    cut's conductance falls below t by more than 1e-9.  The LP is
+    degenerate, so the chain is one optimal chain among possibly many.
     """
     n = g.n
     if n != pi.n:
         raise DimensionMismatch("graph and distribution sizes differ")
-    if n > _PHI_GRAPH_MAX_NODES:
-        raise TooManyNodes(
-            f"phi_graph builds one constraint per cut; {n} nodes exceeds "
-            f"the {_PHI_GRAPH_MAX_NODES}-node guard"
-        )
     w = pi.weights
     entries = [(i, i) for i in range(n)] + [(j, i) for (i, j) in sorted(g.arcs)]
     ne = len(entries)
@@ -202,43 +181,45 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     cols_e = np.array([e[1] for e in entries])
 
     a_eq = np.zeros((2 * n, nv))
-    b_eq = np.zeros(2 * n)
-    for k in range(ne):
-        a_eq[cols_e[k], k] = 1.0
-        a_eq[n + rows_e[k], k] = w[cols_e[k]]
-    b_eq[:n] = 1.0
-    b_eq[n:] = w
-
-    cuts = enumerate_cuts(g, pi)
-    cuts = [c for c in cuts if c.weight > 0.0]
-    if not cuts:
-        raise EmptyCutWeight("no cut carries positive stationary mass")
-    members = np.zeros((len(cuts), n), dtype=bool)
-    for r, c in enumerate(cuts):
-        members[r, c.members()] = True
-    crossing = members[:, cols_e] & ~members[:, rows_e]
-    a_ub = np.zeros((len(cuts), nv))
-    a_ub[:, :ne] = -(crossing * w[cols_e][None, :])
-    a_ub[:, t_col] = np.array([c.weight for c in cuts])
-    b_ub = np.zeros(len(cuts))
+    a_eq[cols_e, np.arange(ne)] = 1.0
+    a_eq[n + rows_e, np.arange(ne)] = w[cols_e]
+    b_eq = np.concatenate([np.ones(n), w])
 
     cost = np.zeros(nv)
     cost[t_col] = -1.0
-    bounds = [(0.0, 1.0)] * ne + [(0.0, 1.0)]
-    res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        raise InfeasibleLP(f"conductance LP failed: {res.message}")
-    x = res.x
-    phi = float(x[t_col])
-    P = np.zeros((n, n))
-    P[rows_e, cols_e] = x[:ne]
+    bounds = [(0.0, 1.0)] * nv
+    rows: list[np.ndarray] = []
+    in_lp: set[int] = set()
+    P, phi = np.eye(n), 1.0
+    while True:
+        known = len(in_lp)
+        cut_err = -math.inf
+        for masks, members, weights, phis in _cut_phis(_cut_chunks(n, w), P * w[None, :]):
+            short = phi - phis
+            cut_err = max(cut_err, float((short * weights).max()))
+            k = min(_CUTS_PER_ROUND, len(short))
+            worst = np.argpartition(-short, k - 1)[:k]
+            new = [r for r in worst[short[worst] > 1e-9] if int(masks[r]) not in in_lp]
+            in_lp.update(masks[new].tolist())
+            crossing = members[new][:, cols_e] & ~members[new][:, rows_e]
+            rows.append(np.column_stack([-(crossing * w[cols_e]), weights[new]]))
+        if not math.isfinite(cut_err):
+            raise EmptyCutWeight("no cut carries positive stationary mass")
+        if len(in_lp) == known:
+            break
+        res = linprog(
+            cost, A_ub=np.vstack(rows), b_ub=np.zeros(len(in_lp)), A_eq=a_eq,
+            b_eq=b_eq, bounds=bounds, method="highs",
+        )
+        if not res.success:
+            raise InfeasibleLP(f"conductance LP failed: {res.message}")
+        phi = float(res.x[t_col])
+        P = np.zeros((n, n))
+        P[rows_e, cols_e] = res.x[:ne]
 
+    # cut_err comes from the last full scan, so it covers every cut
     col_err = np.abs(P.sum(axis=0) - 1.0).max()
     stat_err = np.abs(P @ w - w).max()
-    cut_err = float((a_ub @ x - b_ub).max())
     if col_err > 1e-8 or stat_err > 1e-8 or cut_err > 1e-8:
         raise InfeasibleLP(
             "LP solution violates constraints beyond 1e-8 "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    BadGamma,
     BadSize,
     EmptyChain,
     GammaTooLarge,
@@ -288,11 +289,10 @@ def spanning_tree_correction(
     if n == 1:
         return np.zeros((1, 1))
 
+    # raises NoSpanningTree unless the positive arcs span, so the search
+    # below always has a tree at its lowest level
+    rooted_spanning_tree(g, lambda child, parent: P.entries[child, parent] > 0, 0)
     arc_weights = sorted({float(P.entries[j, i]) for (i, j) in g.arcs if P.entries[j, i] > 0})
-    if not arc_weights:
-        raise_no_tree = True
-    else:
-        raise_no_tree = False
 
     def has_tree(beta: float) -> bool:
         try:
@@ -301,9 +301,6 @@ def spanning_tree_correction(
         except LiftmixError:
             return False
 
-    if raise_no_tree or not has_tree(arc_weights[0]):
-        rooted_spanning_tree(g, lambda child, parent: P.entries[child, parent] > 0, 0)
-        raise LiftmixError("no spanning tree over positive dynamics arcs")
     lo, hi = 0, len(arc_weights) - 1
     while lo < hi:  # largest beta keeping a rooted spanning tree
         mid = (lo + hi + 1) // 2
@@ -417,6 +414,8 @@ def diameter_mixer(
             A[block, block] = reference.entries
         return _make_lift(g, proj, A, F, meta)
 
+    if not gamma > 0:
+        raise BadGamma(f"restart probability gamma must be positive, got {gamma}")
     last_error: LiftmixError | None = None
     for _ in range(20):
         try:

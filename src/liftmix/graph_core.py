@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BadSize, DisconnectedGraph, EmptyCutWeight, NoSpanningTree, TooManyNodes
+from .errors import BadSize, DisconnectedGraph, NoSpanningTree, TooManyNodes
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,30 @@ class Cut:
 
     def contains(self, i: int) -> bool:
         return bool(self.member_mask >> i & 1)
+
+
+def _cut_chunks(n: int, w: np.ndarray):
+    """Lazy (masks, members, weights) chunks of up to 2^16 ascending masks,
+    covering every cut with pi(X) <= 1/2 (both sides when pi(X) = 1/2 within
+    1e-12); weights are BLAS dot products.  The only cut enumerator and the
+    only size guard: over 24 nodes raises TooManyNodes at the call.
+    """
+    if n > 24:
+        raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
+    total = (1 << n) - 1
+    step = 1 << 16
+    bits = np.arange(n, dtype=np.int64)
+
+    def chunks():
+        for start in range(1, total, step):
+            masks = np.arange(start, min(start + step, total), dtype=np.int64)
+            members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
+            weights = members @ w
+            keep = weights <= 0.5 + 1e-12
+            if keep.any():
+                yield masks[keep], members[keep], weights[keep]
+
+    return chunks()
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]], directed: bool = False) -> Graph:
@@ -195,22 +219,15 @@ def rooted_spanning_tree(
 
 
 def enumerate_cuts(g_or_n, pi) -> list[Cut]:
-    """All nonempty proper subsets X with pi(X) <= 1/2.
-
-    Complementary pairs are deduplicated by the weight rule: only the side
-    with pi(X) <= 1/2 is kept, and both sides when pi(X) = 1/2 exactly
-    (within 1e-12).
-    """
+    """All nonempty proper subsets X with pi(X) <= 1/2, in ascending mask
+    order, with the dedup rule and weights of `_cut_chunks`."""
     n = g_or_n.n if isinstance(g_or_n, Graph) else int(g_or_n)
-    if n > 24:
-        raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
     w = np.asarray(getattr(pi, "weights", pi), dtype=float)
-    cuts = []
-    for mask in range(1, (1 << n) - 1):
-        weight = float(sum(w[i] for i in range(n) if mask >> i & 1))
-        if weight <= 0.5 + 1e-12:
-            cuts.append(Cut(member_mask=mask, weight=weight))
-    return cuts
+    return [
+        Cut(member_mask=mask, weight=weight)
+        for masks, _, weights in _cut_chunks(n, w)
+        for mask, weight in zip(masks.tolist(), weights.tolist())
+    ]
 
 
 def path(n: int) -> Graph:

@@ -142,7 +142,7 @@ class InitMap:
             raise DimensionMismatch("init map has negative entries")
         F[F < 0] = 0.0
         sums = F.sum(axis=0)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        if not np.abs(sums - 1.0).max() <= 1e-9:
             j = int(np.abs(sums - 1.0).argmax())
             raise DimensionMismatch(f"init map column {j} sums to {sums[j]}")
         F /= sums[None, :]
@@ -615,29 +615,25 @@ def _scenario_phi(
     Default dispatch uses the reference chain's conductance when one is
     supplied and the graph conductance program otherwise.  prefer_graph
     flips the priority for the bounds that are about the graph itself.
-    Either way the induced chain is the last resort at sizes the graph
-    program cannot reach.
+    Where the graph program's cut guard trips, the reference chain and
+    then the induced chain stand in.
     """
-    notes: list[str] = []
     ref = spec.reference_chain
-    if prefer_graph:
-        if L.base.n <= 14:
-            phi, _ = phi_graph(L.base, pi)
-            return phi, "graph", notes
-        if ref is not None:
-            notes.append(
-                "base graph exceeds the conductance-program guard; the "
-                "bound uses the reference chain's conductance instead"
-            )
-            phi, _ = phi_chain(ref, pi)
-            return phi, "reference-chain", notes
-        return _induced_phi(L, pi, pi_hat)
+    if ref is not None and not prefer_graph:
+        phi, _ = phi_chain(ref, pi)
+        return phi, "reference-chain", []
+    try:
+        phi, _ = phi_graph(L.base, pi)
+        return phi, "graph", []
+    except TooManyNodes:
+        pass
     if ref is not None:
+        notes = [
+            "base graph exceeds the conductance-program guard; the "
+            "bound uses the reference chain's conductance instead"
+        ]
         phi, _ = phi_chain(ref, pi)
         return phi, "reference-chain", notes
-    if L.base.n <= 14:
-        phi, _ = phi_graph(L.base, pi)
-        return phi, "graph", notes
     return _induced_phi(L, pi, pi_hat)
 
 

@@ -228,6 +228,8 @@ def _window_tv(
     identity) projects each state before comparing.  Single starts stay
     1-D, since a one-column matrix would sum in a different order.
     """
+    if t_max < 0:
+        raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
     worst = np.empty(t_max + 1)
     for t in range(t_max + 1):
         if t:

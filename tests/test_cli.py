@@ -241,6 +241,33 @@ def test_lift_build_mixer_from_graph_file(tmp_path, capsys):
     assert report["measured"]["marginal"]["tau"] <= report["diameter"] + 1
 
 
+def test_lift_analyze_rejects_negative_window(tmp_path, capsys):
+    bundle = tmp_path / "lift.json"
+    assert main([
+        "lift", "build", "--construction", "four-cycle",
+        "--delta", "0.05", "--gamma", "0.01", "--out", str(bundle),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
+        "--scenario", "SIMRE", "--t-max", "-1",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_lift_build_irreducible_mixer_rejects_zero_gamma(tmp_path, capsys):
+    gfile = write_graph(tmp_path, cycle(6))
+    assert main([
+        "lift", "build", "--construction", "diameter", "--graph", gfile,
+        "--pi", "uniform", "--variant", "irreducible", "--gamma", "0",
+        "--out", str(tmp_path / "mixer.json"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

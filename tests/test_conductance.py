@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from liftmix import (
     BadGamma,
@@ -50,6 +51,32 @@ def brute_phi_cut(P: StochasticMatrix, pi, members) -> float:
         if j not in inside
     )
     return flow / sum(pi.weights[i] for i in inside)
+
+
+def full_cut_lp_phi(g, pi) -> float:
+    """Graph conductance from the LP with one row for every cut: the
+    permitted entries of P and t are the variables, columns sum to one,
+    P pi = pi, and every cut's outflow is at least t * pi(X)."""
+    n, w = g.n, pi.weights
+    entries = [(i, i) for i in range(n)] + [(j, i) for (i, j) in sorted(g.arcs)]
+    rows = np.array([e[0] for e in entries])
+    cols = np.array([e[1] for e in entries])
+    ne = len(entries)
+    a_eq = np.zeros((2 * n, ne + 1))
+    a_eq[cols, np.arange(ne)] = 1.0
+    a_eq[n + rows, np.arange(ne)] = w[cols]
+    b_eq = np.concatenate([np.ones(n), w])
+    cuts = [c for c in enumerate_cuts(g, pi) if c.weight > 0.0]
+    inside = np.array([[c.contains(i) for i in range(n)] for c in cuts])
+    a_ub = np.zeros((len(cuts), ne + 1))
+    a_ub[:, :ne] = -((inside[:, cols] & ~inside[:, rows]) * w[cols])
+    a_ub[:, ne] = [c.weight for c in cuts]
+    cost = np.zeros(ne + 1)
+    cost[ne] = -1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(cuts)), A_eq=a_eq,
+                  b_eq=b_eq, bounds=[(0.0, 1.0)] * (ne + 1), method="highs")
+    assert res.success
+    return float(res.x[ne])
 
 
 def simple_walk(g) -> StochasticMatrix:
@@ -223,7 +250,28 @@ def test_phi_graph_dominates_admissible_chains():
 
 def test_phi_graph_guard():
     with pytest.raises(TooManyNodes):
-        phi_graph(cycle(15), uniform_distribution(15))
+        phi_graph(cycle(25), uniform_distribution(25))
+
+
+def test_phi_graph_matches_full_cut_lp():
+    # cut generation must reach the optimum of the LP holding every cut
+    rng = rng_from_seed(21)
+    cases = [(g, uniform_distribution(g.n)) for g in (barbell(h) for h in range(3, 7))]
+    cases += [(cycle(n), random_distribution(rng, n)) for n in range(4, 11)]
+    for _ in range(8):
+        g = random_connected_graph(rng, n=int(rng.integers(3, 13)))
+        cases.append((g, random_distribution(rng, g.n)))
+    for g, pi in cases:
+        val, P = phi_graph(g, pi)
+        assert abs(val - full_cut_lp_phi(g, pi)) <= 1e-9
+        M = P.entries
+        off = ~(np.eye(g.n, dtype=bool) | g.adjacency().T)
+        assert (M[off] == 0.0).all()  # local: moves only along arcs
+        assert M.min() >= 0.0
+        assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-8
+        assert np.abs(M @ pi.weights - pi.weights).max() <= 1e-8
+        back, _ = phi_chain(P, pi)
+        assert abs(back - val) <= 1e-9
 
 
 def test_lemma1_t1_leakage_equals_cut_conductance():
@@ -318,12 +366,15 @@ def test_clock_contraction_gamma_guard():
 
 
 def test_flows_of_lp_chain_cross_every_cut():
-    # the optimizer must push at least phi * pi(X) across each cut
-    g = cycle(6)
-    pi = uniform_distribution(6)
-    val, P = phi_graph(g, pi)
-    Q = ergodic_flows(P, pi)
-    for X in enumerate_cuts(g, pi):
-        inside = np.array([X.contains(i) for i in range(6)])
-        crossing = Q[np.ix_(~inside, inside)].sum()
-        assert crossing >= val * X.weight - 1e-8
+    # the optimizer must push at least phi * pi(X) across each cut; the
+    # 16-node cycle is past the size the LP once had to stop at
+    cases = [(cycle(6), uniform_distribution(6))]
+    cases.append((cycle(16), random_distribution(rng_from_seed(16), 16)))
+    for g, pi in cases:
+        val, P = phi_graph(g, pi)
+        Q = ergodic_flows(P, pi)
+        cuts = enumerate_cuts(g, pi)
+        inside = np.array([[X.contains(i) for i in range(g.n)] for X in cuts])
+        crossing = ((~inside @ Q) * inside).sum(axis=1)
+        weights = np.array([X.weight for X in cuts])
+        assert (crossing >= val * weights - 1e-8).all()

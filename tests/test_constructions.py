@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liftmix import (
+    BadGamma,
     BadSize,
     EmptyChain,
     GammaTooLargeForDelta,
@@ -253,6 +254,13 @@ def test_irreducible_mixer_halves_gamma_when_needed():
     L = diameter_mixer(g, pi, variant="irreducible", gamma=0.3)
     assert L.metadata["gamma"] == pytest.approx(0.15)
     assert is_irreducible(L.A)
+
+
+def test_irreducible_mixer_rejects_nonpositive_gamma():
+    # without restarts the start states no longer share a strong component
+    for gamma in (0.0, -0.1, float("nan")):
+        with pytest.raises(BadGamma):
+            diameter_mixer(cycle(6), uniform_distribution(6), "irreducible", gamma=gamma)
 
 
 def test_irreducible_mixer_infeasible_reference_raises():

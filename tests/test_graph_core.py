@@ -121,14 +121,22 @@ def test_enumerate_cuts_uniform_counts_and_weights():
 
 
 def test_enumerate_cuts_skewed_weights():
-    w = np.array([0.4, 0.3, 0.2, 0.1])
-    expected = set()
-    for mask in range(1, 15):
-        s = sum(w[i] for i in range(4) if mask >> i & 1)
-        if s <= 0.5 + 1e-12:
-            expected.add(mask)
-    cuts = enumerate_cuts(4, w)
-    assert {X.member_mask for X in cuts} == expected
+    rng = rng_from_seed(10)
+    weights = [np.array([0.4, 0.3, 0.2, 0.1])]
+    for n in range(2, 11):
+        w = rng.random(n)
+        weights.append(w / w.sum())
+    for w in weights:
+        n = len(w)
+        expected = {}
+        for mask in range(1, (1 << n) - 1):
+            s = sum(w[i] for i in range(n) if mask >> i & 1)
+            if s <= 0.5 + 1e-12:
+                expected[mask] = s
+        cuts = enumerate_cuts(n, w)
+        assert [X.member_mask for X in cuts] == sorted(expected)
+        for X in cuts:
+            assert X.weight == pytest.approx(expected[X.member_mask], abs=1e-12)
 
 
 def test_enumerate_cuts_guard():

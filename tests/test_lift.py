@@ -396,6 +396,17 @@ def test_mixing_times_unmixed_on_even_direction_lift():
     assert full_mixing_time(L, 0.25, "s", t_max=300) == UNMIXED
 
 
+def test_mixing_times_reject_negative_window():
+    # an empty window once read as "mixed at t = 0"
+    L, _, _, _ = four_cycle_lift(0.05, 0.01)
+    pi = uniform_distribution(4)
+    for init in ("S", "s"):
+        with pytest.raises(DimensionMismatch):
+            marginal_mixing_time(L, pi, 0.25, init, t_max=-1)
+        with pytest.raises(DimensionMismatch):
+            full_mixing_time(L, 0.25, init, t_max=-1)
+
+
 def _random_lift(rng, mixer_variants=("reducible", "irreducible")):
     """Replicated lift of a random local chain, or a small diameter mixer of
     one of the given variants, with its base target law."""
@@ -549,6 +560,29 @@ def test_lift_json_round_trip():
             assert np.allclose(back.F.entries, L.F.entries, atol=0)
         assert back.base.arcs == L.base.arcs
         assert back.lifted.arcs == L.lifted.arcs
+
+
+def test_lift_json_rejects_nan_in_init_map():
+    # json.load accepts NaN, and NaN compares False against any tolerance
+    obj = lift_to_json(four_cycle_lift(0.05, 0.01)[0])
+    obj["F"]["rows"][0][0] = float("nan")
+    with pytest.raises(DimensionMismatch):
+        lift_from_json(obj)
+
+
+def test_scenario_phi_source_across_the_cut_guard():
+    # graph conductance runs up to the 24-node cut guard (the best chain on
+    # an even cycle reaches 2/n); past it the induced chain, here the lazy
+    # walk, whose bottleneck is a 12-node arc, stands in with a note saying so
+    for n, source, phi in ((16, "graph", 2 / 16), (25, "induced-chain", 1 / 24)):
+        P = StochasticMatrix(0.5 * (np.eye(n) + simple_walk_entries(n)), locality=cycle(n))
+        L = si_replicated_lift(P, copies=2)
+        report = scenario_report(L, "sIMRE", uniform_distribution(n))
+        lower = bounds_by_name(report)["one-over-4-phi"]
+        assert lower["phi_source"] == source
+        assert lower["phi"] == pytest.approx(phi, abs=1e-9)
+        guard_notes = [note for note in report["notes"] if "guard" in note]
+        assert len(guard_notes) == (source != "graph")
 
 
 def test_evolve_matches_lift_dynamics():

@@ -75,6 +75,15 @@ def test_nan_fails_column_sum_checks():
         matrix_from_json(json.loads('{"n": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}'))
 
 
+def test_mixing_time_rejects_negative_window():
+    P = lazy_walk(cycle(4))
+    pi = uniform_distribution(4)
+    assert mixing_time(P, pi, 0.25, t_max=0) == UNMIXED  # one-step window
+    for t_max in (-1, -2):
+        with pytest.raises(DimensionMismatch):
+            mixing_time(P, pi, 0.25, t_max=t_max)
+
+
 def test_point_and_uniform():
     assert point_distribution(4, 2).weights.tolist() == [0, 0, 1, 0]
     assert np.allclose(uniform_distribution(5).weights, 0.2)
