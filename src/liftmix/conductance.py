@@ -192,20 +192,21 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     in_lp: set[int] = set()
     P, phi = np.eye(n), 1.0
     while True:
-        known = len(in_lp)
+        lp_masks = np.fromiter(in_lp, dtype=np.int64, count=len(in_lp))
         cut_err = -math.inf
         for masks, members, weights, phis in _cut_phis(_cut_chunks(n, w), P * w[None, :]):
             short = phi - phis
             cut_err = max(cut_err, float((short * weights).max()))
-            k = min(_CUTS_PER_ROUND, len(short))
-            worst = np.argpartition(-short, k - 1)[:k]
-            new = [r for r in worst[short[worst] > 1e-9] if int(masks[r]) not in in_lp]
+            # LP cuts can read as violated by solver tolerance: drop them first
+            new = np.flatnonzero((short > 1e-9) & ~np.isin(masks, lp_masks))
+            if len(new) > _CUTS_PER_ROUND:
+                new = new[np.argpartition(-short[new], _CUTS_PER_ROUND - 1)[:_CUTS_PER_ROUND]]
             in_lp.update(masks[new].tolist())
             crossing = members[new][:, cols_e] & ~members[new][:, rows_e]
             rows.append(np.column_stack([-(crossing * w[cols_e]), weights[new]]))
         if not math.isfinite(cut_err):
             raise EmptyCutWeight("no cut carries positive stationary mass")
-        if len(in_lp) == known:
+        if len(in_lp) == len(lp_masks):
             break
         res = linprog(
             cost, A_ub=np.vstack(rows), b_ub=np.zeros(len(in_lp)), A_eq=a_eq,

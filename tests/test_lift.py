@@ -51,6 +51,7 @@ from liftmix import (
     parse_scenario,
     path,
     phi_chain,
+    phi_graph,
     point_distribution,
     scenario_report,
     si_replicated_lift,
@@ -570,19 +571,56 @@ def test_lift_json_rejects_nan_in_init_map():
         lift_from_json(obj)
 
 
-def test_scenario_phi_source_across_the_cut_guard():
-    # graph conductance runs up to the 24-node cut guard (the best chain on
-    # an even cycle reaches 2/n); past it the induced chain, here the lazy
-    # walk, whose bottleneck is a 12-node arc, stands in with a note saying so
-    for n, source, phi in ((16, "graph", 2 / 16), (25, "induced-chain", 1 / 24)):
-        P = StochasticMatrix(0.5 * (np.eye(n) + simple_walk_entries(n)), locality=cycle(n))
-        L = si_replicated_lift(P, copies=2)
+def _lazy_cycle_walk(n):
+    return StochasticMatrix(0.5 * (np.eye(n) + simple_walk_entries(n)), locality=cycle(n))
+
+
+def test_scenario_phi_source_across_the_report_guard():
+    # the graph program runs on bases up to 14 nodes (the best chain on an
+    # even cycle reaches 2/n); past that the induced chain, here the lazy
+    # walk, whose bottleneck is a half cycle, stands in with a note saying so
+    for n, source, phi in ((14, "graph", 2 / 14), (16, "induced-chain", 1 / 16),
+                           (25, "induced-chain", 1 / 24)):
+        L = si_replicated_lift(_lazy_cycle_walk(n), copies=2)
         report = scenario_report(L, "sIMRE", uniform_distribution(n))
         lower = bounds_by_name(report)["one-over-4-phi"]
         assert lower["phi_source"] == source
         assert lower["phi"] == pytest.approx(phi, abs=1e-9)
         guard_notes = [note for note in report["notes"] if "guard" in note]
         assert len(guard_notes) == (source != "graph")
+
+
+def test_scenario_phi_reference_chain_past_the_report_guard():
+    # with a reference chain, the graph-first 1/(8 phi) bound falls back to
+    # it past the guard, and the 1/(4 phi) bound reads it without a note
+    P = _lazy_cycle_walk(16)
+    L = si_replicated_lift(P, copies=2)
+    spec = parse_scenario("siMRE", reference_chain=P)
+    report = scenario_report(L, spec, uniform_distribution(16))
+    by_name = bounds_by_name(report)
+    for name in ("one-over-4-phi", "one-over-8-phi"):
+        assert by_name[name]["phi_source"] == "reference-chain"
+        assert by_name[name]["phi"] == pytest.approx(1 / 16, abs=1e-9)
+    guard_notes = [note for note in report["notes"] if "guard" in note]
+    assert len(guard_notes) == 1 and "reference chain" in guard_notes[0]
+
+
+def test_scenario_report_runs_graph_program_once(monkeypatch):
+    # siMRE without a reference chain feeds both lower bounds from phi_graph
+    import liftmix.lift as lift_module
+
+    calls = []
+
+    def counting_phi_graph(g, pi):
+        calls.append(g.n)
+        return phi_graph(g, pi)
+
+    monkeypatch.setattr(lift_module, "phi_graph", counting_phi_graph)
+    L = si_replicated_lift(_lazy_cycle_walk(8), copies=2)
+    report = scenario_report(L, "siMRE", uniform_distribution(8))
+    by_name = bounds_by_name(report)
+    assert by_name["one-over-4-phi"]["phi"] == by_name["one-over-8-phi"]["phi"]
+    assert calls == [8]
 
 
 def test_evolve_matches_lift_dynamics():
