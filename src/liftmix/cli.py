@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from ._version import __version__
 from .conductance import (
+    _phi_chain_or_cycle,
     clock_contraction_check,
     lemma1_check,
     phi_chain,
@@ -114,7 +116,18 @@ def _plain(obj):
     """Recursively convert report values to JSON-safe plain Python.
 
     Infinities become the string "inf" so the output stays strict JSON.
+    Exact built-in types are dispatched first, since bundles hold millions
+    of plain floats.
     """
+    kind = type(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            return obj
+        return "inf" if obj > 0 else "-inf"
+    if kind is list:
+        return [_plain(v) for v in obj]
+    if kind is int or kind is str:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -124,10 +137,7 @@ def _plain(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if np.isfinite(f):
-            return f
-        return "inf" if f > 0 else "-inf"
+        return _plain(float(obj))
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
     return obj
@@ -361,10 +371,7 @@ def _suite_thm3(seed: int):
         pi_hat = _mixer_stationary(L, pi)
         pi_m = marginal(L, pi_hat)
         P_tilde = induced_chain(L, pi_hat)
-        try:
-            phi, cut = phi_chain(P_tilde, pi_m)
-        except LiftmixError:
-            phi, cut = phi_chain_cycle(P_tilde, pi_m)
+        phi, cut = _phi_chain_or_cycle(P_tilde, pi_m)
         x0 = adversarial_init(L.map, pi_hat, cut)
         t_max = min(1600, max(200, 100 * L.map.base_n))
         tau = _tau_from_start(L, pi, x0, 0.25, t_max)

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCutWeight,
     InfeasibleLP,
+    TooManyNodes,
 )
 from .graph_core import Cut, Graph, _cut_chunks
 from .markov import Distribution, StochasticMatrix, check_stationary
@@ -154,6 +155,16 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
     if best is None:
         raise EmptyCutWeight("no window carries positive stationary mass")
     return best[0], Cut(member_mask=best[1], weight=best[2])
+
+
+def _phi_chain_or_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
+    """phi_chain, or phi_chain_cycle's contiguous windows past the cut guard;
+    a chain too large to enumerate and not cycle-supported raises
+    DimensionMismatch."""
+    try:
+        return phi_chain(P, pi)
+    except TooManyNodes:
+        return phi_chain_cycle(P, pi)
 
 
 def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:

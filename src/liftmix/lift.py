@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .conductance import phi_chain, phi_chain_cycle, phi_graph
+from .conductance import _phi_chain_or_cycle, phi_chain, phi_graph
 from .errors import (
     BadChoiceMap,
     BadScenario,
@@ -33,7 +33,6 @@ from .errors import (
     MissingReferenceChain,
     NoConvergence,
     NotStationary,
-    TooManyNodes,
     ZeroMarginalSupport,
 )
 from .graph_core import Cut, Graph, diameter, graph_from_json, graph_to_json
@@ -347,16 +346,17 @@ def check_invariance(
     raise BadScenario(f"scenario_init must be 'S' or 's', got {scenario_init!r}")
 
 
-def _init_batch(L: Lift, scenario_init: str) -> np.ndarray:
-    """Extreme initializations as columns: lifted vertices under (s), the
-    init-map columns under (S). Worst case over these is exact because TV
-    to any fixed target is convex in the initialization."""
+def _init_batch(L: Lift, scenario_init: str) -> np.ndarray | None:
+    """Extreme initializations as columns: every lifted vertex under (s),
+    signalled by None (the identity batch, never built for marginal scans),
+    the init-map columns under (S). Worst case over these is exact because
+    TV to any fixed target is convex in the initialization."""
     if scenario_init == "s":
-        return np.eye(L.map.lifted_n)
+        return None
     if scenario_init == "S":
         if L.F is None:
             raise MissingInitMap("scenario (S) needs an initialization map")
-        return L.F.entries.copy()
+        return L.F.entries
     raise BadScenario(f"scenario_init must be 'S' or 's', got {scenario_init!r}")
 
 
@@ -415,7 +415,7 @@ def full_mixing_time(
     if is_irreducible(L.A):
         targets = stationary(L.A).weights[:, None]
     else:
-        targets = _batch_limits(A, X)
+        targets = _batch_limits(A, np.eye(L.map.lifted_n) if X is None else X)
     return _settle_time(_window_tv(A, X, targets, t_max), eps)
 
 
@@ -591,16 +591,13 @@ def _induced_phi(L: Lift, pi: Distribution, pi_hat: Distribution):
     P_ind = induced_chain(L, pi_hat)
     pi_m = marginal(L, pi_hat)
     try:
-        phi, _ = phi_chain(P_ind, pi_m)
-    except TooManyNodes:
-        try:
-            phi, _ = phi_chain_cycle(P_ind, pi_m)
-        except DimensionMismatch:
-            notes.append(
-                "induced chain too large to enumerate and not cycle-"
-                "supported; conductance bound skipped"
-            )
-            return None, "unavailable", notes
+        phi, _ = _phi_chain_or_cycle(P_ind, pi_m)
+    except DimensionMismatch:
+        notes.append(
+            "induced chain too large to enumerate and not cycle-"
+            "supported; conductance bound skipped"
+        )
+        return None, "unavailable", notes
     return phi, "induced-chain", notes
 
 
@@ -792,7 +789,7 @@ def scenario_report(
                 "required": spec.invariance == "i",
                 "ok": bool(inv_ok) if spec.invariance == "i" else None,
                 "witness": None if inv_witness is None
-                else [float(v) for v in inv_witness.weights],
+                else inv_witness.weights.tolist(),
             },
             "flow_match": flow_verdict,
         },
@@ -808,7 +805,7 @@ def lift_to_json(L: Lift) -> dict:
         "projection": list(L.map.projection),
         "A": L.A.to_json(),
         "F": None if L.F is None else {
-            "rows": [[float(v) for v in row] for row in L.F.entries]
+            "rows": L.F.entries.tolist()
         },
         "metadata": dict(L.metadata),
     }

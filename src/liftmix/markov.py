@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (
     BadColumnSum,
@@ -52,7 +53,7 @@ class Distribution:
         return self.weights.shape[0]
 
     def to_json(self) -> dict:
-        return {"weights": [float(x) for x in self.weights]}
+        return {"weights": self.weights.tolist()}
 
 
 def uniform_distribution(n: int) -> Distribution:
@@ -115,7 +116,7 @@ class StochasticMatrix:
         return self.entries.shape[0]
 
     def to_json(self) -> dict:
-        return {"n": self.n, "rows": [[float(x) for x in row] for row in self.entries]}
+        return {"n": self.n, "rows": self.entries.tolist()}
 
 
 def matrix_from_json(obj: dict, locality: Graph | None = None) -> StochasticMatrix:
@@ -219,23 +220,37 @@ def _settle_time(worst_tv: np.ndarray, eps: float) -> float:
 
 
 def _window_tv(
-    A: np.ndarray, X: np.ndarray, target: np.ndarray, t_max: int,
+    A: np.ndarray, X: np.ndarray | None, target: np.ndarray, t_max: int,
     C: np.ndarray | None = None,
 ) -> np.ndarray:
     """Worst column TV of C A^t X against target for t = 0..t_max.
 
-    X is a batch of starts as columns, or a single 1-D start; C (default
-    identity) projects each state before comparing.  Single starts stay
-    1-D, since a one-column matrix would sum in a different order.
+    X is a batch of starts as columns, a single 1-D start, or None for
+    every vertex (the identity batch); C (default identity) projects each
+    state before comparing.  A is propagated as one CSR copy.  When C is
+    given and the batch is wider than C has rows, as every vertex is, the
+    scan runs the adjoint rows M_{t+1} = M_t A from M_0 = C and compares
+    M_t X, or M_t itself for every vertex; otherwise it propagates the
+    starts forward, X <- A X.  Single starts stay 1-D, since a one-column
+    matrix would sum in a different order.
     """
     if t_max < 0:
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
+    A = csr_array(A)
+    if C is not None and (X is None or X.ndim == 2 and X.shape[1] > C.shape[0]):
+        # the state is M_t^T = (A^T)^t C^T, lifted x base
+        step, state = A.T, np.ascontiguousarray(C.T)
+        read = (lambda S: S.T) if X is None else (lambda S: S.T @ X)
+    else:
+        step, state = A, np.eye(A.shape[0]) if X is None else X
+        read = (lambda S: S) if C is None else (lambda S: C @ S)
     worst = np.empty(t_max + 1)
+    gap = None  # reused: a fresh full-state buffer each step costs more than the step
     for t in range(t_max + 1):
         if t:
-            X = A @ X
-        Y = X if C is None else C @ X
-        worst[t] = 0.5 * np.abs(Y - target).sum(axis=0).max()
+            state = step @ state
+        gap = np.subtract(read(state), target, out=gap)
+        worst[t] = 0.5 * np.abs(gap, out=gap).sum(axis=0).max()
     return worst
 
 
@@ -250,7 +265,7 @@ def mixing_time(
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    worst = _window_tv(P.entries, np.eye(P.n), pi.weights[:, None], t_max)
+    worst = _window_tv(P.entries, None, pi.weights[:, None], t_max)
     return _settle_time(worst, eps)
 
 

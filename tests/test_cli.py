@@ -1,12 +1,13 @@
 """Command-line surface: suites, determinism, exit codes, file formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from liftmix import barbell, complete, cycle, graph_to_json, path
-from liftmix.cli import SUITE_NAMES, main, run_suite
+from liftmix.cli import SUITE_NAMES, _dump_json, main, run_suite
 
 EXPECTED_SUITE_PASS = {
     "lemma1": True,
@@ -282,3 +283,28 @@ def test_nonfinite_values_serialize_as_strings(tmp_path):
     lifts = {int(k): v for k, v in obj["lift_tau"].items()}
     assert lifts[16] == "inf"
     assert text.endswith("\n")
+
+
+def test_dump_json_converts_numpy_and_nonfinite_values():
+    report = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.5),
+        "i64": np.int64(-3),
+        "np_bool": np.bool_(False),
+        "bool": True,
+        "int": 7,
+        "inf": math.inf,
+        "ninf": -math.inf,
+        "np_inf": np.float64(np.inf),
+        "tuple": (1, 2.5, (np.int32(4), None)),
+        "rows": np.array([[0.25, np.inf], [-np.inf, 1.0]]),
+        "flags": np.array([True, False]),
+        "counts": np.arange(3),
+        2: [{"nested": np.float64(-0.0)}, "text"],
+    }
+    assert _dump_json(report) == (
+        '{"2":[{"nested":-0.0},"text"],"bool":true,"counts":[0,1,2],'
+        '"f32":0.5,"f64":0.1,"flags":[true,false],"i64":-3,"inf":"inf",'
+        '"int":7,"ninf":"-inf","np_bool":false,"np_inf":"inf",'
+        '"rows":[[0.25,"inf"],["-inf",1.0]],"tuple":[1,2.5,[4,null]]}\n'
+    )

@@ -60,7 +60,9 @@ from liftmix import (
     uniform_distribution,
     unlift_si,
 )
-from liftmix.cli import _tau_from_start
+from liftmix.cli import _criterion_lifts, _tau_from_start
+from liftmix.lift import _batch_limits
+from liftmix.markov import _settle_time, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -443,6 +445,108 @@ def test_full_mixing_time_matches_chain_mixing_time_when_irreducible(seed):
     t_max = 40
     expected = mixing_time(L.A, stationary(L.A), 0.25, t_max)
     assert full_mixing_time(L, 0.25, "s", t_max) == expected
+
+
+def _dense_window_tv(A, X, target, t_max, C=None):
+    """Reference window scan: dense forward propagation of the whole batch."""
+    worst = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        if t:
+            X = A @ X
+        Y = X if C is None else C @ X
+        worst[t] = 0.5 * np.abs(Y - target).sum(axis=0).max()
+    return worst
+
+
+def _assert_same_scan(dense, sparse):
+    assert sparse.shape == dense.shape
+    assert np.abs(sparse - dense).max() <= 1e-12
+    assert _settle_time(sparse, 0.25) == _settle_time(dense, 0.25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+def test_window_scan_matches_dense_propagation(seed, t_max):
+    rng = rng_from_seed(seed)
+    L, pi = _random_lift(rng)
+    A, C, n = L.A.entries, L.map.C, L.map.lifted_n
+    target = pi.weights[:, None]
+    eye = np.eye(n)
+    # more starts than base nodes: random columns, spread and point masses
+    wide = np.column_stack([random_distribution(rng, n).weights
+                            for _ in range(L.map.base_n + 1)])
+    narrow = wide[:, :L.map.base_n]
+    x = random_distribution(rng, n).weights
+    limits = _batch_limits(A, eye)
+    for t in (0, t_max):
+        # adjoint: every vertex, and an explicit batch wider than C has rows
+        _assert_same_scan(_dense_window_tv(A, eye, target, t, C),
+                          _window_tv(A, None, target, t, C))
+        _assert_same_scan(_dense_window_tv(A, wide, target, t, C),
+                          _window_tv(A, wide, target, t, C))
+        # forward: an init-map-shaped batch, one 1-D start, full-state scans
+        _assert_same_scan(_dense_window_tv(A, narrow, target, t, C),
+                          _window_tv(A, narrow, target, t, C))
+        _assert_same_scan(_dense_window_tv(A, x, pi.weights, t, C),
+                          _window_tv(A, x, pi.weights, t, C))
+        _assert_same_scan(_dense_window_tv(A, eye, limits, t),
+                          _window_tv(A, None, limits, t))
+        _assert_same_scan(_dense_window_tv(A, narrow, limits[:, :L.map.base_n], t),
+                          _window_tv(A, narrow, limits[:, :L.map.base_n], t))
+        if L.F is not None:
+            F = L.F.entries
+            _assert_same_scan(_dense_window_tv(A, F, target, t, C),
+                              _window_tv(A, F, target, t, C))
+
+
+# (S) marginal, (S) full, (s) marginal, (s) full at the default windows, as
+# the dense forward scan (_dense_window_tv) gives them; None where a lift has
+# no init map.  The dense scan needs about a minute for all of them.
+INF = UNMIXED
+_CRITERION_TAUS = {
+    "mixer-reducible/barbell-6": (3, 4, INF, 4),
+    "mixer-reducible/cycle-8": (4, 5, INF, 5),
+    "mixer-reducible/path-5": (4, 5, INF, 5),
+    "mixer-reducible/random-00": (3, 4, INF, 4),
+    "mixer-reducible/random-01": (3, 4, INF, 4),
+    "mixer-reducible/random-02": (3, 4, INF, 4),
+    "mixer-reducible/random-03": (2, 3, INF, 3),
+    "mixer-reducible/random-04": (2, 3, INF, 3),
+    "mixer-reducible/random-05": (3, 4, INF, 4),
+    "mixer-reducible/random-06": (1, 2, INF, 2),
+    "mixer-reducible/random-07": (3, 4, INF, 4),
+    "mixer-reducible/random-08": (3, 4, INF, 4),
+    "mixer-reducible/random-09": (3, 4, INF, 4),
+    "mixer-reducible/random-10": (3, 4, INF, 4),
+    "mixer-reducible/random-11": (2, 3, INF, 3),
+    "mixer-reducible/random-12": (4, 5, INF, 5),
+    "mixer-reducible/random-13": (2, 3, INF, 3),
+    "mixer-reducible/random-14": (3, 4, INF, 4),
+    "mixer-reducible/random-15": (3, 4, INF, 4),
+    "mixer-reducible/random-16": (3, 4, INF, 4),
+    "mixer-reducible/random-17": (3, 4, INF, 4),
+    "mixer-reducible/random-18": (1, 2, INF, 2),
+    "mixer-reducible/random-19": (2, 3, INF, 3),
+    "mixer-irreducible/cycle-4": (2, 3, 4, INF),
+    "mixer-irreducible/barbell-3": (3, 4, 14, INF),
+    "direction-lift/cycle-16": (None, None, INF, INF),
+    "direction-lift/cycle-32": (None, None, INF, INF),
+    "direction-lift/cycle-64": (None, None, INF, INF),
+    "four-cycle": (2, 2, 67, 71),
+}
+
+
+def test_mixing_times_match_dense_propagation_on_criterion_lifts():
+    lifts = _criterion_lifts(0)
+    assert [name for name, _, _ in lifts] == list(_CRITERION_TAUS)
+    for name, L, pi in lifts:
+        got = []
+        for init in ("S", "s"):
+            if init == "S" and L.F is None:
+                got += [None, None]
+                continue
+            got += [marginal_mixing_time(L, pi, 0.25, init), full_mixing_time(L, 0.25, init)]
+        assert tuple(got) == _CRITERION_TAUS[name], name
 
 
 def test_scenario_parse_and_format_round_trip():
