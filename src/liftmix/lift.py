@@ -33,6 +33,7 @@ from .errors import (
     MissingReferenceChain,
     NoConvergence,
     NotStationary,
+    ReducibleChain,
     ZeroMarginalSupport,
 )
 from .graph_core import Cut, Graph, diameter, graph_from_json, graph_to_json
@@ -301,9 +302,10 @@ def lifted_stationary(L: Lift, seed_init: Distribution) -> Distribution:
     """
     if seed_init.n != L.map.lifted_n:
         raise DimensionMismatch("seed does not live on the lifted nodes")
-    if is_irreducible(L.A):
+    try:
         return stationary(L.A)
-    return Distribution(_batch_limits(L.A.entries, seed_init.weights))
+    except ReducibleChain:
+        return Distribution(_batch_limits(L.A.entries, seed_init.weights))
 
 
 def check_invariance(
@@ -404,7 +406,9 @@ def full_mixing_time(
     Each extreme initialization is compared against the steady state it
     converges to in long-run average (the unique one when A is
     irreducible).  Periodic dynamics never settle pointwise and come out
-    UNMIXED even when the marginal converges.
+    UNMIXED even when the marginal converges.  The scan stops once the
+    rest of the window is certified under eps (markov._window_tv), so an
+    UNMIXED result is the only one that scans the whole window.
     """
     if not 0 < eps < 1:
         raise DimensionMismatch(f"eps must be in (0,1), got {eps}")
@@ -412,11 +416,11 @@ def full_mixing_time(
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
     A = L.A.entries
-    if is_irreducible(L.A):
+    try:
         targets = stationary(L.A).weights[:, None]
-    else:
+    except ReducibleChain:
         targets = _batch_limits(A, np.eye(L.map.lifted_n) if X is None else X)
-    return _settle_time(_window_tv(A, X, targets, t_max), eps)
+    return _settle_time(_window_tv(A, X, targets, t_max, eps=eps), eps)
 
 
 def check_flow_match(

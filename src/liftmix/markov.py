@@ -221,7 +221,7 @@ def _settle_time(worst_tv: np.ndarray, eps: float) -> float:
 
 def _window_tv(
     A: np.ndarray, X: np.ndarray | None, target: np.ndarray, t_max: int,
-    C: np.ndarray | None = None,
+    C: np.ndarray | None = None, *, eps: float | None = None,
 ) -> np.ndarray:
     """Worst column TV of C A^t X against target for t = 0..t_max.
 
@@ -233,10 +233,29 @@ def _window_tv(
     M_t X, or M_t itself for every vertex; otherwise it propagates the
     starts forward, X <- A X.  Single starts stay 1-D, since a one-column
     matrix would sum in a different order.
+
+    With eps, a full-state scan (C None, A column-stochastic) may return
+    the prefix worst[:t+1] instead of the whole window, once no later step
+    can rise above eps; _settle_time reads the prefix as the same tau.
+    Each column of A^{t+1} x - z is A (A^t x - z) + (A z - z), and A does
+    not grow l1 norms, so TV(A^{t+1} x, z) <= TV(A^t x, z) + r with
+    r = max_col 1/2 ||A z - z||_1, measured once on the target columns
+    (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 4.4).  The scan
+    stops at the first t with worst[t] <= eps - (t_max - t)(r + 1e-12)
+    - 1e-9.  The targets need only be near-fixed: their residuals are at
+    most 1e-9 from _batch_limits and check_stationary, 1e-10 from
+    stationary.  The margins cover the floats: CSR rounding adds far less
+    than 1e-12 per step, and the TV sums and r itself are off by far less
+    than 1e-9.  A marginal TV can rise again, so eps is refused with C.
     """
     if t_max < 0:
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
+    if eps is not None and C is not None:
+        raise DimensionMismatch("an early stop needs a full-state scan")
     A = csr_array(A)
+    if eps is not None:
+        # a 1-D target is one column; a (n, k) target is k columns
+        drift = 0.5 * np.abs(A @ target - target).sum(axis=0).max() + 1e-12
     if C is not None and (X is None or X.ndim == 2 and X.shape[1] > C.shape[0]):
         # the state is M_t^T = (A^T)^t C^T, lifted x base
         step, state = A.T, np.ascontiguousarray(C.T)
@@ -251,6 +270,8 @@ def _window_tv(
             state = step @ state
         gap = np.subtract(read(state), target, out=gap)
         worst[t] = 0.5 * np.abs(gap, out=gap).sum(axis=0).max()
+        if eps is not None and worst[t] <= eps - (t_max - t) * drift - 1e-9:
+            return worst[:t + 1]
     return worst
 
 
@@ -265,7 +286,7 @@ def mixing_time(
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    worst = _window_tv(P.entries, None, pi.weights[:, None], t_max)
+    worst = _window_tv(P.entries, None, pi.weights[:, None], t_max, eps=eps)
     return _settle_time(worst, eps)
 
 

@@ -20,6 +20,7 @@ from liftmix import (
     MissingInitMap,
     MissingReferenceChain,
     NotStationary,
+    ReducibleChain,
     ScenarioSpec,
     StochasticMatrix,
     UNMIXED,
@@ -31,6 +32,7 @@ from liftmix import (
     clock_lift,
     conditional_unlift,
     cycle,
+    default_t_max,
     diaconis_cycle_lift,
     diameter_mixer,
     ergodic_flows,
@@ -60,6 +62,7 @@ from liftmix import (
     uniform_distribution,
     unlift_si,
 )
+import liftmix.lift as lift_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
 from liftmix.lift import _batch_limits
 from liftmix.markov import _settle_time, _window_tv
@@ -547,6 +550,80 @@ def test_mixing_times_match_dense_propagation_on_criterion_lifts():
                 continue
             got += [marginal_mixing_time(L, pi, 0.25, init), full_mixing_time(L, 0.25, init)]
         assert tuple(got) == _CRITERION_TAUS[name], name
+
+
+def _seeded_targets(A, X):
+    """The targets full_mixing_time scans against: the stationary law of an
+    irreducible A, else each start's long-run average."""
+    try:
+        return stationary(StochasticMatrix(A)).weights[:, None]
+    except ReducibleChain:
+        return _batch_limits(A, np.eye(A.shape[0]) if X is None else X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from([0.05, 0.25, 0.5]))
+def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
+    rng = rng_from_seed(seed)
+    if rng.random() < 0.25:
+        L = diaconis_cycle_lift(int(rng.choice([4, 6])))  # period 2
+    else:
+        L, _ = _random_lift(rng)  # replicated, reducible or irreducible mixer
+    A, n = L.A.entries, L.map.lifted_n
+    P = random_local_chain(rng, random_connected_graph(rng, n_max=5)).entries
+    scans = [(A, X, _seeded_targets(A, X))
+             for X in ([None] if L.F is None else [None, L.F.entries])]
+    scans.append((P, None, _seeded_targets(P, None)))
+    # off the fixed points of A, where TV may dip under eps and rise again
+    scans.append((A, None, random_distribution(rng, n).weights[:, None]))
+    scans.append((A, np.eye(n)[0], random_distribution(rng, n).weights))
+    for B, X, target in scans:
+        full = _window_tv(B, X, target, t_max)
+        early = _window_tv(B, X, target, t_max, eps=eps)
+        assert np.array_equal(early, full[:len(early)])
+        assert _settle_time(early, eps) == _settle_time(full, eps)
+
+
+def test_early_stop_waits_out_a_target_off_the_fixed_points():
+    # 0 -> 1 -> 2, absorbed at 2: the start passes through the target e_1 at
+    # t = 1, so TV dips to 0 there and is 1 ever after
+    A = np.zeros((3, 3))
+    A[1, 0] = A[2, 1] = A[2, 2] = 1.0
+    x, z = np.eye(3)[0], np.eye(3)[1]
+    full = _window_tv(A, x, z, 10)
+    assert full.tolist() == [1.0, 0.0] + [1.0] * 9
+    early = _window_tv(A, x, z, 10, eps=0.25)
+    assert np.array_equal(early, full)
+    assert _settle_time(early, 0.25) == UNMIXED
+    with pytest.raises(DimensionMismatch):
+        _window_tv(A, x, z[:1], 10, np.ones((1, 3)), eps=0.25)
+
+
+def _recorded_scan_lengths(monkeypatch):
+    lengths = []
+
+    def recording(*args, **kwargs):
+        worst = _window_tv(*args, **kwargs)
+        lengths.append(len(worst))
+        return worst
+
+    monkeypatch.setattr(lift_module, "_window_tv", recording)
+    return lengths
+
+
+def test_full_state_scan_stops_by_tau_on_reducible_mixer(monkeypatch):
+    lengths = _recorded_scan_lengths(monkeypatch)
+    L = diameter_mixer(cycle(8), uniform_distribution(8), "reducible")
+    tau = full_mixing_time(L, 0.25, "s")
+    assert tau == 5
+    assert len(lengths) == 1 and lengths[0] <= tau + 2  # by step tau + 1, of 400
+
+
+def test_full_state_scan_keeps_the_window_on_periodic_lift(monkeypatch):
+    lengths = _recorded_scan_lengths(monkeypatch)
+    L = diaconis_cycle_lift(8)
+    assert full_mixing_time(L, 0.25, "s") == UNMIXED
+    assert lengths == [default_t_max(8) + 1]
 
 
 def test_scenario_parse_and_format_round_trip():
