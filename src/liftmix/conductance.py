@@ -177,7 +177,10 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     (Kelley's cutting planes): starting from the identity chain at t = 1,
     every cut is scanned against the current chain and t, each chunk's
     most violated cuts join the LP, and the LP is solved again, until no
-    cut's conductance falls below t by more than 1e-9.  The LP is
+    cut's conductance falls below t by more than 1e-9.  HiGHS accepts rows
+    broken within its primal tolerance of 1e-7; if a cut row is then broken
+    by more than the 1e-8 that the result must meet, the LP is solved once
+    more with a 1e-10 tolerance and the loop goes on.  The LP is
     degenerate, so the chain is one optimal chain among possibly many.
     """
     n = g.n
@@ -202,6 +205,7 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     rows: list[np.ndarray] = []
     in_lp: set[int] = set()
     P, phi = np.eye(n), 1.0
+    options: dict = {}
     while True:
         lp_masks = np.fromiter(in_lp, dtype=np.int64, count=len(in_lp))
         cut_err = -math.inf
@@ -218,10 +222,14 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
         if not math.isfinite(cut_err):
             raise EmptyCutWeight("no cut carries positive stationary mass")
         if len(in_lp) == len(lp_masks):
-            break
+            if cut_err <= 1e-8 or options:
+                break
+            # HiGHS accepts rows broken within its 1e-7 primal tolerance:
+            # re-solve the same rows once, tighter, and rescan
+            options = {"primal_feasibility_tolerance": 1e-10}
         res = linprog(
             cost, A_ub=np.vstack(rows), b_ub=np.zeros(len(in_lp)), A_eq=a_eq,
-            b_eq=b_eq, bounds=bounds, method="highs",
+            b_eq=b_eq, bounds=bounds, method="highs", options=options,
         )
         if not res.success:
             raise InfeasibleLP(f"conductance LP failed: {res.message}")

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array, eye_array
+from scipy.sparse.linalg import splu
 
 from ._version import __version__
 from .conductance import _phi_chain_or_cycle, phi_chain, phi_graph
@@ -36,7 +39,14 @@ from .errors import (
     ReducibleChain,
     ZeroMarginalSupport,
 )
-from .graph_core import Cut, Graph, diameter, graph_from_json, graph_to_json
+from .graph_core import (
+    Cut,
+    Graph,
+    _strong_components,
+    diameter,
+    graph_from_json,
+    graph_to_json,
+)
 from .markov import (
     UNMIXED,
     Distribution,
@@ -47,6 +57,7 @@ from .markov import (
     is_irreducible,
     stationary,
     _settle_time,
+    _stationary_weights,
     _window_tv,
 )
 
@@ -384,7 +395,8 @@ def marginal_mixing_time(
 
 def _batch_limits(A: np.ndarray, X0: np.ndarray) -> np.ndarray:
     """Long-run average limit of each column's trajectory under A (a 1-D
-    X0 is a single start and gives a 1-D limit)."""
+    X0 is a single start and gives a 1-D limit), by half-lazy averaging
+    that stops at a 1e-10 step change; only lifted_stationary uses it."""
     Y = X0.copy()
     for _ in range(100_000):
         Z = 0.5 * (Y + A @ Y)
@@ -393,6 +405,46 @@ def _batch_limits(A: np.ndarray, X0: np.ndarray) -> np.ndarray:
                 return Z
         Y = Z
     raise NoConvergence("steady-state averaging did not settle in 1e5 steps")
+
+
+def _ergodic_limits(A: np.ndarray, X: np.ndarray | None) -> np.ndarray:
+    """Exact long-run average Z X of each start under A: the columns of X,
+    or every vertex when X is None.
+
+    Z = lim (1/T) sum_{t<T} A^t is the ergodic projector (Kemeny-Snell,
+    Finite Markov Chains).  The closed classes are the strong components
+    of A's support that no arc leaves; a start inside class c averages to
+    c's stationary law pi_c, periodic classes included (Levin-Peres-Wilmer,
+    Markov Chains and Mixing Times, 1.3).  A transient start v averages to
+    sum_c h_c(v) pi_c, with h_c(v) its probability of absorption in c.
+    Over the transient states T these solve (I - A_TT)^T h_c = b_c, b_c(v)
+    being v's one-step mass into c: one sparse LU, one right-hand side per
+    class.  So Z = Pi H^T, both factors lifted_n x classes, and Z X is
+    formed as Pi (H^T X).  An irreducible A (one class, no transient
+    states) gives its stationary law, solved as stationary solves it, as
+    one column that broadcasts against every start.
+    """
+    n = A.shape[0]
+    labels = _strong_components(A != 0)
+    if labels.max() == 0:
+        return _stationary_weights(A)[:, None]
+    to, frm = np.nonzero(A)
+    leaky = np.zeros(labels.max() + 1, dtype=bool)
+    leaky[labels[frm[labels[to] != labels[frm]]]] = True
+    closed = np.flatnonzero(~leaky)
+    Pi = np.zeros((n, len(closed)))
+    H = np.zeros((n, len(closed)))
+    for k, c in enumerate(closed):
+        members = np.flatnonzero(labels == c)
+        Pi[members, k] = _stationary_weights(A[np.ix_(members, members)])
+        H[members, k] = 1.0
+    T = np.flatnonzero(leaky[labels])
+    if len(T):
+        S = csr_array(A)
+        Q = S[T][:, T]
+        lu = splu(csc_array((eye_array(len(T)) - Q).T))
+        H[T] = lu.solve(S[:, T].T @ H)
+    return Pi @ H.T if X is None else Pi @ (H.T @ X)
 
 
 def full_mixing_time(
@@ -405,8 +457,10 @@ def full_mixing_time(
 
     Each extreme initialization is compared against the steady state it
     converges to in long-run average (the unique one when A is
-    irreducible).  Periodic dynamics never settle pointwise and come out
-    UNMIXED even when the marginal converges.  The scan stops once the
+    irreducible), taken exactly from the ergodic projector: closed
+    classes, their laws, and absorption probabilities from one sparse LU
+    (_ergodic_limits).  Periodic dynamics never settle pointwise and come
+    out UNMIXED even when the marginal converges.  The scan stops once the
     rest of the window is certified under eps (markov._window_tv), so an
     UNMIXED result is the only one that scans the whole window.
     """
@@ -416,11 +470,7 @@ def full_mixing_time(
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
     A = L.A.entries
-    try:
-        targets = stationary(L.A).weights[:, None]
-    except ReducibleChain:
-        targets = _batch_limits(A, np.eye(L.map.lifted_n) if X is None else X)
-    return _settle_time(_window_tv(A, X, targets, t_max, eps=eps), eps)
+    return _settle_time(_window_tv(A, X, _ergodic_limits(A, X), t_max, eps=eps), eps)
 
 
 def check_flow_match(
@@ -614,7 +664,7 @@ def _scenario_phi(
     L: Lift,
     spec: ScenarioSpec,
     pi: Distribution,
-    pi_hat: Distribution,
+    pi_hat: Callable[[], Distribution],
     prefer_graph: bool,
 ):
     """Conductance feeding a scenario bound.
@@ -622,14 +672,15 @@ def _scenario_phi(
     Default dispatch uses the reference chain's conductance when one is
     supplied and the graph conductance program otherwise; prefer_graph
     flips the priority for the bounds about the graph itself.  Past
-    _REPORT_GRAPH_MAX_NODES the reference, then the induced chain stands in.
+    _REPORT_GRAPH_MAX_NODES the reference, then the induced chain of the
+    steady state pi_hat() stands in.
     """
     ref = spec.reference_chain
     if (prefer_graph or ref is None) and L.base.n <= _REPORT_GRAPH_MAX_NODES:
         phi, _ = phi_graph(L.base, pi)
         return phi, "graph", []
     if ref is None:
-        return _induced_phi(L, pi, pi_hat)
+        return _induced_phi(L, pi, pi_hat())
     phi, _ = phi_chain(ref, pi)
     notes = [
         "base graph exceeds the conductance-program guard; the "
@@ -673,13 +724,14 @@ def scenario_report(
     else:
         seed = fiber_uniform_init(L.map, pi)
         seed_name = "fiber-uniform"
-    pi_hat = lifted_stationary(L, seed)
+    # only flow verdicts and the induced-chain conductance read the steady state
+    pi_hat = functools.cache(functools.partial(lifted_stationary, L, seed))
 
     flow_verdict = None
     if spec.flows == "e":
         ref = spec.require_reference()
         delta = spec.delta if spec.delta is not None else 0.0
-        max_dev, flow_ok = check_flow_match(L, pi_hat, ref, delta)
+        max_dev, flow_ok = check_flow_match(L, pi_hat(), ref, delta)
         flow_verdict = {
             "max_dev": max_dev,
             "delta": delta,

@@ -180,20 +180,26 @@ def stationary(P: StochasticMatrix) -> Distribution:
     """Unique stationary distribution of an irreducible chain (linear solve)."""
     if not is_irreducible(P):
         raise ReducibleChain("chain is reducible; use lifted_stationary with a seed")
-    n = P.n
-    A = np.vstack([P.entries - np.eye(n), np.ones((1, n))])
+    return Distribution(_stationary_weights(P.entries))
+
+
+def _stationary_weights(M: np.ndarray) -> np.ndarray:
+    """The fixed probability vector of a column-stochastic M whose support
+    is strongly connected, by least squares and one polish step."""
+    n = M.shape[0]
+    A = np.vstack([M - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     # one polish step tightens the residual
-    pi = P.entries @ pi
+    pi = M @ pi
     pi /= pi.sum()
-    res = float(np.abs(P.entries @ pi - pi).sum())
+    res = float(np.abs(M @ pi - pi).sum())
     if res > 1e-10:
         raise NotStationary(f"stationary solve residual {res} exceeds 1e-10")
-    return Distribution(pi)
+    return pi
 
 
 def check_stationary(P: StochasticMatrix, pi: Distribution, tol: float = 1e-9) -> None:
@@ -243,10 +249,11 @@ def _window_tv(
     (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 4.4).  The scan
     stops at the first t with worst[t] <= eps - (t_max - t)(r + 1e-12)
     - 1e-9.  The targets need only be near-fixed: their residuals are at
-    most 1e-9 from _batch_limits and check_stationary, 1e-10 from
-    stationary.  The margins cover the floats: CSR rounding adds far less
-    than 1e-12 per step, and the TV sums and r itself are off by far less
-    than 1e-9.  A marginal TV can rise again, so eps is refused with C.
+    most 1e-9 from check_stationary, 1e-10 from stationary, and rounding
+    level from lift._ergodic_limits' exact projector.  The margins cover
+    the floats: CSR rounding adds far less than 1e-12 per step, and the TV
+    sums and r itself are off by far less than 1e-9.  A marginal TV can
+    rise again, so eps is refused with C.
     """
     if t_max < 0:
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")

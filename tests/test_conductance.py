@@ -20,6 +20,7 @@ from liftmix import (
     enumerate_cuts,
     ergodic_flows,
     four_cycle_lift,
+    graph_from_edges,
     is_irreducible,
     lazy_walk,
     lemma1_check,
@@ -272,6 +273,28 @@ def test_phi_graph_matches_full_cut_lp():
         assert np.abs(M @ pi.weights - pi.weights).max() <= 1e-8
         back, _ = phi_chain(P, pi)
         assert abs(back - val) <= 1e-9
+
+
+def test_phi_graph_tightens_highs_when_a_cut_row_is_broken():
+    # HiGHS's first solution of this LP broke a cut row by 4.3e-8: inside its
+    # own 1e-7 primal tolerance, above phi_graph's 1e-8 check
+    g = graph_from_edges(12, [
+        (0, 1), (0, 2), (0, 10), (1, 2), (1, 4), (1, 5), (1, 7), (1, 9),
+        (1, 10), (2, 3), (3, 5), (3, 6), (3, 8), (3, 11), (4, 6), (4, 8),
+        (4, 10), (4, 11), (5, 7), (5, 11), (6, 9), (6, 10), (7, 9), (9, 10),
+        (9, 11),
+    ])
+    pi = Distribution([
+        0.12421808546650043, 0.061869068617657307, 0.1381500123034129,
+        0.11245841335738141, 0.14304321153364752, 0.013351405074401973,
+        0.016859535810970293, 0.02479503685943611, 0.05646001794645794,
+        0.0832811915057528, 0.15743466454890773, 0.06807935697547358,
+    ])
+    val, P = phi_graph(g, pi)
+    assert abs(val - 0.363365415783535) <= 1e-9
+    assert abs(val - full_cut_lp_phi(g, pi)) <= 1e-9
+    back, _ = phi_chain(P, pi)
+    assert abs(back - val) <= 1e-9
 
 
 def test_lemma1_t1_leakage_equals_cut_conductance():

@@ -64,7 +64,7 @@ from liftmix import (
 )
 import liftmix.lift as lift_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
-from liftmix.lift import _batch_limits
+from liftmix.lift import _batch_limits, _ergodic_limits
 from liftmix.markov import _settle_time, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
@@ -480,7 +480,7 @@ def test_window_scan_matches_dense_propagation(seed, t_max):
                             for _ in range(L.map.base_n + 1)])
     narrow = wide[:, :L.map.base_n]
     x = random_distribution(rng, n).weights
-    limits = _batch_limits(A, eye)
+    limits = _ergodic_limits(A, None)
     for t in (0, t_max):
         # adjoint: every vertex, and an explicit batch wider than C has rows
         _assert_same_scan(_dense_window_tv(A, eye, target, t, C),
@@ -552,15 +552,6 @@ def test_mixing_times_match_dense_propagation_on_criterion_lifts():
         assert tuple(got) == _CRITERION_TAUS[name], name
 
 
-def _seeded_targets(A, X):
-    """The targets full_mixing_time scans against: the stationary law of an
-    irreducible A, else each start's long-run average."""
-    try:
-        return stationary(StochasticMatrix(A)).weights[:, None]
-    except ReducibleChain:
-        return _batch_limits(A, np.eye(A.shape[0]) if X is None else X)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from([0.05, 0.25, 0.5]))
 def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
@@ -571,9 +562,10 @@ def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
         L, _ = _random_lift(rng)  # replicated, reducible or irreducible mixer
     A, n = L.A.entries, L.map.lifted_n
     P = random_local_chain(rng, random_connected_graph(rng, n_max=5)).entries
-    scans = [(A, X, _seeded_targets(A, X))
+    # the targets full_mixing_time scans against
+    scans = [(A, X, _ergodic_limits(A, X))
              for X in ([None] if L.F is None else [None, L.F.entries])]
-    scans.append((P, None, _seeded_targets(P, None)))
+    scans.append((P, None, _ergodic_limits(P, None)))
     # off the fixed points of A, where TV may dip under eps and rise again
     scans.append((A, None, random_distribution(rng, n).weights[:, None]))
     scans.append((A, np.eye(n)[0], random_distribution(rng, n).weights))
@@ -597,6 +589,81 @@ def test_early_stop_waits_out_a_target_off_the_fixed_points():
     assert _settle_time(early, 0.25) == UNMIXED
     with pytest.raises(DimensionMismatch):
         _window_tv(A, x, z[:1], 10, np.ones((1, 3)), eps=0.25)
+
+
+def _random_reducible_chain(rng):
+    """Column-stochastic A with a period-2 closed class (the direction lift
+    of the 4- or 6-cycle), up to two random local chains as further closed
+    classes, and 1-5 transient states that leak into them, permuted."""
+    blocks = [diaconis_cycle_lift(int(rng.choice([4, 6]))).A.entries]
+    for _ in range(int(rng.integers(0, 3))):
+        blocks.append(random_local_chain(rng, random_connected_graph(rng, n_max=4)).entries)
+    closed_n = sum(len(b) for b in blocks)
+    n = closed_n + int(rng.integers(1, 6))
+    A = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        A[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    for i in range(closed_n, n):
+        col = rng.random(n) * (rng.random(n) < 0.4)
+        col[int(rng.integers(0, closed_n))] += 0.1 + rng.random()
+        A[:, i] = col / col.sum()
+    order = rng.permutation(n)
+    return A[np.ix_(order, order)]
+
+
+def _lazy_power_limit(A):
+    """((I + A)/2)^(2^60) by squaring: the half-lazy chain is aperiodic, so
+    its powers converge to the Cesaro limit of A, which they share.  Columns
+    are renormalised after each squaring, or rounding compounds."""
+    M = 0.5 * (np.eye(A.shape[0]) + A)
+    for _ in range(60):
+        M = M @ M
+        M /= M.sum(axis=0)
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ergodic_limits_are_the_exact_cesaro_projector(seed):
+    rng = rng_from_seed(seed)
+    mixer = rng.random() < 0.25
+    if mixer:
+        A = _random_lift(rng, mixer_variants=("reducible",))[0].A.entries
+    else:
+        A = _random_reducible_chain(rng)
+    n = A.shape[0]
+    # an irreducible A (a mixer on one or two nodes) gives one column
+    Z = np.broadcast_to(_ergodic_limits(A, None), (n, n))
+    assert np.abs(A @ Z - Z).max() <= 1e-12
+    assert np.abs(Z @ Z - Z).max() <= 1e-12
+    assert np.abs(Z - _lazy_power_limit(A)).max() <= 1e-12
+    if mixer:
+        # the targets full_mixing_time took from averaging before
+        assert np.abs(Z - _batch_limits(A, np.eye(n))).max() <= 1e-9
+    X = np.column_stack([random_distribution(rng, n).weights for _ in range(3)])
+    assert np.abs(_ergodic_limits(A, X) - Z @ X).max() <= 1e-12
+
+
+def test_ergodic_limits_of_an_irreducible_chain_are_its_stationary_law():
+    rng = rng_from_seed(8)
+    chains = [diaconis_cycle_lift(6).A, four_cycle_lift(0.1, 0.05)[0].A,
+              random_local_chain(rng, random_connected_graph(rng, n=6))]
+    for P in chains:
+        assert np.array_equal(_ergodic_limits(P.entries, None),
+                              stationary(P).weights[:, None])
+
+
+def test_full_mixing_time_never_averages(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full_mixing_time must take exact targets")
+
+    monkeypatch.setattr(lift_module, "_batch_limits", refuse)
+    L = diameter_mixer(cycle(6), uniform_distribution(6), "reducible")
+    assert not is_irreducible(L.A)
+    assert full_mixing_time(L, 0.25, "s") == 4
+    assert full_mixing_time(L, 0.25, "S") == 4
 
 
 def _recorded_scan_lengths(monkeypatch):
