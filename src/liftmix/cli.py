@@ -115,14 +115,16 @@ SUITE_NAMES = (
 def _plain(obj):
     """Recursively convert report values to JSON-safe plain Python.
 
-    Infinities become the string "inf" so the output stays strict JSON.
-    Exact built-in types are dispatched first, since bundles hold millions
-    of plain floats.
+    Non-finite floats become the strings "inf", "-inf" and "nan" so the
+    output stays strict JSON.  Exact built-in types are dispatched first,
+    since bundles hold millions of plain floats.
     """
     kind = type(obj)
     if kind is float:
         if math.isfinite(obj):
             return obj
+        if math.isnan(obj):
+            return "nan"
         return "inf" if obj > 0 else "-inf"
     if kind is list:
         return [_plain(v) for v in obj]

@@ -22,9 +22,10 @@ from .errors import (
     DimensionMismatch,
     EmptyCutWeight,
     InfeasibleLP,
+    LocalityViolation,
     TooManyNodes,
 )
-from .graph_core import Cut, Graph, _cut_chunks
+from .graph_core import Cut, Graph, _cut_chunks, cycle
 from .markov import Distribution, StochasticMatrix, check_stationary
 
 # Most violated cuts that each chunk adds to phi_graph's LP per round.
@@ -124,16 +125,12 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
     if n < 3:
         return phi_chain(P, pi)
     check_stationary(P, pi, tol=1e-9)
-    off = P.entries.copy()
-    np.fill_diagonal(off, 0.0)
-    allowed = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n)
-    allowed[(idx + 1) % n, idx] = True
-    allowed[(idx - 1) % n, idx] = True
-    if (np.abs(off) > 1e-12)[~allowed].any():
+    try:
+        StochasticMatrix(P.entries, locality=cycle(n))
+    except LocalityViolation:
         raise DimensionMismatch(
             "phi_chain_cycle needs off-diagonal support on cycle arcs only"
-        )
+        ) from None
     w = pi.weights
     flows = P.entries * w[None, :]
     best = None

@@ -189,10 +189,14 @@ class Lift:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _validate_lift(self)
+        validate_lift(self)
 
 
-def _validate_lift(L: Lift) -> None:
+def validate_lift(L: Lift) -> None:
+    """Structural checks, run by every Lift: projection legality of every
+    lifted arc, init-map fiber support, and A local to L.lifted by
+    StochasticMatrix's check, skipped when L.A was built against L.lifted
+    itself (its read-only entries were checked then)."""
     if L.map.base_n != L.base.n:
         raise DimensionMismatch(
             f"projection targets {L.map.base_n} nodes, base has {L.base.n}"
@@ -212,24 +216,11 @@ def _validate_lift(L: Lift) -> None:
             raise LocalityViolation(
                 f"lifted arc ({i},{j}) projects to missing base arc ({ci},{cj})"
             )
-    adj = L.lifted.adjacency()
-    off = L.A.entries > 1e-12
-    np.fill_diagonal(off, False)
-    illegal = off & ~adj.T
-    if illegal.any():
-        j, i = np.argwhere(illegal)[0]
-        raise LocalityViolation(
-            f"dynamics entry ({j},{i}) has no lifted arc ({i},{j})"
-        )
+    if L.A.locality is not L.lifted:
+        StochasticMatrix(L.A.entries, locality=L.lifted)
     if L.F is not None:
         if L.F.map.projection != L.map.projection:
             raise DimensionMismatch("init map built for a different projection")
-
-
-def validate_lift(L: Lift) -> None:
-    """Re-run all structural checks: projection legality of every lifted
-    arc, dynamics support inside the lifted graph, init-map fiber support."""
-    _validate_lift(L)
 
 
 def _as_map(lift_or_map) -> LiftMap:
@@ -340,7 +331,7 @@ def check_invariance(
         M = L.map.C @ L.A.entries
         if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > 1e-12:
             return False, xs
-        pair = _fiber_column_mismatch(L)
+        pair = _fiber_column_mismatch(M, L.map)
         if pair is None:
             return True, None
         j0, k = pair
@@ -497,14 +488,14 @@ def check_flow_match(
     return max_dev, max_dev <= threshold
 
 
-def _fiber_column_mismatch(L: Lift) -> tuple[int, int] | None:
-    """First same-fiber pair (j0, k) whose columns of C A differ, else None.
+def _fiber_column_mismatch(M: np.ndarray, m: LiftMap) -> tuple[int, int] | None:
+    """First same-fiber pair (j0, k) whose columns of the marginal step
+    M = C A differ, else None.
 
     None means the marginal step does not depend on where mass sits within
     a fiber; j0 is the first lifted node of the fiber holding k.
     """
-    M = L.map.C @ L.A.entries
-    for fiber in L.map.fibers:
+    for fiber in m.fibers:
         j0 = fiber[0]
         for k in fiber[1:]:
             if np.abs(M[:, k] - M[:, j0]).max() > 1e-12:
@@ -527,14 +518,14 @@ def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
             raise BadChoiceMap(
                 f"choice for base node {j} is {k}, not in its fiber"
             )
-    P = (m.C @ L.A.entries)[:, q]
-    if _fiber_column_mismatch(L) is not None:
+    M = m.C @ L.A.entries
+    if _fiber_column_mismatch(M, m) is not None:
         warnings.warn(
             "lift marginal depends on placement within fibers; the unlifted "
             "chain does not reproduce its trajectories",
             stacklevel=2,
         )
-    return StochasticMatrix(P, locality=L.base)
+    return StochasticMatrix(M[:, q], locality=L.base)
 
 
 def adversarial_init(

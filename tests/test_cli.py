@@ -296,8 +296,10 @@ def test_dump_json_converts_numpy_and_nonfinite_values():
         "inf": math.inf,
         "ninf": -math.inf,
         "np_inf": np.float64(np.inf),
+        "nan": math.nan,
+        "np_nan": np.float64(np.nan),
         "tuple": (1, 2.5, (np.int32(4), None)),
-        "rows": np.array([[0.25, np.inf], [-np.inf, 1.0]]),
+        "rows": np.array([[0.25, np.inf], [-np.inf, np.nan]]),
         "flags": np.array([True, False]),
         "counts": np.arange(3),
         2: [{"nested": np.float64(-0.0)}, "text"],
@@ -305,6 +307,7 @@ def test_dump_json_converts_numpy_and_nonfinite_values():
     assert _dump_json(report) == (
         '{"2":[{"nested":-0.0},"text"],"bool":true,"counts":[0,1,2],'
         '"f32":0.5,"f64":0.1,"flags":[true,false],"i64":-3,"inf":"inf",'
-        '"int":7,"ninf":"-inf","np_bool":false,"np_inf":"inf",'
-        '"rows":[[0.25,"inf"],["-inf",1.0]],"tuple":[1,2.5,[4,null]]}\n'
+        '"int":7,"nan":"nan","ninf":"-inf","np_bool":false,"np_inf":"inf",'
+        '"np_nan":"nan","rows":[[0.25,"inf"],["-inf","nan"]],'
+        '"tuple":[1,2.5,[4,null]]}\n'
     )

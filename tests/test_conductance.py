@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from liftmix import (
     BadGamma,
     Cut,
+    DimensionMismatch,
     Distribution,
     EmptyCutWeight,
     NotStationary,
@@ -190,6 +191,19 @@ def test_phi_chain_cycle_agrees_with_enumeration():
             arc_val, X = phi_chain_cycle(P, pi)
             assert arc_val == pytest.approx(full_val, abs=1e-12)
             assert phi_cut(P, pi, X) == pytest.approx(full_val, abs=1e-12)
+
+
+def test_phi_chain_cycle_rejects_an_off_cycle_entry():
+    # lazy walk on the 6-cycle plus a symmetric chord 0 <-> 3: doubly
+    # stochastic, so uniform is stationary and only locality can fail
+    n = 6
+    M = 0.5 * np.eye(n)
+    for i in range(n):
+        M[(i + 1) % n, i] = M[(i - 1) % n, i] = 0.25
+    M[3, 0] = M[0, 3] = 0.1
+    M[0, 0] = M[3, 3] = 0.4
+    with pytest.raises(DimensionMismatch, match="cycle arcs only"):
+        phi_chain_cycle(StochasticMatrix(M), uniform_distribution(n))
 
 
 def test_phi_graph_path2_single_cut():

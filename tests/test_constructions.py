@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftmix import (
     BadGamma,
@@ -10,6 +12,7 @@ from liftmix import (
     GammaTooLargeForDelta,
     LengthMismatch,
     LiftmixError,
+    LocalityViolation,
     NegativeEntry,
     NoSpanningTree,
     StochasticMatrix,
@@ -22,6 +25,7 @@ from liftmix import (
     diaconis_cycle_lift,
     diameter,
     diameter_mixer,
+    distance_matrix,
     Distribution,
     ergodic_flows,
     fiber_uniform_init,
@@ -40,6 +44,7 @@ from liftmix import (
     periodic_node_clock_lift,
     phi_chain,
     point_distribution,
+    shortest_path,
     si_replicated_lift,
     spanning_tree_correction,
     stochastic_bridge,
@@ -102,12 +107,88 @@ def test_bridge_spread_source():
     assert 0.5 * np.abs(out - dst.weights).sum() <= 1e-10
 
 
+def _memo_path_bridge(g, p_src, p_dst) -> list[np.ndarray]:
+    """Bridge steps with each commodity's hops taken from a memoised
+    shortest_path call, the way stochastic_bridge once read them."""
+    dist = distance_matrix(g)
+    D, n = int(dist.max()), g.n
+    flow = np.zeros((D, n, n))
+    occupancy = np.zeros((D, n))
+    paths = {}
+    for i in np.nonzero(p_src.weights > 0)[0]:
+        for u in np.nonzero(p_dst.weights > 0)[0]:
+            mass = p_src.weights[i] * p_dst.weights[u]
+            wait = D - int(dist[i, u])
+            hops = paths.setdefault((int(i), int(u)), shortest_path(g, int(i), int(u)))
+            pos = int(i)
+            for t in range(D):
+                nxt = pos if t < wait else hops[t - wait + 1]
+                occupancy[t, pos] += mass
+                flow[t, nxt, pos] += mass
+                pos = nxt
+    steps = []
+    for t in range(D):
+        P = np.eye(n)
+        populated = occupancy[t] > 0
+        P[:, populated] = flow[t][:, populated] / occupancy[t][populated][None, :]
+        steps.append(StochasticMatrix(P, locality=g).entries)
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_bridge_hops_match_memoised_shortest_paths(seed, spread):
+    rng = rng_from_seed(seed)
+    g = random_connected_graph(rng, n_max=10)
+    src = (random_distribution(rng, g.n) if spread
+           else point_distribution(g.n, int(rng.integers(g.n))))
+    dst = random_distribution(rng, g.n)
+    chain = stochastic_bridge(g, src, dst)
+    expect = _memo_path_bridge(g, src, dst)
+    assert len(chain.steps) == len(expect)
+    for step, E in zip(chain.steps, expect):
+        assert np.array_equal(step.entries, E)
+
+
 def test_bridge_size_mismatch():
     with pytest.raises(LengthMismatch):
         stochastic_bridge(path(3), point_distribution(4, 0), uniform_distribution(3))
 
 
 # ------------------------------------------------------------ clock lifts
+
+@pytest.mark.parametrize("build", [
+    lambda g, ch: clock_lift(g, ch),
+    lambda g, ch: periodic_clock_lift(g, ch),
+    lambda g, ch: node_clock_lift(g, [ch] * g.n, uniform_distribution(g.n)),
+    lambda g, ch: periodic_node_clock_lift(g, [ch] * g.n, uniform_distribution(g.n)),
+], ids=["clock", "periodic-clock", "node-clock", "periodic-node-clock"])
+def test_clock_lifts_reject_a_step_off_the_graph(build):
+    # built without locality, the step sends mass 0 -> 2 across no arc of
+    # path(3); the step check must name the entry before the lifted graph's
+    # arcs are ever projected
+    P = np.eye(3)
+    P[0, 0] = P[2, 0] = 0.5
+    chain = TimeVaryingChain([StochasticMatrix(P)])
+    with pytest.raises(LocalityViolation, match=r"entry \(2,0\) = 0.5 has no arc \(0,2\)"):
+        build(path(3), chain)
+
+
+def test_locality_is_checked_once_per_matrix(monkeypatch):
+    # a step built against g and a lifted A built against L.lifted are not
+    # wrapped again; the clock lift builds its A and nothing else
+    g = cycle(5)
+    chain = TimeVaryingChain([random_local_chain(rng_from_seed(4), g)])
+    built = []
+    init = StochasticMatrix.__init__
+
+    def counting(self, entries, locality=None):
+        built.append(locality)
+        init(self, entries, locality)
+
+    monkeypatch.setattr(StochasticMatrix, "__init__", counting)
+    L = clock_lift(g, chain)
+    assert len(built) == 1 and built[0] is L.lifted
 
 def test_clock_lift_tracks_schedule_then_freezes():
     rng = rng_from_seed(3)

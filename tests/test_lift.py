@@ -30,6 +30,7 @@ from liftmix import (
     check_flow_match,
     check_invariance,
     clock_lift,
+    complete,
     conditional_unlift,
     cycle,
     default_t_max,
@@ -49,6 +50,7 @@ from liftmix import (
     lifted_stationary,
     marginal,
     marginal_mixing_time,
+    metropolis_chain,
     mixing_time,
     parse_scenario,
     path,
@@ -126,6 +128,32 @@ def test_lift_validation_catches_bad_arcs_and_dynamics():
         # mass flows 1 -> 1 is fine, but 0 -> 1 has no lifted arc (0,1)
         Lift(base=base2, lifted=lifted2, map=m2,
              A=StochasticMatrix(bad))
+
+
+def test_lift_rechecks_dynamics_built_against_another_graph():
+    # A is local to complete(3) but moves 0 -> 2, which path(3) (the lifted
+    # graph) lacks; only a matrix built against L.lifted itself is trusted
+    g = path(3)
+    M = np.eye(3)
+    M[0, 0] = M[2, 0] = 0.5
+    with pytest.raises(LocalityViolation, match=r"entry \(2,0\) = 0.5 has no arc \(0,2\)"):
+        Lift(base=g, lifted=g, map=LiftMap(3, (0, 1, 2)),
+             A=StochasticMatrix(M, locality=complete(3)))
+
+
+def test_induced_phi_is_unavailable_off_the_cycle_past_the_guard():
+    # 26 base nodes pass the cut guard, and barbell arcs leave the cycle
+    g = barbell(13)
+    P = StochasticMatrix(
+        0.5 * (np.eye(g.n) + metropolis_chain(g, uniform_distribution(g.n)).entries),
+        locality=g,
+    )
+    L = si_replicated_lift(P)
+    phi, source, notes = lift_module._induced_phi(
+        L, uniform_distribution(g.n), uniform_distribution(L.map.lifted_n)
+    )
+    assert (phi, source) == (None, "unavailable")
+    assert "not cycle-supported" in notes[-1]
 
 
 def test_marginal_hand_value_and_errors():
