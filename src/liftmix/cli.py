@@ -664,7 +664,7 @@ def _cmd_conductance(args) -> int:
         phi, best = phi_graph(g, pi)
         report = {
             "phi": phi,
-            "argmax_chain": {"n": best.n, "rows": best.entries.tolist()},
+            "argmax_chain": best.to_json(),
         }
     _emit(_dump_json(report), args.out)
     return 0

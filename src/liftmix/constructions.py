@@ -5,12 +5,13 @@ Everything here returns validated Lift objects (or, for bridges, the
 time-varying chain itself).  Lifted nodes are indexed layer-major: a clock
 state (t, v) sits at t*N + v, and a node-clock state (t, v0, v) at
 t*N^2 + v0*N + v, where v0 remembers the base node the walk started from
-and v is the projected position.
+and v is the projected position.  `_layered` lays out every such lift.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import (
     BadGamma,
@@ -66,13 +67,9 @@ def mixer_default_reference(g: Graph, pi: Distribution) -> StochasticMatrix:
 
 def _support_graph(A: np.ndarray) -> Graph:
     """Directed graph of the off-diagonal support of a dynamics matrix."""
-    n = A.shape[0]
-    arcs = set()
     rows, cols = np.nonzero(A > 1e-12)
-    for j, i in zip(rows.tolist(), cols.tolist()):
-        if i != j:
-            arcs.add((i, j))
-    return Graph(n=n, arcs=frozenset(arcs))
+    off = rows != cols
+    return Graph(n=A.shape[0], arcs=frozenset(zip(cols[off].tolist(), rows[off].tolist())))
 
 
 def _make_lift(base: Graph, proj, A: np.ndarray, F: np.ndarray | None, metadata: dict) -> Lift:
@@ -132,6 +129,40 @@ def stochastic_bridge(
     return TimeVaryingChain(steps)
 
 
+def _layered(steps, periodic: bool) -> np.ndarray:
+    """Time-layered dynamics: layer t-1 feeds layer t through steps[t-1].
+
+    When periodic, the last step wraps back to layer 0 (len(steps)
+    layers); otherwise a top layer len(steps) holds its state.
+    """
+    m = steps[0].shape[0]
+    layers = len(steps) if periodic else len(steps) + 1
+    A = np.zeros((layers * m, layers * m))
+    for t, P in enumerate(steps, start=1):
+        A[t % layers * m:(t % layers + 1) * m, (t - 1) * m:t * m] = P
+    if not periodic:
+        A[-m:, -m:] = np.eye(m)
+    return A
+
+
+def _restart(n: int) -> np.ndarray:
+    """Node-clock map (v0, v) -> (v, v): a walk at v restarts from start v."""
+    R = np.zeros((n * n, n * n))
+    cols = np.arange(n * n)
+    R[cols % n * (n + 1), cols] = 1.0
+    return R
+
+
+def _clock(g: Graph, chain: TimeVaryingChain, periodic: bool, name: str) -> Lift:
+    if chain.T == 0:
+        raise EmptyChain(f"{name.replace('-', ' ')} lift needs at least one step")
+    _require_local(chain, g)
+    A = _layered([P.entries for P in chain.steps], periodic)
+    F = np.eye(A.shape[0], g.n)
+    proj = np.tile(np.arange(g.n), A.shape[0] // g.n)
+    return _make_lift(g, proj, A, F, {"construction": name, "T": chain.T})
+
+
 def clock_lift(g: Graph, chain: TimeVaryingChain) -> Lift:
     """Run a finite kernel sequence on a time-layered copy of the graph.
 
@@ -139,39 +170,13 @@ def clock_lift(g: Graph, chain: TimeVaryingChain) -> Lift:
     its state.  The marginal of the initialized trajectory reproduces the
     inhomogeneous product P(t)...P(1) p.
     """
-    T = chain.T
-    if T == 0:
-        raise EmptyChain("clock lift needs at least one step")
-    _require_local(chain, g)
-    n = g.n
-    size = (T + 1) * n
-    A = np.zeros((size, size))
-    for t in range(1, T + 1):
-        A[t * n:(t + 1) * n, (t - 1) * n:t * n] = chain.steps[t - 1].entries
-    A[T * n:, T * n:] = np.eye(n)
-    F = np.zeros((size, n))
-    F[:n, :] = np.eye(n)
-    proj = [v for _ in range(T + 1) for v in range(n)]
-    return _make_lift(g, proj, A, F, {"construction": "clock", "T": T})
+    return _clock(g, chain, False, "clock")
 
 
 def periodic_clock_lift(g: Graph, chain: TimeVaryingChain) -> Lift:
     """Clock lift on a time cycle: layer T-1 wraps to layer 0 through P(T),
     so the kernel sequence applies periodically forever."""
-    T = chain.T
-    if T == 0:
-        raise EmptyChain("periodic clock lift needs at least one step")
-    _require_local(chain, g)
-    n = g.n
-    size = T * n
-    A = np.zeros((size, size))
-    for t in range(1, T):
-        A[t * n:(t + 1) * n, (t - 1) * n:t * n] = chain.steps[t - 1].entries
-    A[:n, (T - 1) * n:] = chain.steps[T - 1].entries
-    F = np.zeros((size, n))
-    F[:n, :] = np.eye(n)
-    proj = [v for _ in range(T) for v in range(n)]
-    return _make_lift(g, proj, A, F, {"construction": "periodic-clock", "T": T})
+    return _clock(g, chain, True, "periodic-clock")
 
 
 def _require_local(chain: TimeVaryingChain, g: Graph) -> None:
@@ -184,13 +189,13 @@ def _require_local(chain: TimeVaryingChain, g: Graph) -> None:
 
 def _node_clock_blocks(
     g: Graph, per_node, pi: Distribution, periodic: bool
-) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Shared grid for node-clock lifts: states (t, v0, v) at t*n^2+v0*n+v.
 
-    Returns (A with bridge blocks and the layer-T handoff, F, projection,
-    T).  The handoff differs: the plain variant resamples v0 from pi into
-    an extra holding layer T+1, the periodic variant maps (T, v0, v)
-    straight onto the start state (0, v, v).
+    Returns (A with block-diagonal bridge steps and the layer-T handoff, F,
+    projection, T).  The handoff differs: the plain variant resamples v0
+    from pi into an extra holding layer T+1, the periodic variant restarts
+    (T, v0, v) at the start state (0, v, v).
     """
     n = g.n
     chains = list(per_node)
@@ -207,38 +212,15 @@ def _node_clock_blocks(
         _require_local(ch, g)
     if T == 0:
         raise EmptyChain("node-clock lift needs at least one step")
-    layers = T + 1 if periodic else T + 2
-    size = layers * n * n
-
-    def idx(t: int, v0: int, v: int) -> int:
-        return t * n * n + v0 * n + v
-
-    A = np.zeros((size, size))
-    for t in range(1, T + 1):
-        for v0 in range(n):
-            P = chains[v0].steps[t - 1].entries
-            block = slice(idx(t, v0, 0), idx(t, v0, n))
-            prev = slice(idx(t - 1, v0, 0), idx(t - 1, v0, n))
-            A[block, prev] = P
+    steps = [block_diag(*(ch.steps[t].entries for ch in chains)) for t in range(T)]
     if periodic:
-        # wrap: (T, v0, v) -> (0, v, v) with probability one
-        for v0 in range(n):
-            for v in range(n):
-                A[idx(0, v, v), idx(T, v0, v)] = 1.0
+        steps.append(_restart(n))
     else:
-        # (T, v0, v) -> (T+1, w, v) with probability pi(w); top layer holds
-        for v0 in range(n):
-            for v in range(n):
-                for w in range(n):
-                    A[idx(T + 1, w, v), idx(T, v0, v)] = pi.weights[w]
-        for v0 in range(n):
-            for v in range(n):
-                k = idx(T + 1, v0, v)
-                A[k, k] = 1.0
-    F = np.zeros((size, n))
-    for v in range(n):
-        F[idx(0, v, v), v] = 1.0
-    proj = [v for _ in range(layers) for _ in range(n) for v in range(n)]
+        steps.append(np.kron(np.outer(pi.weights, np.ones(n)), np.eye(n)))
+    A = _layered(steps, periodic)
+    F = np.zeros((A.shape[0], n))
+    F[np.arange(n) * (n + 1), np.arange(n)] = 1.0
+    proj = np.tile(np.arange(n), A.shape[0] // n)
     return A, F, proj, T
 
 
@@ -406,13 +388,9 @@ def diameter_mixer(
         reference = mixer_default_reference(g, pi)
     check_stationary(reference, pi, tol=1e-9)
 
-    def idx(t: int, v0: int, v: int) -> int:
-        return t * n * n + v0 * n + v
-
+    top = slice((T + 1) * n * n, None)
     if variant == "flows":
-        for v0 in range(n):
-            block = slice(idx(T + 1, v0, 0), idx(T + 1, v0, n))
-            A[block, block] = reference.entries
+        A[top, top] = block_diag(*[reference.entries] * n)
         return _make_lift(g, proj, A, F, meta)
 
     if not gamma > 0:
@@ -420,31 +398,21 @@ def diameter_mixer(
     last_error: LiftmixError | None = None
     for _ in range(20):
         try:
-            top, _ = _solve_top_chain(g, pi, bridges, gamma, reference)
+            held, _ = _solve_top_chain(g, pi, bridges, gamma, reference)
         except (GammaTooLarge, NegativeEntry) as err:
             last_error = err
             gamma /= 2.0
             continue
         A_full = A.copy()
-        for v0 in range(n):
-            block = slice(idx(T + 1, v0, 0), idx(T + 1, v0, n))
-            A_full[block, block] = (1.0 - gamma) * top.entries
-        for v0 in range(n):
-            for v in range(n):
-                A_full[idx(0, v, v), idx(T + 1, v0, v)] += gamma
+        A_full[top, top] = block_diag(*[(1.0 - gamma) * held.entries] * n)
+        A_full[:n * n, top] += gamma * _restart(n)
         # keep the strong component of the start states (0, v, v), which
         # the restarts make mutually reachable; the rest is never reached
         # from a start or never returns to one
         labels = _strong_components(A_full > 1e-12)
-        keep = np.flatnonzero(labels == labels[idx(0, 0, 0)]).tolist()
-        A_red = A_full[np.ix_(keep, keep)]
-        proj_red = [proj[k] for k in keep]
-        pos = {k: r for r, k in enumerate(keep)}
-        F_red = np.zeros((len(keep), n))
-        for v in range(n):
-            F_red[pos[idx(0, v, v)], v] = 1.0
+        keep = np.flatnonzero(labels == labels[0])
         meta = dict(meta, gamma=gamma)
-        return _make_lift(g, proj_red, A_red, F_red, meta)
+        return _make_lift(g, proj[keep], A_full[np.ix_(keep, keep)], F[keep], meta)
     raise last_error if last_error is not None else GammaTooLarge("gamma retry failed")
 
 

@@ -44,9 +44,6 @@ class Graph:
     def out_neighbors(self, i: int) -> list[int]:
         return sorted(j for (a, j) in self.arcs if a == i)
 
-    def in_neighbors(self, j: int) -> list[int]:
-        return sorted(i for (i, b) in self.arcs if b == j)
-
     def adjacency(self) -> np.ndarray:
         M = np.zeros((self.n, self.n), dtype=bool)
         for i, j in self.arcs:

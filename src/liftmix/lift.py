@@ -326,28 +326,25 @@ def check_invariance(
         raise DimensionMismatch(f"pi has size {pi.n}, base has {L.map.base_n}")
     if horizon < 1:
         raise DimensionMismatch("horizon must be >= 1")
-    if scenario_init == "s":
-        xs = fiber_uniform_init(L.map, pi)
-        M = L.map.C @ L.A.entries
-        if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > 1e-12:
-            return False, xs
-        pair = _fiber_column_mismatch(M, L.map)
-        if pair is None:
-            return True, None
-        j0, k = pair
-        w = xs.weights.copy()
-        w[k] += w[j0]
-        w[j0] = 0.0
-        return False, Distribution(w)
-    if scenario_init == "S":
-        if L.F is None:
-            raise MissingInitMap("scenario (S) needs an initialization map")
-        x = L.F.entries @ pi.weights
+    X = _init_batch(L, scenario_init)
+    if X is not None:
+        x = X @ pi.weights
         worst = _window_tv(L.A.entries, x, pi.weights, horizon, L.map.C)
         if (worst[1:] > 1e-9).any():
             return False, Distribution(x)
         return True, None
-    raise BadScenario(f"scenario_init must be 'S' or 's', got {scenario_init!r}")
+    xs = fiber_uniform_init(L.map, pi)
+    M = L.map.C @ L.A.entries
+    if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > 1e-12:
+        return False, xs
+    pair = _fiber_column_mismatch(M, L.map)
+    if pair is None:
+        return True, None
+    j0, k = pair
+    w = xs.weights.copy()
+    w[k] += w[j0]
+    w[j0] = 0.0
+    return False, Distribution(w)
 
 
 def _init_batch(L: Lift, scenario_init: str) -> np.ndarray | None:

@@ -51,6 +51,8 @@ from liftmix import (
     tv_distance,
     uniform_distribution,
 )
+from liftmix.constructions import _solve_top_chain
+from liftmix.graph_core import _strong_components
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -189,6 +191,108 @@ def test_locality_is_checked_once_per_matrix(monkeypatch):
     monkeypatch.setattr(StochasticMatrix, "__init__", counting)
     L = clock_lift(g, chain)
     assert len(built) == 1 and built[0] is L.lifted
+
+
+def _loop_clock(g, chain, periodic):
+    """(A, F, projection) of a clock lift, written out block by block."""
+    T, n = chain.T, g.n
+    size = T * n if periodic else (T + 1) * n
+    A = np.zeros((size, size))
+    for t in range(1, T if periodic else T + 1):
+        A[t * n:(t + 1) * n, (t - 1) * n:t * n] = chain.steps[t - 1].entries
+    if periodic:
+        A[:n, (T - 1) * n:] = chain.steps[T - 1].entries
+    else:
+        A[T * n:, T * n:] = np.eye(n)
+    F = np.zeros((size, n))
+    F[:n, :] = np.eye(n)
+    return A, F, [v for _ in range(size // n) for v in range(n)]
+
+
+def _loop_node_clock(g, chains, pi, periodic):
+    """(A, F, projection) of a node-clock lift, entry by entry."""
+    n, T = g.n, chains[0].T
+    layers = T + 1 if periodic else T + 2
+    size = layers * n * n
+
+    def idx(t, v0, v):
+        return t * n * n + v0 * n + v
+
+    A = np.zeros((size, size))
+    for t in range(1, T + 1):
+        for v0 in range(n):
+            A[idx(t, v0, 0):idx(t, v0, n), idx(t - 1, v0, 0):idx(t - 1, v0, n)] = (
+                chains[v0].steps[t - 1].entries)
+    for v0 in range(n):
+        for v in range(n):
+            if periodic:
+                A[idx(0, v, v), idx(T, v0, v)] = 1.0
+            else:
+                for w in range(n):
+                    A[idx(T + 1, w, v), idx(T, v0, v)] = pi.weights[w]
+                A[idx(T + 1, v0, v), idx(T + 1, v0, v)] = 1.0
+    F = np.zeros((size, n))
+    for v in range(n):
+        F[idx(0, v, v), v] = 1.0
+    return A, F, [v for _ in range(layers) for _ in range(n) for v in range(n)]
+
+
+def _loop_mixer(g, pi, variant, gamma):
+    """(A, F, projection) of a diameter mixer at its final gamma."""
+    n = g.n
+    bridges = [stochastic_bridge(g, point_distribution(n, i), pi) for i in range(n)]
+    A, F, proj = _loop_node_clock(g, bridges, pi, False)
+    if variant == "reducible":
+        return A, F, proj
+    reference = mixer_default_reference(g, pi)
+    held = reference.entries
+    if variant == "irreducible":
+        held = (1.0 - gamma) * _solve_top_chain(g, pi, bridges, gamma, reference)[0].entries
+    top = (bridges[0].T + 1) * n * n
+    for v0 in range(n):
+        A[top + v0 * n:top + (v0 + 1) * n, top + v0 * n:top + (v0 + 1) * n] = held
+        if variant == "irreducible":
+            for v in range(n):
+                A[v * n + v, top + v0 * n + v] += gamma
+    if variant == "flows":
+        return A, F, proj
+    labels = _strong_components(A > 1e-12)
+    keep = [k for k in range(len(proj)) if labels[k] == labels[0]]
+    pos = {k: r for r, k in enumerate(keep)}
+    F_red = np.zeros((len(keep), n))
+    for v in range(n):
+        F_red[pos[v * n + v], v] = 1.0
+    return A[np.ix_(keep, keep)], F_red, [proj[k] for k in keep]
+
+
+def _loop_support_arcs(A):
+    rows, cols = np.nonzero(A > 1e-12)
+    return frozenset((int(i), int(j)) for j, i in zip(rows, cols) if i != j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_layered_lifts_match_loop_builders(seed):
+    rng = rng_from_seed(seed)
+    g = random_connected_graph(rng, n_max=7)
+    pi = random_distribution(rng, g.n)
+    T = int(rng.integers(1, 4))
+    chains = [TimeVaryingChain([random_local_chain(rng, g) for _ in range(T)])
+              for _ in range(g.n)]
+    cases = [
+        (clock_lift(g, chains[0]), _loop_clock(g, chains[0], False)),
+        (periodic_clock_lift(g, chains[0]), _loop_clock(g, chains[0], True)),
+        (node_clock_lift(g, chains, pi), _loop_node_clock(g, chains, pi, False)),
+        (periodic_node_clock_lift(g, chains, pi), _loop_node_clock(g, chains, pi, True)),
+    ]
+    for variant in ("reducible", "flows", "irreducible"):
+        L = diameter_mixer(g, pi, variant)
+        cases.append((L, _loop_mixer(g, pi, variant, L.metadata.get("gamma"))))
+    for L, (A, F, proj) in cases:
+        assert L.A.entries.tobytes() == StochasticMatrix(A).entries.tobytes()
+        assert L.F.entries.tobytes() == F.tobytes()
+        assert L.map.projection == tuple(proj)
+        assert L.lifted.arcs == _loop_support_arcs(A)
 
 def test_clock_lift_tracks_schedule_then_freezes():
     rng = rng_from_seed(3)
