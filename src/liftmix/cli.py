@@ -52,10 +52,10 @@ from .graph_core import (
 )
 from .lift import (
     Lift,
+    _stationary_seed,
     adversarial_init,
     check_flow_match,
     check_invariance,
-    fiber_uniform_init,
     induced_chain,
     lift_from_json,
     lift_to_json,
@@ -225,11 +225,6 @@ def _tau_from_start(L: Lift, pi: Distribution, x0: Distribution, eps: float,
 # verification suites: each returns (checks, notes, extras)
 
 
-def _mixer_stationary(L: Lift, pi: Distribution) -> Distribution:
-    seed = L.F.apply(pi) if L.F is not None else fiber_uniform_init(L.map, pi)
-    return lifted_stationary(L, seed)
-
-
 def _criterion1_cases(seed: int):
     rng = rng_from_seed(seed)
     cases = [
@@ -370,7 +365,7 @@ def _criterion_lifts(seed: int):
 def _suite_thm3(seed: int):
     checks = []
     for name, L, pi in _criterion_lifts(seed):
-        pi_hat = _mixer_stationary(L, pi)
+        pi_hat = lifted_stationary(L, _stationary_seed(L, pi)[0])
         pi_m = marginal(L, pi_hat)
         P_tilde = induced_chain(L, pi_hat)
         phi, cut = _phi_chain_or_cycle(P_tilde, pi_m)
@@ -569,11 +564,9 @@ def _suite_bridge_exactness(seed: int):
                 E = step.entries
                 worst_colsum = max(worst_colsum,
                                    float(np.abs(E.sum(axis=0) - 1.0).max()))
-                off = E.copy()
-                np.fill_diagonal(off, 0.0)
-                for j, k in zip(*np.nonzero(off > 1e-12)):
-                    if not g.has_arc(int(k), int(j)):
-                        locality_violations += 1
+                off = E > 1e-12
+                np.fill_diagonal(off, False)
+                locality_violations += int((off & ~g.adjacency().T).sum())
                 x = E @ x
             worst_tv = max(worst_tv, 0.5 * float(np.abs(x - pi.weights).sum()))
     checks = [

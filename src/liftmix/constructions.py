@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graph_core import (
     Graph,
+    _next_hops,
     _strong_components,
     cycle,
     diameter,
@@ -107,7 +108,7 @@ def stochastic_bridge(
         return TimeVaryingChain([])
     flow = np.zeros((D, n, n))  # flow[t, w, v]: mass moving v -> w in step t+1
     occupancy = np.zeros((D, n))  # mass at each node before step t+1
-    out = [g.out_neighbors(v) for v in range(n)]
+    hop = _next_hops(g.adjacency(), dist)
     for i in np.nonzero(p_src.weights > 0)[0]:
         for u in np.nonzero(p_dst.weights > 0)[0]:
             mass = p_src.weights[i] * p_dst.weights[u]
@@ -116,7 +117,7 @@ def stochastic_bridge(
             for t in range(D):
                 nxt = pos
                 if t >= wait:
-                    nxt = next(v for v in out[pos] if dist[v, u] == dist[pos, u] - 1)
+                    nxt = int(hop[pos, u])
                 occupancy[t, pos] += mass
                 flow[t, nxt, pos] += mass
                 pos = nxt

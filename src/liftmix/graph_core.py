@@ -4,19 +4,23 @@ Graphs are directed arc sets over nodes 0..n-1. Self-arcs are never stored:
 self-transitions are always legal for dynamics, so locality checks only look
 at off-diagonal entries. Undirected input expands to both ordered arcs.
 
-All tie-breaking (BFS order, shortest-path successor choice) is by lowest
-node index, so every derived object is deterministic.
+A Graph builds its boolean adjacency and distance matrix once, on first use,
+and shares them read-only.  Every search runs through scipy.sparse.csgraph,
+which scans each row in ascending index order, so all tie-breaking (BFS
+order, shortest-path successor choice) is by lowest node index and every
+derived object is deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import shortest_path as _csgraph_distances
 
 from .errors import BadSize, DisconnectedGraph, NoSpanningTree, TooManyNodes
 
@@ -42,13 +46,30 @@ class Graph:
         return i == j or (i, j) in self.arcs
 
     def out_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.arcs if a == i)
+        return np.flatnonzero(self._adjacency[i]).tolist()
 
     def adjacency(self) -> np.ndarray:
+        """Boolean M with M[i, j] iff (i, j) is an arc; shared and read-only."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
         M = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.arcs:
-            M[i, j] = True
+        M[tuple(np.array(list(self.arcs), dtype=np.intp).reshape(-1, 2).T)] = True
+        M.setflags(write=False)
         return M
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """Arc-path lengths D[i, j] from i to j, -1 where j is unreachable."""
+        D = _csgraph_distances(self._adjacency, unweighted=True)
+        D = np.where(np.isinf(D), -1, D).astype(int)
+        D.setflags(write=False)
+        return D
+
+    def _check_node(self, v: int, role: str) -> None:
+        if not 0 <= v < self.n:
+            raise BadSize(f"{role} {v} out of range for n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -121,28 +142,6 @@ def load_graph(path: str) -> Graph:
         return graph_from_json(json.load(fh))
 
 
-def _bfs_dist_from(g: Graph, src: int, forward: bool = True) -> np.ndarray:
-    """Distances from src following arcs forward (or backward when not)."""
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.arcs:
-        if forward:
-            out[i].append(j)
-        else:
-            out[j].append(i)
-    for lst in out:
-        lst.sort()
-    dist = np.full(g.n, -1, dtype=int)
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in out[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
-
-
 def _strong_components(support: np.ndarray) -> np.ndarray:
     """Strong-component label (0..k-1) of each node of the digraph whose
     boolean adjacency matrix is `support`.  Components are the same for a
@@ -157,13 +156,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs BFS shortest-path lengths; raises if some pair is unreachable."""
-    D = np.empty((g.n, g.n), dtype=int)
-    for i in range(g.n):
-        d = _bfs_dist_from(g, i, True)
-        if (d < 0).any():
-            raise DisconnectedGraph(f"no path from node {i} to some node")
-        D[i] = d
+    """All-pairs shortest-path lengths (the graph's shared read-only array);
+    raises if some pair is unreachable."""
+    D = g._distances
+    unreachable = (D < 0).any(axis=1)
+    if unreachable.any():
+        raise DisconnectedGraph(f"no path from node {int(np.argmax(unreachable))} to some node")
     return D
 
 
@@ -171,20 +169,26 @@ def diameter(g: Graph) -> int:
     return int(distance_matrix(g).max())
 
 
+def _next_hops(adj: np.ndarray, dist_to: np.ndarray) -> np.ndarray:
+    """The one hop rule of every shortest-path walk: hop[v, k] is the
+    lowest-index out-neighbour of v one step closer to target k, where
+    dist_to[v, k] is v's distance to k (meaningless at k itself and where
+    k is unreachable)."""
+    closer = dist_to[None, :, :] == dist_to[:, None, :] - 1
+    return np.argmax(adj[:, :, None] & closer, axis=1)
+
+
 def shortest_path(g: Graph, i: int, j: int) -> list[int]:
-    """Minimal arc path i -> j; at each step the lowest-index neighbor that
-    still decreases the BFS distance to j is taken."""
-    dist_to_j = _bfs_dist_from(g, j, forward=False)
-    if dist_to_j[i] < 0:
+    """Minimal arc path i -> j, hop by hop under `_next_hops`."""
+    g._check_node(i, "path start")
+    g._check_node(j, "path end")
+    dist_to_j = _csgraph_distances(g.adjacency().T, unweighted=True, indices=j)
+    if np.isinf(dist_to_j[i]):
         raise DisconnectedGraph(f"no path from {i} to {j}")
+    hop = _next_hops(g.adjacency(), dist_to_j[:, None])[:, 0]
     path = [i]
-    u = i
-    while u != j:
-        for v in g.out_neighbors(u):
-            if dist_to_j[v] == dist_to_j[u] - 1:
-                path.append(v)
-                u = v
-                break
+    while path[-1] != j:
+        path.append(int(hop[path[-1]]))
     return path
 
 
@@ -198,21 +202,16 @@ def rooted_spanning_tree(
     first, lowest index wins). Returns (parent map with parent[root] = root,
     leaves-first node order = reversed BFS discovery).
     """
-    parent: dict[int, int] = {root: root}
-    order = [root]
-    q = deque([root])
-    while q:
-        p = q.popleft()
-        for u in g.out_neighbors(p):
-            if u not in parent and allowed(u, p):
-                parent[u] = p
-                order.append(u)
-                q.append(u)
-    if len(parent) != g.n:
-        missing = sorted(set(range(g.n)) - set(parent))
+    g._check_node(root, "root")
+    sub = g.adjacency().copy()  # then only the arcs p -> u that allowed(u, p) admits
+    for p, u in zip(*np.nonzero(sub)):
+        sub[p, u] = allowed(int(u), int(p))
+    order, pred = breadth_first_order(sub, root, return_predecessors=True)
+    if len(order) != g.n:
+        missing = sorted(set(range(g.n)) - set(order.tolist()))
         raise NoSpanningTree(f"allowed arcs do not connect nodes {missing} to root {root}")
-    leaves_first = list(reversed(order))
-    return parent, leaves_first
+    parent = {root: root} | {u: int(pred[u]) for u in order[1:].tolist()}
+    return parent, order[::-1].tolist()
 
 
 def enumerate_cuts(g_or_n, pi) -> list[Cut]:

@@ -209,13 +209,15 @@ def validate_lift(L: Lift) -> None:
         raise DimensionMismatch(
             f"dynamics on {L.A.n} nodes, lifted graph has {L.lifted.n}"
         )
-    proj = L.map.projection
-    for i, j in L.lifted.arcs:
-        ci, cj = proj[i], proj[j]
-        if ci != cj and not L.base.has_arc(ci, cj):
-            raise LocalityViolation(
-                f"lifted arc ({i},{j}) projects to missing base arc ({ci},{cj})"
-            )
+    i, j = np.nonzero(L.lifted.adjacency())
+    proj = np.asarray(L.map.projection)
+    ci, cj = proj[i], proj[j]
+    bad = np.flatnonzero((ci != cj) & ~L.base.adjacency()[ci, cj])
+    if bad.size:
+        k = bad[0]
+        raise LocalityViolation(
+            f"lifted arc ({i[k]},{j[k]}) projects to missing base arc ({ci[k]},{cj[k]})"
+        )
     if L.A.locality is not L.lifted:
         StochasticMatrix(L.A.entries, locality=L.lifted)
     if L.F is not None:
@@ -308,6 +310,14 @@ def lifted_stationary(L: Lift, seed_init: Distribution) -> Distribution:
         return stationary(L.A)
     except ReducibleChain:
         return Distribution(_batch_limits(L.A.entries, seed_init.weights))
+
+
+def _stationary_seed(L: Lift, pi: Distribution) -> tuple[Distribution, str]:
+    """The seed of a reducible lift's steady state, and its name: F pi when
+    the lift has an init map, otherwise the fiber-uniform spread of pi."""
+    if L.F is not None:
+        return L.F.apply(pi), "init-map"
+    return fiber_uniform_init(L.map, pi), "fiber-uniform"
 
 
 def check_invariance(
@@ -706,12 +716,7 @@ def scenario_report(
     irreducible = is_irreducible(L.A)
     inv_ok, inv_witness = check_invariance(L, pi, spec.init)
 
-    if L.F is not None:
-        seed = L.F.apply(pi)
-        seed_name = "init-map"
-    else:
-        seed = fiber_uniform_init(L.map, pi)
-        seed_name = "fiber-uniform"
+    seed, seed_name = _stationary_seed(L, pi)
     # only flow verdicts and the induced-chain conductance read the steady state
     pi_hat = functools.cache(functools.partial(lifted_stationary, L, seed))
 

@@ -1,9 +1,12 @@
 """Graph builders, metric queries, cut enumeration, spanning trees."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
 from liftmix import (
@@ -99,6 +102,140 @@ def test_shortest_path_endpoints_and_arc_validity():
                 assert len(p) == dist[i, j] + 1
                 for a, b in zip(p, p[1:]):
                     assert (a, b) in g.arcs
+
+
+def test_graph_searches_reject_a_negative_path_end():
+    with pytest.raises(BadSize):
+        shortest_path(path(3), 0, -1)
+
+
+def test_graph_searches_reject_a_path_end_past_n():
+    with pytest.raises(BadSize):
+        shortest_path(path(3), 0, 7)
+    with pytest.raises(BadSize):
+        shortest_path(path(3), 3, 0)
+
+
+def test_graph_searches_reject_a_root_outside_the_graph():
+    with pytest.raises(BadSize):
+        rooted_spanning_tree(path(3), lambda child, p: True, 5)
+    with pytest.raises(BadSize):
+        rooted_spanning_tree(path(3), lambda child, p: True, -1)
+
+
+# Loop-built references: the per-source BFS searches the csgraph ones replaced.
+
+
+def _ref_out_neighbors(g, u, forward=True):
+    return sorted(j if forward else i for i, j in g.arcs if (i if forward else j) == u)
+
+
+def _ref_adjacency(g):
+    M = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.arcs:
+        M[i, j] = True
+    return M
+
+
+def _ref_bfs_dist_from(g, src, forward=True):
+    dist = np.full(g.n, -1, dtype=int)
+    dist[src] = 0
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        for v in _ref_out_neighbors(g, u, forward):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
+
+
+def _ref_distance_matrix(g):
+    D = np.empty((g.n, g.n), dtype=int)
+    for i in range(g.n):
+        d = _ref_bfs_dist_from(g, i, True)
+        if (d < 0).any():
+            raise DisconnectedGraph(f"no path from node {i} to some node")
+        D[i] = d
+    return D
+
+
+def _ref_shortest_path(g, i, j):
+    dist_to_j = _ref_bfs_dist_from(g, j, forward=False)
+    if dist_to_j[i] < 0:
+        raise DisconnectedGraph(f"no path from {i} to {j}")
+    path = [i]
+    u = i
+    while u != j:
+        for v in _ref_out_neighbors(g, u):
+            if dist_to_j[v] == dist_to_j[u] - 1:
+                path.append(v)
+                u = v
+                break
+    return path
+
+
+def _ref_rooted_spanning_tree(g, allowed, root):
+    parent = {root: root}
+    order = [root]
+    q = deque([root])
+    while q:
+        p = q.popleft()
+        for u in _ref_out_neighbors(g, p):
+            if u not in parent and allowed(u, p):
+                parent[u] = p
+                order.append(u)
+                q.append(u)
+    if len(parent) != g.n:
+        missing = sorted(set(range(g.n)) - set(parent))
+        raise NoSpanningTree(f"allowed arcs do not connect nodes {missing} to root {root}")
+    return parent, list(reversed(order))
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_csgraph_searches_match_loop_bfs(seed, directed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    density, keep = rng.random(2)
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+    g = graph_from_edges(n, edges, directed=directed)
+    allowed_arcs = {a for a in sorted(g.arcs) if rng.random() < keep}
+
+    def allowed(child, p):
+        return (p, child) in allowed_arcs
+
+    assert np.array_equal(g.adjacency(), _ref_adjacency(g))
+    shared = [g.adjacency()]
+    D, err = _outcome(distance_matrix, g)
+    D_ref, err_ref = _outcome(_ref_distance_matrix, g)
+    assert err == err_ref
+    if err is None:
+        assert np.array_equal(D, D_ref)
+        shared.append(D)
+    for arr in shared:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]
+    for i in range(n):
+        for j in range(n):
+            assert _outcome(shortest_path, g, i, j) == _outcome(_ref_shortest_path, g, i, j)
+    root = int(rng.integers(n))
+    tree, err = _outcome(rooted_spanning_tree, g, allowed, root)
+    tree_ref, err_ref = _outcome(_ref_rooted_spanning_tree, g, allowed, root)
+    assert err == err_ref
+    if err is None:
+        (parent, leaves_first), (parent_ref, leaves_first_ref) = tree, tree_ref
+        assert list(parent.items()) == list(parent_ref.items())
+        assert leaves_first == leaves_first_ref
 
 
 def test_is_connected_detects_split():

@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Write the byte-identity corpus of a liftmix source tree.
+#
+# Usage: tools/snapshot_outputs.sh SRC OUT
+#
+# SRC is a checkout (the directory that holds src/liftmix); OUT is created
+# and filled with one file per output:
+#   - verify JSON, exit code and stderr for all ten suites at seeds 0-2;
+#   - lift build bundles for the three diameter-mixer variants, node-clock
+#     and periodic-node-clock on cycles 6-12 and a fixed random 7-node
+#     graph, each with uniform and a fixed random pi;
+#   - lift analyze reports for SIMRE, sIMRE, SiMRE and sImRE on every
+#     mixer bundle;
+#   - conductance graph and bridge --all-sources outputs on the same graphs.
+# Every command gets a NAME.out (stdout), NAME.code (exit code) and
+# NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
+# this script, not by liftmix, so two trees read the same files.  Compare
+# two trees with `diff -r OUT_A OUT_B`.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+SRC=$(cd "$1" && pwd)
+OUT=$2
+mkdir -p "$OUT/inputs"
+OUT=$(cd "$OUT" && pwd)
+IN=$OUT/inputs
+
+python3 - "$IN" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+out = sys.argv[1]
+graphs = {f"cycle-{n}": (n, [[i, (i + 1) % n] for i in range(n)]) for n in range(6, 13)}
+graphs["random-7"] = (7, [[0, 1], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4],
+                          [4, 6], [5, 6], [2, 6]])
+rng = np.random.default_rng(20170)
+for name, (n, edges) in graphs.items():
+    with open(f"{out}/{name}.json", "w") as fh:
+        json.dump({"n": n, "edges": edges, "directed": False}, fh)
+    w = rng.random(n) + 0.1
+    with open(f"{out}/{name}.pi.json", "w") as fh:
+        json.dump({"weights": (w / w.sum()).tolist()}, fh)
+EOF
+
+run() {
+    local name=$1
+    shift
+    local code=0
+    (cd "$OUT" && PYTHONPATH="$SRC/src" python3 -m liftmix.cli "$@") \
+        >"$OUT/$name.out" 2>"$OUT/$name.err.raw" || code=$?
+    echo "$code" >"$OUT/$name.code"
+    sed "s#$SRC#SRC#g" "$OUT/$name.err.raw" >"$OUT/$name.err"
+    rm -f "$OUT/$name.err.raw"
+}
+
+for suite in lemma1 thm1 thm2 thm3 thm4 example1 example2 example3 \
+             clock-contraction bridge-exactness; do
+    for seed in 0 1 2; do
+        run "verify-$suite-$seed" verify --suite "$suite" --seed "$seed"
+    done
+done
+
+graphs="cycle-6 cycle-7 cycle-8 cycle-9 cycle-10 cycle-11 cycle-12 random-7"
+for g in $graphs; do
+    for p in uniform random; do
+        pi=uniform
+        [ "$p" = random ] && pi=$IN/$g.pi.json
+        tag=$g-$p
+        run "conductance-graph-$tag" conductance graph --graph "$IN/$g.json" --pi "$pi"
+        run "bridge-$tag" bridge --graph "$IN/$g.json" --dst "$pi" --all-sources
+        for c in node-clock periodic-node-clock; do
+            run "build-$c-$tag" lift build --construction "$c" \
+                --graph "$IN/$g.json" --pi "$pi" --out "$OUT/build-$c-$tag.bundle.json"
+        done
+        for v in reducible flows irreducible; do
+            bundle=$OUT/build-diameter-$v-$tag.bundle.json
+            run "build-diameter-$v-$tag" lift build --construction diameter \
+                --variant "$v" --graph "$IN/$g.json" --pi "$pi" --out "$bundle"
+            for s in SIMRE sIMRE SiMRE sImRE; do
+                run "analyze-$s-$v-$tag" lift analyze --lift "$bundle" \
+                    --pi "$pi" --scenario "$s"
+            done
+        done
+    done
+done
