@@ -93,19 +93,7 @@ from .randomgen import (
 )
 
 TOOL = {"name": "liftmix", "version": __version__}
-
-SUITE_NAMES = (
-    "lemma1",
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "example1",
-    "example2",
-    "example3",
-    "clock-contraction",
-    "bridge-exactness",
-)
+_MIXER_GAMMA = 1e-3  # restart probability of the suites' irreducible mixers
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +225,17 @@ def _criterion1_cases(seed: int):
     return [(name, g, random_distribution(rng, g.n)) for name, g in cases]
 
 
+def _irreducible_mixers():
+    """(name, lift, pi, reference) of each irreducible mixer the suites check."""
+    for name, g, make_ref in (
+        ("cycle-4", cycle(4), lambda g, pi: lazy_walk(g)),
+        ("barbell-3", barbell(3), mixer_default_reference),
+    ):
+        pi = uniform_distribution(g.n)
+        ref = make_ref(g, pi)
+        yield name, diameter_mixer(g, pi, "irreducible", _MIXER_GAMMA, ref), pi, ref
+
+
 def _suite_thm2(seed: int):
     checks = []
     for name, g, pi in _criterion1_cases(seed):
@@ -250,27 +249,19 @@ def _suite_thm2(seed: int):
         tau = marginal_mixing_time(L, pi, 0.25, "S", t_max=max(20, 4 * (D + 1)))
         checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1, tau <= D + 1))
 
-    gamma = 1e-3
-    irreducible_cases = [
-        ("cycle-4", cycle(4), lambda g, pi: lazy_walk(g)),
-        ("barbell-3", barbell(3), mixer_default_reference),
-    ]
-    for name, g, make_ref in irreducible_cases:
-        pi = uniform_distribution(g.n)
-        ref = make_ref(g, pi)
-        L = diameter_mixer(g, pi, "irreducible", gamma=gamma, reference=ref)
+    for name, L, pi, ref in _irreducible_mixers():
         used = L.metadata["gamma"]
-        checks.append(_check(f"thm2/{name}/irreducible", is_irreducible(L.A), True,
-                             is_irreducible(L.A)))
+        irreducible = is_irreducible(L.A)
+        checks.append(_check(f"thm2/{name}/irreducible", irreducible, True, irreducible))
         pi_hat = stationary(L.A)
         tv = tv_distance(marginal(L, pi_hat), pi)
         checks.append(_check(f"thm2/{name}/marginal-stationary", tv, 1e-8, tv <= 1e-8))
         dev, ok = check_flow_match(L, pi_hat, ref, 10 * used)
         checks.append(_check(f"thm2/{name}/flow-deviation", dev, 10 * used, ok))
-        D = diameter(g)
+        D = diameter(L.base)
         tau = marginal_mixing_time(L, pi, 0.25, "S", t_max=200)
         checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1, tau <= D + 1))
-    tols = {"exact_tv": 1e-10, "stationary_tv": 1e-8, "eps": 0.25, "gamma": gamma}
+    tols = {"exact_tv": 1e-10, "stationary_tv": 1e-8, "eps": 0.25, "gamma": _MIXER_GAMMA}
     return checks, [], {"tolerances": tols}
 
 
@@ -346,13 +337,7 @@ def _criterion_lifts(seed: int):
     out = []
     for name, g, pi in _criterion1_cases(seed):
         out.append((f"mixer-reducible/{name}", diameter_mixer(g, pi, "reducible"), pi))
-    for name, g, make_ref in (
-        ("cycle-4", cycle(4), lambda g, pi: lazy_walk(g)),
-        ("barbell-3", barbell(3), mixer_default_reference),
-    ):
-        pi = uniform_distribution(g.n)
-        L = diameter_mixer(g, pi, "irreducible", gamma=1e-3,
-                           reference=make_ref(g, pi))
+    for name, L, pi, _ in _irreducible_mixers():
         out.append((f"mixer-irreducible/{name}", L, pi))
     for N in (16, 32, 64):
         out.append((f"direction-lift/cycle-{N}", diaconis_cycle_lift(N),
@@ -592,12 +577,15 @@ _SUITES = {
     "clock-contraction": _suite_clock_contraction,
     "bridge-exactness": _suite_bridge_exactness,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> tuple[dict, bool]:
     """Run one named verification suite; returns (report, all_passed)."""
     if name not in _SUITES:
         raise BadScenario(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if seed < 0:
+        raise BadSize(f"seed must be at least 0, got {seed}")
     checks, notes, extras = _SUITES[name](seed)
     passed = all(c["pass"] for c in checks)
     report = {

@@ -38,6 +38,7 @@ from .markov import (
     Distribution,
     StochasticMatrix,
     TimeVaryingChain,
+    _ENTRY_CLAMP,
     check_stationary,
     metropolis_chain,
     point_distribution,
@@ -68,7 +69,7 @@ def mixer_default_reference(g: Graph, pi: Distribution) -> StochasticMatrix:
 
 def _support_graph(A: np.ndarray) -> Graph:
     """Directed graph of the off-diagonal support of a dynamics matrix."""
-    rows, cols = np.nonzero(A > 1e-12)
+    rows, cols = np.nonzero(A > _ENTRY_CLAMP)
     off = rows != cols
     return Graph(n=A.shape[0], arcs=frozenset(zip(cols[off].tolist(), rows[off].tolist())))
 
@@ -410,7 +411,7 @@ def diameter_mixer(
         # keep the strong component of the start states (0, v, v), which
         # the restarts make mutually reachable; the rest is never reached
         # from a start or never returns to one
-        labels = _strong_components(A_full > 1e-12)
+        labels = _strong_components(A_full > _ENTRY_CLAMP)
         keep = np.flatnonzero(labels == labels[0])
         meta = dict(meta, gamma=gamma)
         return _make_lift(g, proj[keep], A_full[np.ix_(keep, keep)], F[keep], meta)

@@ -21,8 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array, eye_array
-from scipy.sparse.linalg import splu
 
 from ._version import __version__
 from .conductance import _phi_chain_or_cycle, phi_chain, phi_graph
@@ -36,13 +34,11 @@ from .errors import (
     MissingReferenceChain,
     NoConvergence,
     NotStationary,
-    ReducibleChain,
     ZeroMarginalSupport,
 )
 from .graph_core import (
     Cut,
     Graph,
-    _strong_components,
     diameter,
     graph_from_json,
     graph_to_json,
@@ -56,8 +52,8 @@ from .markov import (
     ergodic_flows,
     is_irreducible,
     stationary,
+    _ergodic_limits,
     _settle_time,
-    _stationary_weights,
     _window_tv,
 )
 
@@ -225,13 +221,9 @@ def validate_lift(L: Lift) -> None:
             raise DimensionMismatch("init map built for a different projection")
 
 
-def _as_map(lift_or_map) -> LiftMap:
-    return lift_or_map.map if isinstance(lift_or_map, Lift) else lift_or_map
-
-
 def marginal(lift_or_map, x) -> Distribution:
     """Project a lifted distribution to the base by fiber sums: p = C x."""
-    m = _as_map(lift_or_map)
+    m = lift_or_map.map if isinstance(lift_or_map, Lift) else lift_or_map
     w = x.weights if isinstance(x, Distribution) else np.asarray(x, dtype=float)
     if w.shape != (m.lifted_n,):
         raise DimensionMismatch(
@@ -278,38 +270,43 @@ def induced_chain(L: Lift, pi_hat: Distribution) -> StochasticMatrix:
     P_{i,j} = (sum of A-flows from fiber(j) into fiber(i) under pi_hat)
     divided by the marginal mass of j; stationary at marginal(pi_hat).
     """
-    m = L.map
+    collapsed = _collapsed_flows(L, pi_hat)
     w = pi_hat.weights
-    if w.shape != (m.lifted_n,):
-        raise DimensionMismatch("pi_hat does not live on the lifted nodes")
     res = float(np.abs(L.A.entries @ w - w).sum())
     if res > 1e-8:
         raise NotStationary(f"pi_hat is not a steady state: residual {res}")
-    marg = m.C @ w
+    marg = L.map.C @ w
     dead = np.nonzero(marg <= 1e-15)[0]
     if len(dead):
         raise ZeroMarginalSupport(
             f"marginal of pi_hat vanishes on base nodes {dead.tolist()}"
         )
-    collapsed = m.C @ (L.A.entries * w[None, :]) @ m.C.T
     return StochasticMatrix(collapsed / marg[None, :], locality=L.base)
+
+
+def _collapsed_flows(L: Lift, pi_hat: Distribution) -> np.ndarray:
+    """The lift's flows under pi_hat summed over fibers, C (A o pi_hat) C^T."""
+    w = pi_hat.weights
+    if w.shape != (L.map.lifted_n,):
+        raise DimensionMismatch("pi_hat does not live on the lifted nodes")
+    return L.map.C @ (L.A.entries * w[None, :]) @ L.map.C.T
 
 
 def lifted_stationary(L: Lift, seed_init: Distribution) -> Distribution:
     """Steady state of A reached from a stated seed.
 
-    Irreducible dynamics have a unique steady state, solved exactly.
-    Reducible dynamics admit several; the limit then depends on the seed,
-    and is computed as the long-run average of the trajectory (evaluated
-    through the half-lazy iteration y <- (y + A y)/2, which converges to
-    the same limit and tolerates periodic components).
+    Irreducible dynamics have a unique steady state, the law of the one
+    class in A's ergodic decomposition (markov.stationary).  Reducible
+    dynamics admit several; the limit then depends on the seed, and is
+    computed as the long-run average of the trajectory (evaluated through
+    the half-lazy iteration y <- (y + A y)/2, which converges to the same
+    limit and tolerates periodic components).
     """
     if seed_init.n != L.map.lifted_n:
         raise DimensionMismatch("seed does not live on the lifted nodes")
-    try:
+    if is_irreducible(L.A):
         return stationary(L.A)
-    except ReducibleChain:
-        return Distribution(_batch_limits(L.A.entries, seed_init.weights))
+    return Distribution(_batch_limits(L.A.entries, seed_init.weights))
 
 
 def _stationary_seed(L: Lift, pi: Distribution) -> tuple[Distribution, str]:
@@ -405,46 +402,6 @@ def _batch_limits(A: np.ndarray, X0: np.ndarray) -> np.ndarray:
     raise NoConvergence("steady-state averaging did not settle in 1e5 steps")
 
 
-def _ergodic_limits(A: np.ndarray, X: np.ndarray | None) -> np.ndarray:
-    """Exact long-run average Z X of each start under A: the columns of X,
-    or every vertex when X is None.
-
-    Z = lim (1/T) sum_{t<T} A^t is the ergodic projector (Kemeny-Snell,
-    Finite Markov Chains).  The closed classes are the strong components
-    of A's support that no arc leaves; a start inside class c averages to
-    c's stationary law pi_c, periodic classes included (Levin-Peres-Wilmer,
-    Markov Chains and Mixing Times, 1.3).  A transient start v averages to
-    sum_c h_c(v) pi_c, with h_c(v) its probability of absorption in c.
-    Over the transient states T these solve (I - A_TT)^T h_c = b_c, b_c(v)
-    being v's one-step mass into c: one sparse LU, one right-hand side per
-    class.  So Z = Pi H^T, both factors lifted_n x classes, and Z X is
-    formed as Pi (H^T X).  An irreducible A (one class, no transient
-    states) gives its stationary law, solved as stationary solves it, as
-    one column that broadcasts against every start.
-    """
-    n = A.shape[0]
-    labels = _strong_components(A != 0)
-    if labels.max() == 0:
-        return _stationary_weights(A)[:, None]
-    to, frm = np.nonzero(A)
-    leaky = np.zeros(labels.max() + 1, dtype=bool)
-    leaky[labels[frm[labels[to] != labels[frm]]]] = True
-    closed = np.flatnonzero(~leaky)
-    Pi = np.zeros((n, len(closed)))
-    H = np.zeros((n, len(closed)))
-    for k, c in enumerate(closed):
-        members = np.flatnonzero(labels == c)
-        Pi[members, k] = _stationary_weights(A[np.ix_(members, members)])
-        H[members, k] = 1.0
-    T = np.flatnonzero(leaky[labels])
-    if len(T):
-        S = csr_array(A)
-        Q = S[T][:, T]
-        lu = splu(csc_array((eye_array(len(T)) - Q).T))
-        H[T] = lu.solve(S[:, T].T @ H)
-    return Pi @ H.T if X is None else Pi @ (H.T @ X)
-
-
 def full_mixing_time(
     L: Lift,
     eps: float,
@@ -455,20 +412,20 @@ def full_mixing_time(
 
     Each extreme initialization is compared against the steady state it
     converges to in long-run average (the unique one when A is
-    irreducible), taken exactly from the ergodic projector: closed
-    classes, their laws, and absorption probabilities from one sparse LU
-    (_ergodic_limits).  Periodic dynamics never settle pointwise and come
-    out UNMIXED even when the marginal converges.  The scan stops once the
-    rest of the window is certified under eps (markov._window_tv), so an
-    UNMIXED result is the only one that scans the whole window.
+    irreducible), taken exactly from the ergodic projector of L.A
+    (StochasticMatrix._ergodic, made once per matrix).  Periodic
+    dynamics never settle pointwise and come out UNMIXED even when the
+    marginal converges.  The scan stops once the rest of the window is
+    certified under eps (markov._window_tv), so an UNMIXED result is the
+    only one that scans the whole window.
     """
     if not 0 < eps < 1:
         raise DimensionMismatch(f"eps must be in (0,1), got {eps}")
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
-    A = L.A.entries
-    return _settle_time(_window_tv(A, X, _ergodic_limits(A, X), t_max, eps=eps), eps)
+    target = _ergodic_limits(L.A, X)
+    return _settle_time(_window_tv(L.A.entries, X, target, t_max, eps=eps), eps)
 
 
 def check_flow_match(
@@ -480,15 +437,11 @@ def check_flow_match(
     ergodic flows under pi_hat and the reference chain's flows at the same
     marginal.  delta = 0 means exact matching, judged with 1e-8 slack.
     """
-    m = L.map
-    w = pi_hat.weights
-    if w.shape != (m.lifted_n,):
-        raise DimensionMismatch("pi_hat does not live on the lifted nodes")
-    if P_ref.n != m.base_n:
+    collapsed = _collapsed_flows(L, pi_hat)
+    if P_ref.n != L.map.base_n:
         raise DimensionMismatch("reference chain is not on the base nodes")
-    marg = Distribution(m.C @ w)
+    marg = Distribution(L.map.C @ pi_hat.weights)
     check_stationary(P_ref, marg, tol=1e-6)
-    collapsed = m.C @ (L.A.entries * w[None, :]) @ m.C.T
     reference = ergodic_flows(P_ref, marg)
     max_dev = float(np.abs(collapsed - reference).max())
     threshold = delta if delta > 0 else 1e-8

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array, eye_array
+from scipy.sparse.linalg import splu
 
 from .errors import (
     BadColumnSum,
@@ -77,6 +79,8 @@ class StochasticMatrix:
     Entries are clamped to [0, 1] from within 1e-12; each raw column sum must
     be within 1e-6 of 1 (then the column is renormalized exactly). When a
     locality graph is set, off-diagonal support > 1e-12 must sit on its arcs.
+    Its classes, then their laws, are each found once, on first use, and
+    shared read-only (_labels, _ergodic).
     """
 
     entries: np.ndarray
@@ -114,6 +118,47 @@ class StochasticMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Strong-component label of each state, arcs being entries > 1e-12."""
+        return _strong_components(self.entries > _ENTRY_CLAMP)
+
+    @cached_property
+    def _ergodic(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The ergodic projector Z = lim (1/T) sum_{t<T} M^t of the entries
+        M (Kemeny-Snell, Finite Markov Chains) as read-only factors
+        Z = Pi H^T, each n x classes.  The closed classes are the strong
+        components (_labels) that no arc leaves.  Column c of Pi is class
+        c's stationary law, periodic classes included (Levin-Peres-Wilmer,
+        Markov Chains and Mixing Times, 1.3).  Column c of H is each state's
+        probability h_c of absorption in c, which over the transient states
+        T solves (I - M_TT)^T h_c = b_c, b_c(v) being v's one-step mass into
+        c: one sparse LU, one right-hand side per class.  An irreducible M
+        gives (pi[:, None], None)."""
+        M, labels = self.entries, self._labels
+        if labels.max() == 0:
+            Pi = _stationary_weights(M)[:, None]
+            Pi.setflags(write=False)
+            return Pi, None
+        to, frm = np.nonzero(M > _ENTRY_CLAMP)
+        leaky = np.zeros(labels.max() + 1, dtype=bool)
+        leaky[labels[frm[labels[to] != labels[frm]]]] = True
+        closed = np.flatnonzero(~leaky)
+        Pi = np.zeros((self.n, len(closed)))
+        H = np.zeros((self.n, len(closed)))
+        for k, c in enumerate(closed):
+            members = np.flatnonzero(labels == c)
+            Pi[members, k] = _stationary_weights(M[np.ix_(members, members)])
+            H[members, k] = 1.0
+        T = np.flatnonzero(leaky[labels])
+        if len(T):
+            S = csr_array(M)
+            lu = splu(csc_array((eye_array(len(T)) - S[T][:, T]).T))
+            H[T] = lu.solve(S[:, T].T @ H)
+        Pi.setflags(write=False)
+        H.setflags(write=False)
+        return Pi, H
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": self.entries.tolist()}
@@ -172,15 +217,17 @@ def evolve(P: StochasticMatrix, p: Distribution, t: int) -> Distribution:
 
 
 def is_irreducible(P: StochasticMatrix) -> bool:
-    """Strong connectivity of the support digraph (entries > 1e-12)."""
-    return bool(_strong_components(P.entries > _ENTRY_CLAMP).max() == 0)
+    """Strong connectivity of the support digraph (entries > 1e-12): one
+    component in P's classes, the first half of its ergodic decomposition."""
+    return bool(P._labels.max() == 0)
 
 
 def stationary(P: StochasticMatrix) -> Distribution:
-    """Unique stationary distribution of an irreducible chain (linear solve)."""
+    """Unique stationary distribution of an irreducible chain: the law of
+    the one class in P's ergodic decomposition."""
     if not is_irreducible(P):
         raise ReducibleChain("chain is reducible; use lifted_stationary with a seed")
-    return Distribution(_stationary_weights(P.entries))
+    return Distribution(P._ergodic[0][:, 0])
 
 
 def _stationary_weights(M: np.ndarray) -> np.ndarray:
@@ -200,6 +247,16 @@ def _stationary_weights(M: np.ndarray) -> np.ndarray:
     if res > 1e-10:
         raise NotStationary(f"stationary solve residual {res} exceeds 1e-10")
     return pi
+
+
+def _ergodic_limits(P: StochasticMatrix, X: np.ndarray | None) -> np.ndarray:
+    """Exact long-run average Pi (H^T X) of the starts X under P, every
+    vertex when X is None; an irreducible P gives its stationary law as one
+    column, which broadcasts against every start."""
+    Pi, H = P._ergodic
+    if H is None:
+        return Pi
+    return Pi @ H.T if X is None else Pi @ (H.T @ X)
 
 
 def check_stationary(P: StochasticMatrix, pi: Distribution, tol: float = 1e-9) -> None:
@@ -250,7 +307,7 @@ def _window_tv(
     stops at the first t with worst[t] <= eps - (t_max - t)(r + 1e-12)
     - 1e-9.  The targets need only be near-fixed: their residuals are at
     most 1e-9 from check_stationary, 1e-10 from stationary, and rounding
-    level from lift._ergodic_limits' exact projector.  The margins cover
+    level from _ergodic_limits' exact projector.  The margins cover
     the floats: CSR rounding adds far less than 1e-12 per step, and the TV
     sums and r itself are off by far less than 1e-9.  A marginal TV can
     rise again, so eps is refused with C.

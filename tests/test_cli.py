@@ -126,6 +126,14 @@ def test_verify_unknown_suite():
     assert exc.value.code == 2
 
 
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--suite", "lemma1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_graph_stats_barbell(tmp_path, capsys):
     gfile = write_graph(tmp_path, barbell(6))
     assert main(["graph", "stats", gfile]) == 0

@@ -1,5 +1,6 @@
 """Lift maps, projections, invariance checks, scenario machinery."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -45,6 +46,7 @@ from liftmix import (
     graph_from_edges,
     induced_chain,
     is_irreducible,
+    lazy_walk,
     lift_from_json,
     lift_to_json,
     lifted_stationary,
@@ -66,8 +68,8 @@ from liftmix import (
 )
 import liftmix.lift as lift_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
-from liftmix.lift import _batch_limits, _ergodic_limits
-from liftmix.markov import _settle_time, _window_tv
+from liftmix.lift import _batch_limits
+from liftmix.markov import _ergodic_limits, _settle_time, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -508,7 +510,7 @@ def test_window_scan_matches_dense_propagation(seed, t_max):
                             for _ in range(L.map.base_n + 1)])
     narrow = wide[:, :L.map.base_n]
     x = random_distribution(rng, n).weights
-    limits = _ergodic_limits(A, None)
+    limits = _ergodic_limits(L.A, None)
     for t in (0, t_max):
         # adjoint: every vertex, and an explicit batch wider than C has rows
         _assert_same_scan(_dense_window_tv(A, eye, target, t, C),
@@ -589,11 +591,11 @@ def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
     else:
         L, _ = _random_lift(rng)  # replicated, reducible or irreducible mixer
     A, n = L.A.entries, L.map.lifted_n
-    P = random_local_chain(rng, random_connected_graph(rng, n_max=5)).entries
+    P = random_local_chain(rng, random_connected_graph(rng, n_max=5))
     # the targets full_mixing_time scans against
-    scans = [(A, X, _ergodic_limits(A, X))
+    scans = [(A, X, _ergodic_limits(L.A, X))
              for X in ([None] if L.F is None else [None, L.F.entries])]
-    scans.append((P, None, _ergodic_limits(P, None)))
+    scans.append((P.entries, None, _ergodic_limits(P, None)))
     # off the fixed points of A, where TV may dip under eps and rise again
     scans.append((A, None, random_distribution(rng, n).weights[:, None]))
     scans.append((A, np.eye(n)[0], random_distribution(rng, n).weights))
@@ -658,12 +660,12 @@ def test_ergodic_limits_are_the_exact_cesaro_projector(seed):
     rng = rng_from_seed(seed)
     mixer = rng.random() < 0.25
     if mixer:
-        A = _random_lift(rng, mixer_variants=("reducible",))[0].A.entries
+        P = _random_lift(rng, mixer_variants=("reducible",))[0].A
     else:
-        A = _random_reducible_chain(rng)
-    n = A.shape[0]
+        P = StochasticMatrix(_random_reducible_chain(rng))
+    A, n = P.entries, P.n
     # an irreducible A (a mixer on one or two nodes) gives one column
-    Z = np.broadcast_to(_ergodic_limits(A, None), (n, n))
+    Z = np.broadcast_to(_ergodic_limits(P, None), (n, n))
     assert np.abs(A @ Z - Z).max() <= 1e-12
     assert np.abs(Z @ Z - Z).max() <= 1e-12
     assert np.abs(Z - _lazy_power_limit(A)).max() <= 1e-12
@@ -671,7 +673,7 @@ def test_ergodic_limits_are_the_exact_cesaro_projector(seed):
         # the targets full_mixing_time took from averaging before
         assert np.abs(Z - _batch_limits(A, np.eye(n))).max() <= 1e-9
     X = np.column_stack([random_distribution(rng, n).weights for _ in range(3)])
-    assert np.abs(_ergodic_limits(A, X) - Z @ X).max() <= 1e-12
+    assert np.abs(_ergodic_limits(P, X) - Z @ X).max() <= 1e-12
 
 
 def test_ergodic_limits_of_an_irreducible_chain_are_its_stationary_law():
@@ -679,7 +681,7 @@ def test_ergodic_limits_of_an_irreducible_chain_are_its_stationary_law():
     chains = [diaconis_cycle_lift(6).A, four_cycle_lift(0.1, 0.05)[0].A,
               random_local_chain(rng, random_connected_graph(rng, n=6))]
     for P in chains:
-        assert np.array_equal(_ergodic_limits(P.entries, None),
+        assert np.array_equal(_ergodic_limits(P, None),
                               stationary(P).weights[:, None])
 
 
@@ -692,6 +694,33 @@ def test_full_mixing_time_never_averages(monkeypatch):
     assert not is_irreducible(L.A)
     assert full_mixing_time(L, 0.25, "s") == 4
     assert full_mixing_time(L, 0.25, "S") == 4
+
+
+def test_scenario_report_decomposes_the_dynamics_once(monkeypatch):
+    # the irreducible verdict, the full-state targets and the steady state
+    # behind the flow verdict all read the one decomposition of L.A
+    g, pi = cycle(8), uniform_distribution(8)
+    ref = lazy_walk(g)
+    L = diameter_mixer(g, pi, "irreducible", reference=ref)
+    n = L.map.lifted_n
+    assert n == 232
+    calls = {"_strong_components": 0, "_stationary_weights": 0}
+    for name in calls:
+        for module in [m for key, m in sys.modules.items() if key.startswith("liftmix")]:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counting(M, *args, _fn=fn, _name=name):
+                if M.shape[0] == n:
+                    calls[_name] += 1
+                return _fn(M, *args)
+
+            monkeypatch.setattr(module, name, counting)
+    report = scenario_report(L, parse_scenario("SIMRe", reference_chain=ref), pi)
+    assert report["verdicts"]["irreducible"]["value"]
+    assert report["verdicts"]["flow_match"] is not None
+    assert calls == {"_strong_components": 1, "_stationary_weights": 1}
 
 
 def _recorded_scan_lengths(monkeypatch):

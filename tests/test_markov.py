@@ -16,6 +16,7 @@ from liftmix import (
     LengthMismatch,
     LocalityViolation,
     NotStationary,
+    ReducibleChain,
     StochasticMatrix,
     TimeVaryingChain,
     UNMIXED,
@@ -39,6 +40,7 @@ from liftmix import (
     tv_distance,
     uniform_distribution,
 )
+from liftmix.markov import _ergodic_limits
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -172,6 +174,21 @@ def test_is_irreducible_cases():
     # one-way absorbing pair
     P = StochasticMatrix([[1.0, 0.5], [0.0, 0.5]])
     assert not is_irreducible(P)
+
+
+def test_entries_at_most_1e12_are_absent_for_every_class_reader():
+    # 0 <-> 1, and 2 -> 0 always; the 1e-13 entry 0 -> 2 is no arc, so
+    # {0, 1} is the one closed class and 2 is transient
+    P = StochasticMatrix([[0.0, 1.0, 1.0], [1.0 - 1e-13, 0.0, 0.0], [1e-13, 0.0, 0.0]])
+    assert P.entries[2, 0] == 1e-13
+    assert not is_irreducible(P)
+    with pytest.raises(ReducibleChain):
+        stationary(P)
+    # full-state targets: every start averages to the law of {0, 1}
+    Z = _ergodic_limits(P, None)
+    assert Z.shape == (3, 3)
+    assert (Z[2] == 0.0).all()
+    assert np.abs(Z[:2] - 0.5).max() <= 1e-12
 
 
 def _strongly_connected_reference(support: np.ndarray) -> bool:

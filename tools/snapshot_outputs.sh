@@ -11,7 +11,11 @@
 #     graph, each with uniform and a fixed random pi;
 #   - lift analyze reports for SIMRE, sIMRE, SiMRE and sImRE on every
 #     mixer bundle;
-#   - conductance graph and bridge --all-sources outputs on the same graphs.
+#   - conductance graph and bridge --all-sources outputs on the same graphs;
+#   - lift analyze reports that read a steady state: SIMRe on the cycle-8
+#     flows and irreducible mixers (uniform pi) against the cycle-8 lazy
+#     walk, and sIMRE on the three mixer variants of the 16-node cycle
+#     (uniform pi), whose bound goes through the induced chain.
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
 # this script, not by liftmix, so two trees read the same files.  Compare
@@ -45,6 +49,14 @@ for name, (n, edges) in graphs.items():
     w = rng.random(n) + 0.1
     with open(f"{out}/{name}.pi.json", "w") as fh:
         json.dump({"weights": (w / w.sum()).tolist()}, fh)
+with open(f"{out}/cycle-16.json", "w") as fh:
+    json.dump({"n": 16, "edges": [[i, (i + 1) % 16] for i in range(16)],
+               "directed": False}, fh)
+lazy = 0.5 * np.eye(8)
+for i in range(8):
+    lazy[(i + 1) % 8, i] = lazy[(i - 1) % 8, i] = 0.25
+with open(f"{out}/cycle-8.lazy.json", "w") as fh:
+    json.dump({"n": 8, "rows": lazy.tolist()}, fh)
 EOF
 
 run() {
@@ -87,4 +99,18 @@ for g in $graphs; do
             done
         done
     done
+done
+
+for v in flows irreducible; do
+    run "analyze-SIMRe-$v-cycle-8-uniform" lift analyze \
+        --lift "$OUT/build-diameter-$v-cycle-8-uniform.bundle.json" \
+        --pi uniform --scenario SIMRe --ref-chain "$IN/cycle-8.lazy.json"
+done
+
+for v in reducible flows irreducible; do
+    bundle=$OUT/build-diameter-$v-cycle-16-uniform.bundle.json
+    run "build-diameter-$v-cycle-16-uniform" lift build --construction diameter \
+        --variant "$v" --graph "$IN/cycle-16.json" --pi uniform --out "$bundle"
+    run "analyze-sIMRE-$v-cycle-16-uniform" lift analyze --lift "$bundle" \
+        --pi uniform --scenario sIMRE
 done
