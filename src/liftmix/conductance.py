@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BadGamma,
@@ -180,6 +179,8 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     more with a 1e-10 tolerance and the loop goes on.  The LP is
     degenerate, so the chain is one optimal chain among possibly many.
     """
+    from scipy.optimize import linprog  # here: its import adds ~0.4 s to every CLI start
+
     n = g.n
     if n != pi.n:
         raise DimensionMismatch("graph and distribution sizes differ")

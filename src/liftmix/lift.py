@@ -51,6 +51,7 @@ from .markov import (
     default_t_max,
     ergodic_flows,
     is_irreducible,
+    matrix_from_json,
     stationary,
     _ergodic_limits,
     _settle_time,
@@ -805,7 +806,7 @@ def lift_to_json(L: Lift) -> dict:
         "base": graph_to_json(L.base),
         "lifted": graph_to_json(L.lifted),
         "projection": list(L.map.projection),
-        "A": L.A.to_json(),
+        "A": L.A._sparse_json(),
         "F": None if L.F is None else {
             "rows": L.F.entries.tolist()
         },
@@ -817,7 +818,7 @@ def lift_from_json(obj: dict) -> Lift:
     base = graph_from_json(obj["base"])
     lifted = graph_from_json(obj["lifted"])
     m = LiftMap(base.n, tuple(obj["projection"]))
-    A = StochasticMatrix(np.asarray(obj["A"]["rows"], dtype=float), locality=lifted)
+    A = matrix_from_json(obj["A"], locality=lifted)
     F = None
     if obj.get("F") is not None:
         F = InitMap(m, np.asarray(obj["F"]["rows"], dtype=float))

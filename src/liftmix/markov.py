@@ -1,8 +1,10 @@
 """Distributions, column-stochastic matrices, mixing times, ergodic flows.
 
 Convention: entry (j, i) of a transition matrix is Prob(i -> j), so columns
-sum to 1 and states evolve by p(t+1) = P p(t). Matrix JSON uses
-rows[j][i] = P_{j,i}; distribution JSON is {"weights": [...]}.
+sum to 1 and states evolve by p(t+1) = P p(t). Matrix JSON is either dense,
+rows[j][i] = P_{j,i}, or sparse triplets {"n", "row", "col", "value"} with
+P_{row[k], col[k]} = value[k] and every other entry 0; distribution JSON is
+{"weights": [...]}.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (
     BadColumnSum,
+    BadSize,
     DimensionMismatch,
     LengthMismatch,
     LocalityViolation,
@@ -149,7 +152,10 @@ class StochasticMatrix:
         H = np.zeros((self.n, len(closed)))
         for k, c in enumerate(closed):
             members = np.flatnonzero(labels == c)
-            Pi[members, k] = _stationary_weights(M[np.ix_(members, members)])
+            if len(members) == 1:  # the law the solve would return
+                Pi[members, k] = 1.0
+            else:
+                Pi[members, k] = _stationary_weights(M[np.ix_(members, members)])
             H[members, k] = 1.0
         T = np.flatnonzero(leaky[labels])
         if len(T):
@@ -163,9 +169,44 @@ class StochasticMatrix:
     def to_json(self) -> dict:
         return {"n": self.n, "rows": self.entries.tolist()}
 
+    def _sparse_json(self) -> dict:
+        """The nonzero entries as triplets in row-major (np.nonzero) order."""
+        row, col = np.nonzero(self.entries)
+        return {"n": self.n, "row": row.tolist(), "col": col.tolist(),
+                "value": self.entries[row, col].tolist()}
+
 
 def matrix_from_json(obj: dict, locality: Graph | None = None) -> StochasticMatrix:
-    return StochasticMatrix(np.asarray(obj["rows"], dtype=float), locality=locality)
+    """Read either matrix form; both go through every StochasticMatrix check."""
+    if "rows" in obj:
+        return StochasticMatrix(np.asarray(obj["rows"], dtype=float), locality=locality)
+    n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise BadSize(f"matrix size n must be a positive integer, got {n!r}")
+    row, col = (_triplet_indices(obj[key], key, n) for key in ("row", "col"))
+    try:
+        value = np.asarray(obj["value"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadColumnSum(f"matrix values are not numbers: {exc}") from exc
+    if value.ndim != 1 or not len(row) == len(col) == len(value):
+        raise LengthMismatch(
+            f"row, col and value hold {len(row)}, {len(col)} and {value.size} entries"
+        )
+    flat = row * n + col
+    if len(np.unique(flat)) != len(flat):
+        raise BadSize("matrix triplets repeat a (row, col) pair")
+    M = np.zeros((n, n))
+    M.flat[flat] = value
+    return StochasticMatrix(M, locality=locality)
+
+
+def _triplet_indices(seq, key: str, n: int) -> np.ndarray:
+    """One index list of a sparse matrix, each an integer in [0, n)."""
+    if type(seq) is not list or any(type(i) is not int for i in seq):
+        raise BadSize(f"matrix {key} indices must be a list of integers")
+    if seq and (min(seq) < 0 or max(seq) >= n):
+        raise BadSize(f"matrix {key} index outside [0, {n})")
+    return np.array(seq, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,30 @@ def test_lift_build_and_analyze_round_trip(tmp_path, capsys):
     assert {"one-over-4-phi", "one-over-8-phi"} <= names
 
 
+def test_lift_analyze_reads_sparse_and_dense_bundles_alike(tmp_path, capsys):
+    gfile = write_graph(tmp_path, cycle(6))
+    sparse = tmp_path / "sparse.json"
+    assert main([
+        "lift", "build", "--construction", "diameter", "--graph", gfile,
+        "--pi", "uniform", "--out", str(sparse),
+    ]) == 0
+    obj = json.loads(sparse.read_text())
+    A = obj["A"]
+    assert set(A) == {"n", "row", "col", "value"}
+    rows = np.zeros((A["n"], A["n"]))
+    rows[A["row"], A["col"]] = A["value"]
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({**obj, "A": {"n": A["n"], "rows": rows.tolist()}}))
+    capsys.readouterr()
+    reports = []
+    for bundle in (sparse, dense):
+        assert main(["lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
+                     "--scenario", "sIMRE"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["sizes"]["lifted"] == A["n"]
+
+
 def test_lift_build_mixer_from_graph_file(tmp_path, capsys):
     gfile = write_graph(tmp_path, cycle(4))
     bundle = tmp_path / "mixer.json"

@@ -868,6 +868,27 @@ def test_lift_json_round_trip():
         assert back.lifted.arcs == L.lifted.arcs
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_bundle_round_trip_matches_the_dense_reader(seed):
+    # A is written as the exact nonzero triplets of its stored entries, and
+    # read back to the bits a dense "rows" bundle of the same entries gives.
+    # Both readers renormalise the columns once more, which can move a last
+    # bit against L.A.entries itself, so the dense reader is the reference.
+    L, _ = _random_lift(rng_from_seed(seed), ("reducible", "flows", "irreducible"))
+    obj = lift_to_json(L)
+    A = obj["A"]
+    assert "rows" not in A and A["n"] == L.map.lifted_n
+    rebuilt = np.zeros((A["n"], A["n"]))
+    rebuilt[A["row"], A["col"]] = A["value"]
+    assert np.array_equal(rebuilt, L.A.entries)
+    assert [A["row"], A["col"]] == [a.tolist() for a in np.nonzero(L.A.entries)]
+    back = lift_from_json(obj)
+    dense = lift_from_json({**obj, "A": L.A.to_json()})
+    assert np.array_equal(back.A.entries, dense.A.entries)
+    assert back.A.locality is back.lifted
+
+
 def test_lift_json_rejects_nan_in_init_map():
     # json.load accepts NaN, and NaN compares False against any tolerance
     obj = lift_to_json(four_cycle_lift(0.05, 0.01)[0])

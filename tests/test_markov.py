@@ -10,10 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from liftmix import (
     BadColumnSum,
+    BadSize,
     DimensionMismatch,
     Distribution,
     Graph,
     LengthMismatch,
+    LiftmixError,
     LocalityViolation,
     NotStationary,
     ReducibleChain,
@@ -25,6 +27,7 @@ from liftmix import (
     complete,
     cycle,
     default_t_max,
+    diameter_mixer,
     distribution_from_json,
     ergodic_flows,
     evolve,
@@ -40,7 +43,7 @@ from liftmix import (
     tv_distance,
     uniform_distribution,
 )
-from liftmix.markov import _ergodic_limits
+from liftmix.markov import _ergodic_limits, _stationary_weights
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -122,6 +125,53 @@ def test_matrix_json_round_trip():
     P = lazy_walk(cycle(4))
     back = matrix_from_json(P.to_json(), locality=cycle(4))
     assert np.array_equal(back.entries, P.entries)
+
+
+def test_sparse_matrix_json_reads_the_dense_bits():
+    P = lazy_walk(cycle(5))
+    obj = P._sparse_json()
+    sparse = matrix_from_json(json.loads(json.dumps(obj)), locality=cycle(5))
+    dense = matrix_from_json(json.loads(json.dumps(P.to_json())), locality=cycle(5))
+    assert np.array_equal(sparse.entries, dense.entries)
+    # any order of the triplets is read the same
+    shuffled = {**obj, "row": obj["row"][::-1], "col": obj["col"][::-1],
+                "value": obj["value"][::-1]}
+    assert np.array_equal(matrix_from_json(shuffled).entries, dense.entries)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"row": [0, 2], "col": [0, 1], "value": [1.0, 1.0]}, BadSize),  # index n
+    ({"row": [0, 1], "col": [0, -1], "value": [1.0, 1.0]}, BadSize),
+    ({"row": [0, 1.5], "col": [0, 1], "value": [1.0, 1.0]}, BadSize),
+    ({"row": [0, 1], "col": [0, "1"], "value": [1.0, 1.0]}, BadSize),
+    ({"row": [0, True], "col": [0, 1], "value": [1.0, 1.0]}, BadSize),
+    ({"row": [0, [1]], "col": [0, 1], "value": [1.0, 1.0]}, BadSize),
+    ({"row": [0, 0, 1], "col": [0, 0, 1], "value": [0.5, 0.5, 1.0]}, BadSize),
+    ({"row": [0, 1], "col": [0], "value": [1.0, 1.0]}, LengthMismatch),
+    ({"row": [0, 1], "col": [0, 1], "value": [1.0]}, LengthMismatch),
+    ({"row": [0, 1], "col": [0, 1], "value": 1.0}, LengthMismatch),
+    ({"row": [0, 1], "col": [0, 1], "value": [1.0, "x"]}, BadColumnSum),
+    ({"n": 0, "row": [], "col": [], "value": []}, BadSize),
+    ({"n": 2.0}, BadSize),
+    ({"row": [0], "col": [0], "value": [1.0]}, BadColumnSum),  # column 1 is empty
+])
+def test_sparse_matrix_json_rejects_bad_triplets(change, error):
+    obj = {"n": 2, "row": [0, 1], "col": [0, 1], "value": [1.0, 1.0], **change}
+    with pytest.raises(error):
+        matrix_from_json(obj)
+    assert issubclass(error, LiftmixError)
+
+
+def test_one_state_classes_skip_the_solve_without_moving_a_bit():
+    # the reducible mixer's closed classes are its held top-layer states
+    L = diameter_mixer(cycle(4), uniform_distribution(4), "reducible")
+    Pi, _ = L.A._ergodic
+    assert Pi.shape[1] == 16
+    for k in range(Pi.shape[1]):
+        members = np.flatnonzero(Pi[:, k])
+        assert np.array_equal(members, np.flatnonzero(L.A._labels == L.A._labels[members[0]]))
+        block = L.A.entries[np.ix_(members, members)]
+        assert np.array_equal(Pi[members, k], _stationary_weights(block))
 
 
 def test_tv_distance_hand_values():

@@ -15,7 +15,10 @@
 #   - lift analyze reports that read a steady state: SIMRe on the cycle-8
 #     flows and irreducible mixers (uniform pi) against the cycle-8 lazy
 #     walk, and sIMRE on the three mixer variants of the 16-node cycle
-#     (uniform pi), whose bound goes through the induced chain.
+#     (uniform pi), whose bound goes through the induced chain;
+#   - lift analyze SIMRE on a copy of the cycle-8 reducible mixer bundle
+#     (uniform pi) whose A is written as dense "rows", so the corpus shows
+#     that such bundles are read as before.
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
 # this script, not by liftmix, so two trees read the same files.  Compare
@@ -106,6 +109,26 @@ for v in flows irreducible; do
         --lift "$OUT/build-diameter-$v-cycle-8-uniform.bundle.json" \
         --pi uniform --scenario SIMRe --ref-chain "$IN/cycle-8.lazy.json"
 done
+
+dense=$IN/build-diameter-reducible-cycle-8-uniform.dense.json
+python3 - "$OUT/build-diameter-reducible-cycle-8-uniform.bundle.json" "$dense" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+with open(sys.argv[1]) as fh:
+    bundle = json.load(fh)
+A = bundle["A"]
+if "rows" not in A:
+    rows = np.zeros((A["n"], A["n"]))
+    rows[A["row"], A["col"]] = A["value"]
+    bundle["A"] = {"n": A["n"], "rows": rows.tolist()}
+with open(sys.argv[2], "w") as fh:
+    json.dump(bundle, fh, sort_keys=True, separators=(",", ":"))
+EOF
+run "analyze-SIMRE-reducible-cycle-8-uniform-dense" lift analyze --lift "$dense" \
+    --pi uniform --scenario SIMRE
 
 for v in reducible flows irreducible; do
     bundle=$OUT/build-diameter-$v-cycle-16-uniform.bundle.json
