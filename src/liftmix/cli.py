@@ -145,20 +145,19 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, reader, *args):
+    """reader(obj, *args) on the JSON object in the file at path.  A file
+    that cannot be read, or whose JSON has the wrong shape for reader, is
+    an input error that names the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise LiftmixError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _read_graph(path: str) -> Graph:
-    return graph_from_json(_load_json(path))
-
-
-def _read_matrix(path: str, locality: Graph | None = None) -> StochasticMatrix:
-    return matrix_from_json(_load_json(path), locality=locality)
+    try:
+        return reader(obj, *args)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise LiftmixError(f"malformed input in {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _read_distribution(spec: str, n: int) -> Distribution:
@@ -170,7 +169,7 @@ def _read_distribution(spec: str, n: int) -> Distribution:
         if not (k.isdecimal() and int(k) < n):
             raise BadSize(f"point mass {spec!r} needs a node index in [0, {n})")
         return point_distribution(n, int(k))
-    d = distribution_from_json(_load_json(spec))
+    d = _read(spec, distribution_from_json)
     if d.n != n:
         raise BadSize(f"distribution has size {d.n}, expected {n}")
     return d
@@ -198,14 +197,8 @@ def _check(name: str, measured, bound, ok) -> dict:
 
 def _tau_from_start(L: Lift, pi: Distribution, x0: Distribution, eps: float,
                     t_max: int) -> float:
-    """Marginal settle time from one explicit lifted start.
-
-    A start that is an exact fixed point of the dynamics has a constant
-    trajectory, so its window is t = 0 alone.
-    """
-    x = x0.weights
-    fixed = np.abs(L.A.entries @ x - x).max() <= 1e-15
-    worst = _window_tv(L.A.entries, x, pi.weights, 0 if fixed else t_max, L.map.C)
+    """Marginal settle time from one explicit lifted start."""
+    worst = _window_tv(L.A.entries, x0.weights, pi.weights, t_max, L.map.C)
     return _settle_time(worst, eps)
 
 
@@ -618,7 +611,7 @@ def _write_csv(report: dict, path: str) -> None:
 
 
 def _cmd_graph_stats(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read(args.graph, graph_from_json)
     report = {
         "n": g.n,
         "arcs": len(g.arcs),
@@ -631,7 +624,7 @@ def _cmd_graph_stats(args) -> int:
 
 def _cmd_conductance(args) -> int:
     if args.mode == "chain":
-        P = _read_matrix(args.chain)
+        P = _read(args.chain, matrix_from_json)
         pi = _read_distribution(args.pi, P.n)
         finder = phi_chain_cycle if args.cycle else phi_chain
         phi, cut = finder(P, pi)
@@ -640,7 +633,7 @@ def _cmd_conductance(args) -> int:
             "argmin_cut": {"members": list(cut.members()), "weight": cut.weight},
         }
     else:
-        g = _read_graph(args.graph)
+        g = _read(args.graph, graph_from_json)
         pi = _read_distribution(args.pi, g.n)
         phi, best = phi_graph(g, pi)
         report = {
@@ -652,7 +645,7 @@ def _cmd_conductance(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read(args.graph, graph_from_json)
     dst = _read_distribution(args.dst, g.n)
     if not args.all_sources and args.src is None:
         raise BadSize("bridge needs --src or --all-sources")
@@ -692,20 +685,20 @@ def _build_lift(args) -> tuple[Lift, dict]:
 
     if args.graph is None:
         raise BadSize(f"--construction {kind} needs --graph")
-    g = _read_graph(args.graph)
+    g = _read(args.graph, graph_from_json)
     if kind in ("clock", "periodic-clock"):
         if args.chain is None:
             raise BadSize(f"--construction {kind} needs --chain")
-        blob = _load_json(args.chain)
-        chain = _chain_from_steps(blob["steps"], g)
+        chain = _read(args.chain, lambda blob: _chain_from_steps(blob["steps"], g))
         builder = clock_lift if kind == "clock" else periodic_clock_lift
         return builder(g, chain), extra_meta
 
     pi = _read_distribution(args.pi or "uniform", g.n)
     if kind in ("node-clock", "periodic-node-clock"):
         if args.chains is not None:
-            blob = _load_json(args.chains)
-            per_node = [_chain_from_steps(s, g) for s in blob["per_node"]]
+            per_node = _read(args.chains, lambda blob: [
+                _chain_from_steps(s, g) for s in blob["per_node"]
+            ])
         else:
             per_node = [
                 stochastic_bridge(g, point_distribution(g.n, i), pi)
@@ -714,7 +707,7 @@ def _build_lift(args) -> tuple[Lift, dict]:
         builder = node_clock_lift if kind == "node-clock" else periodic_node_clock_lift
         return builder(g, per_node, pi), extra_meta
     if kind == "diameter":
-        ref = _read_matrix(args.ref_chain, locality=g) if args.ref_chain else None
+        ref = _read(args.ref_chain, matrix_from_json, g) if args.ref_chain else None
         return diameter_mixer(g, pi, args.variant, gamma=args.gamma,
                               reference=ref), extra_meta
     raise BadSize(f"unknown construction {kind!r}")
@@ -729,9 +722,9 @@ def _cmd_lift_build(args) -> int:
 
 
 def _cmd_lift_analyze(args) -> int:
-    L = lift_from_json(_load_json(args.lift))
+    L = _read(args.lift, lift_from_json)
     pi = _read_distribution(args.pi, L.map.base_n)
-    ref = _read_matrix(args.ref_chain, locality=L.base) if args.ref_chain else None
+    ref = _read(args.ref_chain, matrix_from_json, L.base) if args.ref_chain else None
     scenario = args.scenario
     if args.delta is not None and ":" not in scenario:
         scenario = f"{scenario}:{args.delta}"

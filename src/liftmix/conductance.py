@@ -125,7 +125,7 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         return phi_chain(P, pi)
     check_stationary(P, pi, tol=1e-9)
     try:
-        StochasticMatrix(P.entries, locality=cycle(n))
+        P._check_locality(cycle(n))
     except LocalityViolation:
         raise DimensionMismatch(
             "phi_chain_cycle needs off-diagonal support on cycle arcs only"

@@ -185,8 +185,7 @@ def _require_local(chain: TimeVaryingChain, g: Graph) -> None:
     for k, P in enumerate(chain.steps):
         if P.n != g.n:
             raise LengthMismatch(f"step {k + 1} is on {P.n} nodes, graph has {g.n}")
-        if P.locality is not g:  # a step built against g was checked then
-            StochasticMatrix(P.entries, locality=g)
+        P._check_locality(g)
 
 
 def _node_clock_blocks(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .conductance import _phi_chain_or_cycle, phi_chain, phi_graph
+from .conductance import _members_of, _phi_chain_or_cycle, phi_chain, phi_graph
 from .errors import (
     BadChoiceMap,
     BadScenario,
@@ -33,11 +33,9 @@ from .errors import (
     MissingInitMap,
     MissingReferenceChain,
     NoConvergence,
-    NotStationary,
     ZeroMarginalSupport,
 )
 from .graph_core import (
-    Cut,
     Graph,
     diameter,
     graph_from_json,
@@ -53,6 +51,7 @@ from .markov import (
     is_irreducible,
     matrix_from_json,
     stationary,
+    _ENTRY_CLAMP,
     _ergodic_limits,
     _settle_time,
     _window_tv,
@@ -147,7 +146,7 @@ class InitMap:
             raise DimensionMismatch(
                 f"init map shape {F.shape}, expected {expected}"
             )
-        if (F < -1e-12).any():
+        if (F < -_ENTRY_CLAMP).any():
             raise DimensionMismatch("init map has negative entries")
         F[F < 0] = 0.0
         sums = F.sum(axis=0)
@@ -156,7 +155,7 @@ class InitMap:
             raise DimensionMismatch(f"init map column {j} sums to {sums[j]}")
         F /= sums[None, :]
         proj = np.array(self.map.projection)
-        outside = (F > 1e-12) & (proj[:, None] != np.arange(self.map.base_n)[None, :])
+        outside = (F > _ENTRY_CLAMP) & (proj[:, None] != np.arange(self.map.base_n)[None, :])
         if outside.any():
             k, j = np.argwhere(outside)[0]
             raise LocalityViolation(
@@ -192,8 +191,8 @@ class Lift:
 def validate_lift(L: Lift) -> None:
     """Structural checks, run by every Lift: projection legality of every
     lifted arc, init-map fiber support, and A local to L.lifted by
-    StochasticMatrix's check, skipped when L.A was built against L.lifted
-    itself (its read-only entries were checked then)."""
+    StochasticMatrix._check_locality, a no-op when L.A was built against
+    L.lifted itself."""
     if L.map.base_n != L.base.n:
         raise DimensionMismatch(
             f"projection targets {L.map.base_n} nodes, base has {L.base.n}"
@@ -215,8 +214,7 @@ def validate_lift(L: Lift) -> None:
         raise LocalityViolation(
             f"lifted arc ({i[k]},{j[k]}) projects to missing base arc ({ci[k]},{cj[k]})"
         )
-    if L.A.locality is not L.lifted:
-        StochasticMatrix(L.A.entries, locality=L.lifted)
+    L.A._check_locality(L.lifted)
     if L.F is not None:
         if L.F.map.projection != L.map.projection:
             raise DimensionMismatch("init map built for a different projection")
@@ -272,11 +270,8 @@ def induced_chain(L: Lift, pi_hat: Distribution) -> StochasticMatrix:
     divided by the marginal mass of j; stationary at marginal(pi_hat).
     """
     collapsed = _collapsed_flows(L, pi_hat)
-    w = pi_hat.weights
-    res = float(np.abs(L.A.entries @ w - w).sum())
-    if res > 1e-8:
-        raise NotStationary(f"pi_hat is not a steady state: residual {res}")
-    marg = L.map.C @ w
+    check_stationary(L.A, pi_hat, tol=1e-8)
+    marg = L.map.C @ pi_hat.weights
     dead = np.nonzero(marg <= 1e-15)[0]
     if len(dead):
         raise ZeroMarginalSupport(
@@ -495,12 +490,7 @@ def adversarial_init(
     """pi_hat conditioned on the fiber preimage of a base node set X."""
     if pi_hat.n != m.lifted_n:
         raise DimensionMismatch("pi_hat does not live on the lifted nodes")
-    members = set(X.members() if isinstance(X, Cut) else (int(i) for i in X))
-    for i in members:
-        if not 0 <= i < m.base_n:
-            raise DimensionMismatch(f"cut member {i} outside base range")
-    proj = np.array(m.projection)
-    sel = np.isin(proj, list(members))
+    sel = _members_of(X, m.base_n)[np.array(m.projection)]
     mass = float(pi_hat.weights[sel].sum())
     if mass <= 0.0:
         raise EmptyCutWeight("fiber preimage of the cut carries no mass")
@@ -658,7 +648,7 @@ def scenario_report(
     matching as the scenario demands them."""
     if isinstance(spec, str):
         spec = parse_scenario(spec)
-    spec.require_reference()
+    ref = spec.require_reference()
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     notes: list[str] = []
@@ -676,7 +666,6 @@ def scenario_report(
 
     flow_verdict = None
     if spec.flows == "e":
-        ref = spec.require_reference()
         delta = spec.delta if spec.delta is not None else 0.0
         max_dev, flow_ok = check_flow_match(L, pi_hat(), ref, delta)
         flow_verdict = {
@@ -712,7 +701,7 @@ def scenario_report(
     scenario_phi = functools.cache(functools.partial(_scenario_phi, L, spec, pi, pi_hat))
     bounds: list[dict] = []
     if spec.init == "s":
-        phi, source, phi_notes = scenario_phi(spec.reference_chain is None)
+        phi, source, phi_notes = scenario_phi(ref is None)
         notes.extend(phi_notes)
         if phi is not None:
             bounds.append(lower_entry("one-over-4-phi", phi, source, 4.0, True))
@@ -725,9 +714,8 @@ def scenario_report(
     elif spec.flows == "e":
         # Controlled initialization is exactly what evades the reference
         # chain's conductance bound; report it as a non-binding yardstick.
-        ref = spec.require_reference()
-        phi, _ = phi_chain(ref, pi)
-        entry = lower_entry("one-over-4-phi", phi, "reference-chain", 4.0, False)
+        phi, source, _ = scenario_phi(False)
+        entry = lower_entry("one-over-4-phi", phi, source, 4.0, False)
         bounds.append(entry)
         if not entry["consistent"]:
             notes.append(

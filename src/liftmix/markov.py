@@ -95,28 +95,33 @@ class StochasticMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
         if (M < -_ENTRY_CLAMP).any() or (M > 1 + _ENTRY_CLAMP).any():
             raise BadColumnSum("matrix entries outside [0,1] beyond clamp tolerance")
-        M = np.clip(M, 0.0, 1.0)
+        np.clip(M, 0.0, 1.0, out=M)  # M is already this matrix's own copy
         sums = M.sum(axis=0)
         bad = ~(np.abs(sums - 1.0) <= _COLUMN_TOL)  # NaN-safe
         if bad.any():
             j = int(np.nonzero(bad)[0][0])
             raise BadColumnSum(f"column {j} sums to {sums[j]}")
         M /= sums
-        if locality is not None:
-            if locality.n != M.shape[0]:
-                raise DimensionMismatch(
-                    f"matrix is {M.shape[0]}x{M.shape[0]} but graph has {locality.n} nodes"
-                )
-            adj = locality.adjacency()
-            off = M > _ENTRY_CLAMP
-            np.fill_diagonal(off, False)
-            illegal = off & ~adj.T  # entry (j,i) needs arc (i,j)
-            if illegal.any():
-                j, i = map(int, np.argwhere(illegal)[0])
-                raise LocalityViolation(f"entry ({j},{i}) = {M[j, i]} has no arc ({i},{j})")
         object.__setattr__(self, "entries", M)
-        object.__setattr__(self, "locality", locality)
         self.entries.setflags(write=False)
+        self._check_locality(locality)
+        object.__setattr__(self, "locality", locality)
+
+    def _check_locality(self, g: Graph | None) -> None:
+        """The one locality check: off-diagonal support > 1e-12 must sit on
+        g's arcs; none for g None or the graph the read-only entries were
+        built against."""
+        if g is None or g is self.locality:
+            return
+        M = self.entries
+        if g.n != self.n:
+            raise DimensionMismatch(f"matrix is {self.n}x{self.n} but graph has {g.n} nodes")
+        off = M > _ENTRY_CLAMP
+        np.fill_diagonal(off, False)
+        illegal = off & ~g.adjacency().T  # entry (j,i) needs arc (i,j)
+        if illegal.any():
+            j, i = map(int, np.argwhere(illegal)[0])
+            raise LocalityViolation(f"entry ({j},{i}) = {M[j, i]} has no arc ({i},{j})")
 
     @property
     def n(self) -> int:
@@ -332,11 +337,11 @@ def _window_tv(
     X is a batch of starts as columns, a single 1-D start, or None for
     every vertex (the identity batch); C (default identity) projects each
     state before comparing.  A is propagated as one CSR copy.  When C is
-    given and the batch is wider than C has rows, as every vertex is, the
-    scan runs the adjoint rows M_{t+1} = M_t A from M_0 = C and compares
-    M_t X, or M_t itself for every vertex; otherwise it propagates the
-    starts forward, X <- A X.  Single starts stay 1-D, since a one-column
-    matrix would sum in a different order.
+    given for every vertex, the scan runs the adjoint rows M_{t+1} = M_t A
+    from M_0 = C and compares M_t itself, base_n rows instead of lifted_n
+    columns; an explicit batch (the init map's base_n columns, or one
+    start) propagates forward, X <- A X.  Single starts stay 1-D, since a
+    one-column matrix would sum in a different order.
 
     With eps, a full-state scan (C None, A column-stochastic) may return
     the prefix worst[:t+1] instead of the whole window, once no later step
@@ -361,10 +366,9 @@ def _window_tv(
     if eps is not None:
         # a 1-D target is one column; a (n, k) target is k columns
         drift = 0.5 * np.abs(A @ target - target).sum(axis=0).max() + 1e-12
-    if C is not None and (X is None or X.ndim == 2 and X.shape[1] > C.shape[0]):
+    if C is not None and X is None:
         # the state is M_t^T = (A^T)^t C^T, lifted x base
-        step, state = A.T, np.ascontiguousarray(C.T)
-        read = (lambda S: S.T) if X is None else (lambda S: S.T @ X)
+        step, state, read = A.T, np.ascontiguousarray(C.T), (lambda S: S.T)
     else:
         step, state = A, np.eye(A.shape[0]) if X is None else X
         read = (lambda S: S) if C is None else (lambda S: C @ S)

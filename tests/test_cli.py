@@ -274,6 +274,26 @@ def test_lift_build_mixer_from_graph_file(tmp_path, capsys):
     assert report["measured"]["marginal"]["tau"] <= report["diameter"] + 1
 
 
+@pytest.mark.parametrize("content, command", [
+    ({"n": 2}, ["conductance", "chain", "--chain", "F", "--pi", "uniform"]),
+    ({"base": 1}, ["lift", "analyze", "--lift", "F", "--pi", "uniform",
+                   "--scenario", "SIMRE"]),
+    ({"per_node": []}, ["lift", "build", "--construction", "clock", "--graph", "G",
+                        "--chain", "F", "--out", "O"]),
+])
+def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, command):
+    # a file of the wrong shape exits 2 with one error line naming it, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    files = {"F": str(bad), "G": write_graph(tmp_path, cycle(4)),
+             "O": str(tmp_path / "out.json")}
+    assert main([files.get(arg, arg) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(bad) in lines[0]
+
+
 def test_lift_analyze_rejects_negative_window(tmp_path, capsys):
     bundle = tmp_path / "lift.json"
     assert main([

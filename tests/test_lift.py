@@ -512,12 +512,13 @@ def test_window_scan_matches_dense_propagation(seed, t_max):
     x = random_distribution(rng, n).weights
     limits = _ergodic_limits(L.A, None)
     for t in (0, t_max):
-        # adjoint: every vertex, and an explicit batch wider than C has rows
+        # adjoint: every vertex
         _assert_same_scan(_dense_window_tv(A, eye, target, t, C),
                           _window_tv(A, None, target, t, C))
+        # forward: explicit batches wider than C has rows or init-map-shaped,
+        # one 1-D start, full-state scans
         _assert_same_scan(_dense_window_tv(A, wide, target, t, C),
                           _window_tv(A, wide, target, t, C))
-        # forward: an init-map-shaped batch, one 1-D start, full-state scans
         _assert_same_scan(_dense_window_tv(A, narrow, target, t, C),
                           _window_tv(A, narrow, target, t, C))
         _assert_same_scan(_dense_window_tv(A, x, pi.weights, t, C),

@@ -108,6 +108,14 @@ def test_matrix_validation():
         StochasticMatrix([[1.2, 0.0], [-0.2, 1.0]])
 
 
+def test_matrix_clamps_its_own_copy():
+    raw = np.array([[-1e-13, 0.5], [1 + 1e-13, 0.5]])
+    before = raw.copy()
+    P = StochasticMatrix(raw)
+    assert np.array_equal(raw, before)
+    assert np.array_equal(P.entries, [[0.0, 0.5], [1.0, 0.5]])
+
+
 def test_matrix_locality_enforced_off_diagonal_only():
     g = path(3)
     # middle column moves only along arcs; diagonals are always legal
