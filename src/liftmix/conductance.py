@@ -24,7 +24,7 @@ from .errors import (
     LocalityViolation,
     TooManyNodes,
 )
-from .graph_core import Cut, Graph, _cut_chunks, cycle
+from .graph_core import Cut, Graph, _cut_chunks, _screened_chunks, cycle
 from .markov import Distribution, StochasticMatrix, check_stationary
 
 # Most violated cuts that each chunk adds to phi_graph's LP per round.
@@ -86,14 +86,17 @@ def _cut_phis(chunks, flows: np.ndarray):
 def phi_chain(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
     """Chain conductance: minimum of phi_cut over all cuts, with the argmin.
 
-    Ties break toward the lowest cut bitmask.
+    Ties break toward the lowest cut bitmask.  Every cut is screened by
+    subset recursion, and `_cut_phis` settles the minimum on the chunks
+    that can hold it (graph_core._screened_chunks), so the result is the
+    one the full scan gives, bit for bit.
     """
     if P.n != pi.n:
         raise DimensionMismatch("chain and distribution sizes differ")
     if P.n < 2:
         raise DimensionMismatch("conductance needs at least two nodes")
     w = pi.weights
-    chunks = _cut_chunks(P.n, w)
+    chunks = _cut_chunks(P.n, w, _screened_chunks(P.entries, w))
     check_stationary(P, pi, tol=1e-9)
     best_phi = math.inf
     best_mask = 0

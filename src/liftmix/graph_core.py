@@ -14,6 +14,7 @@ derived object is deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,20 +87,29 @@ class Cut:
         return bool(self.member_mask >> i & 1)
 
 
-def _cut_chunks(n: int, w: np.ndarray):
+# A cut chunk holds the 2^16 masks that agree above their low 16 bits.
+_CHUNK_BITS = 16
+
+
+def _cut_chunks(n: int, w: np.ndarray, _only=None):
     """Lazy (masks, members, weights) chunks of up to 2^16 ascending masks,
     covering every cut with pi(X) <= 1/2 (both sides when pi(X) = 1/2 within
     1e-12); weights are BLAS dot products.  The only cut enumerator and the
-    only size guard: over 24 nodes raises TooManyNodes at the call.
+    only size guard: over 24 nodes raises TooManyNodes at the call.  `_only`,
+    an iterable of chunk indices (mask >> 16) read on the first chunk, gives
+    just those chunks, in its order.
     """
     if n > 24:
         raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
     total = (1 << n) - 1
-    step = 1 << 16
+    step = 1 << _CHUNK_BITS
     bits = np.arange(n, dtype=np.int64)
 
     def chunks():
-        for start in range(1, total, step):
+        starts = range(1, total, step)
+        if _only is not None:
+            starts = (max(c << _CHUNK_BITS, 1) for c in _only)
+        for start in starts:
             masks = np.arange(start, min(start + step, total), dtype=np.int64)
             members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
             weights = members @ w
@@ -108,6 +118,99 @@ def _cut_chunks(n: int, w: np.ndarray):
                 yield masks[keep], members[keep], weights[keep]
 
     return chunks()
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) (Accuracy and Stability of
+    Numerical Algorithms, 3.1): a sum of nonnegative terms, added in any
+    order with no term rounded more than k times, lies within gamma_k of
+    its exact value, relatively."""
+    ku = k * 2.0**-53  # u, the unit roundoff of IEEE doubles
+    return ku / (1.0 - ku)
+
+
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """s[m] = sum of v[j] over the set bits j of m, for every m < 2^len(v),
+    by doubling."""
+    s = np.zeros(1 << len(v))
+    for j, x in enumerate(v.tolist()):
+        s[1 << j : 2 << j] = s[: 1 << j] + x
+    return s
+
+
+def _screen_cuts(flows: np.ndarray, w: np.ndarray):
+    """Yield (chunk index, weights, phis) of every cut, chunk by chunk in
+    `_cut_chunks` order, position l of chunk c being mask (c << 16) + l.
+
+    The conductances come by subset recursion in O(2^n) additions:
+    adding node b to a set m adds flows[b, b] and the sum over j in m of
+    flows[b, j] + flows[j, b] to its internal flow.  The low 16 nodes'
+    tables are built once; each chunk adds its high nodes' internal flow,
+    weight and cross flows.  No array exceeds 2^16 entries.  Weights and
+    phis differ from `_cut_chunks`' and `_cut_phis`' in their summation
+    order only; phis are inf where the weight is 0.
+    """
+    n = len(w)
+    lo = min(n, _CHUNK_BITS)
+    internal_lo = np.zeros(1 << lo)
+    for b in range(lo):
+        cross = _subset_sums(flows[b, :b] + flows[:b, b])
+        internal_lo[1 << b : 2 << b] = internal_lo[: 1 << b] + flows[b, b] + cross
+    weight_lo = _subset_sums(w[:lo])
+    high_bits = np.arange(n - lo)
+    for c in range(1 << (n - lo)):
+        high = lo + np.flatnonzero((c >> high_bits) & 1)
+        weights = w[high].sum() + weight_lo
+        cross = _subset_sums(flows[:lo, high].sum(axis=1) + flows[high, :lo].sum(axis=0))
+        internal = flows[np.ix_(high, high)].sum() + internal_lo + cross
+        phis = np.full_like(weights, np.inf)
+        np.divide(np.maximum(weights - internal, 0.0), weights, out=phis, where=weights > 0.0)
+        yield c, weights, phis
+
+
+def _screen_bounds(n: int) -> tuple[float, float, float]:
+    """(delta, sure, wide) for `_screened_chunks` on n nodes.
+
+    delta = gamma_k, k = n^2 + 3n + 4, bounds the distance of both
+    `_screen_cuts`' phis and `_cut_phis`' from the exact conductances of the
+    same flows and weights: an internal flow sums at most n^2 nonnegative
+    terms and a weight at most n, each in any order, the ratio adds a
+    subtraction and a division, and a StochasticMatrix column sums to within
+    gamma_2n of 1.  A cut whose screened weight is at most `sure` passes
+    `_cut_chunks`' cap of 1/2 + 1e-12, and one that passes the cap has a
+    screened weight of at most `wide`: the cap moved by the weights' own
+    bound, 4 gamma_n.
+    """
+    cap = 0.5 + 1e-12
+    slack = 4.0 * _gamma(n)
+    return _gamma(n * n + 3 * n + 4), cap * (1.0 - slack), cap * (1.0 + slack)
+
+
+def _screened_chunks(entries: np.ndarray, w: np.ndarray):
+    """Ascending indices of the `_cut_chunks` chunks that can hold the cut
+    of least conductance under `_cut_phis`, for the chain with these column
+    stochastic entries and stationary weights.
+
+    Cuts on at most 16 nodes fill one chunk, which is given unscreened.
+    Otherwise a chunk is given when it holds a cut that may pass the weight
+    cap and whose `_screen_cuts` phi lies within 4 delta of the least one
+    among cuts that surely pass it (`_screen_bounds`): the lowest cut of
+    least `_cut_phis` conductance is then in a given chunk.
+    """
+    n = len(w)
+    if n <= _CHUNK_BITS:
+        yield 0
+        return
+    delta, sure, wide = _screen_bounds(n)
+    least = np.empty(1 << (n - _CHUNK_BITS))
+    least_sure = math.inf
+    for c, weights, phis in _screen_cuts(entries * w[None, :], w):
+        # phis lie in [0, 1] or are inf, so adding 4 past a cap takes a cut
+        # out of the minimum without a masked (branching) reduction
+        least[c] = (phis + 4.0 * (weights > wide)).min()
+        least_sure = min(least_sure, (phis + 4.0 * (weights > sure)).min())
+    limit = min(least_sure + 4.0 * delta, 1.0)
+    yield from np.flatnonzero(least <= limit).tolist()
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]], directed: bool = False) -> Graph:

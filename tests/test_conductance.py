@@ -1,7 +1,11 @@
 """Cut, chain, and graph conductance plus the bound-check helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from liftmix import (
@@ -18,13 +22,17 @@ from liftmix import (
     complete,
     cycle,
     diameter_conductance_check,
+    diameter_mixer,
     enumerate_cuts,
     ergodic_flows,
     four_cycle_lift,
     graph_from_edges,
+    induced_chain,
     is_irreducible,
     lazy_walk,
     lemma1_check,
+    lifted_stationary,
+    marginal,
     metropolis_chain,
     path,
     phi_chain,
@@ -34,10 +42,14 @@ from liftmix import (
     stationary,
     uniform_distribution,
 )
+from liftmix import graph_core
+from liftmix.conductance import _cut_phis
+from liftmix.graph_core import _cut_chunks, _screen_bounds, _screen_cuts
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
     random_local_chain,
+    random_reversible_chain,
     random_zero_sum,
     rng_from_seed,
 )
@@ -204,6 +216,172 @@ def test_phi_chain_cycle_rejects_an_off_cycle_entry():
     M[0, 0] = M[3, 3] = 0.4
     with pytest.raises(DimensionMismatch, match="cycle arcs only"):
         phi_chain_cycle(StochasticMatrix(M), uniform_distribution(n))
+
+
+def full_scan_phi_chain(P: StochasticMatrix, pi) -> tuple[str, int, str]:
+    """phi_chain as a scan of every cut computes it: `_cut_phis` over all
+    `_cut_chunks` chunks, the lowest mask winning ties; floats as hex."""
+    w = pi.weights
+    best = (math.inf, 0, 0.0)
+    for masks, _, weights, phis in _cut_phis(_cut_chunks(P.n, w), P.entries * w[None, :]):
+        k = int(np.argmin(phis))
+        if phis[k] < best[0]:
+            best = (float(phis[k]), int(masks[k]), float(weights[k]))
+    return best[0].hex(), best[1], best[2].hex()
+
+
+def assert_matches_full_scan(P: StochasticMatrix, pi) -> Cut:
+    phi, cut = phi_chain(P, pi)
+    assert (phi.hex(), cut.member_mask, cut.weight.hex()) == full_scan_phi_chain(P, pi)
+    return cut
+
+
+def chain_with_transient_nodes(rng, n: int):
+    """A reversible chain on the recurrent nodes and 1 to n // 2 transient
+    nodes, at random positions, that drain into them: pi is 0 there."""
+    transient = rng.permutation(n)[: int(rng.integers(1, n // 2 + 1))]
+    recurrent = np.setdiff1d(np.arange(n), transient)
+    R, pi_r = random_reversible_chain(rng, random_connected_graph(rng, n=len(recurrent)))
+    M = np.zeros((n, n))
+    M[np.ix_(recurrent, recurrent)] = R.entries
+    for t in transient.tolist():
+        column = rng.random(n) * (rng.random(n) < 0.5)
+        column[t] = 0.05 + rng.random()
+        column[recurrent[int(rng.integers(len(recurrent)))]] += 0.05
+        M[:, t] = column / column.sum()
+    w = np.zeros(n)
+    w[recurrent] = pi_r.weights
+    return StochasticMatrix(M), Distribution(w)
+
+
+def reducible_mixer_chain(g, pi):
+    """The chain the reducible diameter mixer induces on g, with its
+    marginal: its conductance is rounding noise, about 1e-12."""
+    L = diameter_mixer(g, pi, "reducible")
+    pi_hat = lifted_stationary(L, L.F.apply(pi))
+    return induced_chain(L, pi_hat), marginal(L, pi_hat)
+
+
+def chain_of_kind(kind: str, n: int, seed: int):
+    rng = rng_from_seed(seed)
+    if kind == "reversible":
+        return random_reversible_chain(rng, random_connected_graph(rng, n=n))
+    if kind == "local":
+        P = random_local_chain(rng, random_connected_graph(rng, n=n))
+        return P, stationary(P)
+    if kind == "uniform":
+        # cuts of n/2 nodes weigh 1/2, as do their complements
+        pi = uniform_distribution(n)
+        return metropolis_chain(random_connected_graph(rng, n=n), pi), pi
+    if kind == "transient":
+        return chain_with_transient_nodes(rng, n)
+    g = random_connected_graph(rng, n=min(n, 8))
+    return reducible_mixer_chain(g, random_distribution(rng, g.n))
+
+
+CHAIN_KINDS = ("reversible", "local", "uniform", "transient", "reducible-mixer")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHAIN_KINDS), st.integers(2, 18), st.integers(0, 2**32 - 1))
+def test_phi_chain_is_bit_identical_to_the_full_scan(kind, n, seed):
+    if kind == "transient":
+        n = max(n, 3)
+    P, pi = chain_of_kind(kind, n, seed)
+    assert_matches_full_scan(P, pi)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 20), (22, 22), (24, 24)])
+def test_phi_chain_matches_the_full_scan_past_the_first_chunk(n, seed):
+    rng = rng_from_seed(seed)
+    P, pi = random_reversible_chain(rng, random_connected_graph(rng, n=n))
+    assert assert_matches_full_scan(P, pi).member_mask >> 16 > 0
+
+
+def test_phi_chain_matches_the_full_scan_on_larger_noise_level_chains():
+    # past 16 nodes the screen runs: a reducible mixer's induced chain,
+    # whose conductance is rounding noise, and uniform pi with its 1/2 ties
+    for seed, n in ((4, 18), (3, 17)):
+        g = random_connected_graph(rng_from_seed(seed), n=n)
+        P, pi = reducible_mixer_chain(g, random_distribution(rng_from_seed(1), n))
+        phi, _ = phi_chain(P, pi)
+        assert phi < 1e-11
+        assert_matches_full_scan(P, pi)
+    assert_matches_full_scan(lazy_walk(cycle(18)), uniform_distribution(18))
+
+
+def near_cap_weights(rng, n: int) -> np.ndarray:
+    """Weights whose exact sum over a random cut is `_cut_chunks`' cap of
+    1/2 + 1e-12, so different summation orders fall on either side of it."""
+    w = rng.random(n) + 0.1
+    inside = rng.random(n) < 0.5
+    inside[[0, n - 1]] = False, True
+    w[inside] *= (0.5 + 1e-12) / math.fsum(w[inside])
+    w[~inside] *= (0.5 - 1e-12) / math.fsum(w[~inside])
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHAIN_KINDS), st.integers(2, 14), st.integers(0, 2**32 - 1))
+def test_screened_phis_lie_within_delta_of_the_full_scan(kind, n, seed):
+    if kind == "transient":
+        n = max(n, 3)
+    P, pi = chain_of_kind(kind, n, seed)
+    w = pi.weights
+    flows = P.entries * w[None, :]
+    [(_, _, screened)] = _screen_cuts(flows, w)  # one chunk: position = mask
+    delta, _, _ = _screen_bounds(P.n)
+    for masks, _, _, phis in _cut_phis(_cut_chunks(P.n, w), flows):
+        assert np.abs(screened[masks] - phis).max() <= delta
+
+
+def test_screen_weight_caps_bracket_the_full_scan_cap():
+    # every cut the full scan keeps passes the widened cap, and every cut
+    # under the narrowed cap is kept, though the two sum in different orders
+    rng = rng_from_seed(17)
+    for _ in range(200):
+        n = int(rng.integers(8, 15))
+        w = near_cap_weights(rng, n)
+        [(_, weights, _)] = _screen_cuts(np.zeros((n, n)), w)
+        _, sure, wide = _screen_bounds(n)
+        kept = np.concatenate([m for m, _, _ in _cut_chunks(n, w)])
+        assert (weights[kept] <= wide).all()
+        surely = np.flatnonzero(weights <= sure)
+        assert np.isin(surely[surely > 0], kept).all()
+
+
+def test_phi_chain_settles_a_cut_at_the_weight_cap():
+    # mixing with pi at rate 0.1 gives cut X conductance 0.1 (1 - pi(X)),
+    # so the least one is the heaviest cut that `_cut_chunks` keeps, here
+    # one that holds node 16 and so lies past the first chunk
+    rng = rng_from_seed(170)
+    for _ in range(6):
+        w = near_cap_weights(rng, 17)
+        M = 0.9 * np.eye(17) + 0.1 * w[:, None]
+        assert_matches_full_scan(StochasticMatrix(M), Distribution(w))
+
+
+def test_phi_chain_guards_raise_in_order_before_any_scan(monkeypatch):
+    screened = []
+
+    def spy(flows, w):
+        screened.append(len(w))
+        return _screen_cuts(flows, w)
+
+    monkeypatch.setattr(graph_core, "_screen_cuts", spy)
+    off = Distribution(np.arange(1.0, 26.0) / 325.0)  # no lazy cycle walk keeps it
+    with pytest.raises(DimensionMismatch, match="sizes differ"):
+        phi_chain(StochasticMatrix(np.eye(26)), off)
+    with pytest.raises(DimensionMismatch, match="two nodes"):
+        phi_chain(StochasticMatrix(np.eye(1)), uniform_distribution(1))
+    with pytest.raises(TooManyNodes):
+        phi_chain(lazy_walk(cycle(25)), off)
+    weights = np.arange(1.0, 19.0)
+    with pytest.raises(NotStationary):
+        phi_chain(lazy_walk(cycle(18)), Distribution(weights / weights.sum()))
+    assert screened == []
+    phi_chain(lazy_walk(cycle(18)), uniform_distribution(18))
+    assert screened == [18]
 
 
 def test_phi_graph_path2_single_cut():

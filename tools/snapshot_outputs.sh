@@ -18,7 +18,10 @@
 #     (uniform pi), whose bound goes through the induced chain;
 #   - lift analyze SIMRE on a copy of the cycle-8 reducible mixer bundle
 #     (uniform pi) whose A is written as dense "rows", so the corpus shows
-#     that such bundles are read as before.
+#     that such bundles are read as before;
+#   - conductance chain on fixed random chains of 17, 20 and 24 nodes, whose
+#     cuts fill 2, 16 and 256 chunks of 2^16 masks: a reversible chain with
+#     its stationary pi, and a symmetric chain with uniform pi.
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
 # this script, not by liftmix, so two trees read the same files.  Compare
@@ -60,6 +63,27 @@ for i in range(8):
     lazy[(i + 1) % 8, i] = lazy[(i - 1) % 8, i] = 0.25
 with open(f"{out}/cycle-8.lazy.json", "w") as fh:
     json.dump({"n": 8, "rows": lazy.tolist()}, fh)
+rng = np.random.default_rng(20171)
+for n in (17, 20, 24):
+    # a ring plus each chord with probability 0.3, as a symmetric 0/1 mask
+    arcs = np.triu(rng.random((n, n)) < 0.3, 1)
+    arcs[np.arange(n - 1), np.arange(1, n)] = arcs[0, n - 1] = True
+    arcs = arcs | arcs.T
+    # reversible: symmetric edge weights over node totals, pi the totals
+    W = np.where(arcs, np.triu(0.05 + rng.random((n, n)), 1), 0.0)
+    W = W + W.T + np.diag(0.05 + rng.random(n))
+    totals = W.sum(axis=0)
+    with open(f"{out}/chain-{n}.reversible.json", "w") as fh:
+        json.dump({"n": n, "rows": (W / totals[None, :]).tolist()}, fh)
+    with open(f"{out}/chain-{n}.reversible.pi.json", "w") as fh:
+        json.dump({"weights": (totals / totals.sum()).tolist()}, fh)
+    # symmetric, hence doubly stochastic: uniform pi is stationary
+    S = np.where(arcs, np.triu(rng.random((n, n)), 1), 0.0)
+    S = S + S.T
+    S /= 1.5 * S.sum(axis=0).max()
+    np.fill_diagonal(S, 1.0 - S.sum(axis=0))
+    with open(f"{out}/chain-{n}.uniform.json", "w") as fh:
+        json.dump({"n": n, "rows": S.tolist()}, fh)
 EOF
 
 run() {
@@ -136,4 +160,11 @@ for v in reducible flows irreducible; do
         --variant "$v" --graph "$IN/cycle-16.json" --pi uniform --out "$bundle"
     run "analyze-sIMRE-$v-cycle-16-uniform" lift analyze --lift "$bundle" \
         --pi uniform --scenario sIMRE
+done
+
+for n in 17 20 24; do
+    run "conductance-chain-$n-reversible" conductance chain \
+        --chain "$IN/chain-$n.reversible.json" --pi "$IN/chain-$n.reversible.pi.json"
+    run "conductance-chain-$n-uniform" conductance chain \
+        --chain "$IN/chain-$n.uniform.json" --pi uniform
 done
