@@ -198,7 +198,7 @@ def _check(name: str, measured, bound, ok) -> dict:
 def _tau_from_start(L: Lift, pi: Distribution, x0: Distribution, eps: float,
                     t_max: int) -> float:
     """Marginal settle time from one explicit lifted start."""
-    worst = _window_tv(L.A.entries, x0.weights, pi.weights, t_max, L.map.C)
+    worst = _window_tv(L.A._csr, x0.weights, pi.weights, t_max, L.map.C)
     return _settle_time(worst, eps)
 
 

@@ -371,7 +371,8 @@ def diameter_mixer(
     flows match its ergodic flows, and "irreducible" adds a small
     probability gamma of restarting the bridges, with the held chain
     corrected so the overall marginal of the (now unique) stationary state
-    is still pi; gamma halves on failure, up to 20 times.
+    is still pi; gamma halves on failure, up to 20 times.  "flows" and
+    "irreducible" both refuse gamma outside (0,1).
     """
     if (pi.weights <= 0).any():
         raise BadSize("mixer needs a full-support target")
@@ -385,6 +386,8 @@ def diameter_mixer(
     if variant == "reducible":
         return _make_lift(g, proj, A, F, meta)
 
+    if not 0 < gamma < 1:
+        raise BadGamma(f"restart probability gamma must lie in (0,1), got {gamma}")
     if reference is None:
         reference = mixer_default_reference(g, pi)
     check_stationary(reference, pi, tol=1e-9)
@@ -394,8 +397,6 @@ def diameter_mixer(
         A[top, top] = block_diag(*[reference.entries] * n)
         return _make_lift(g, proj, A, F, meta)
 
-    if not gamma > 0:
-        raise BadGamma(f"restart probability gamma must be positive, got {gamma}")
     last_error: LiftmixError | None = None
     for _ in range(20):
         try:

@@ -332,7 +332,7 @@ def check_invariance(
     X = _init_batch(L, scenario_init)
     if X is not None:
         x = X @ pi.weights
-        worst = _window_tv(L.A.entries, x, pi.weights, horizon, L.map.C)
+        worst = _window_tv(L.A._csr, x, pi.weights, horizon, L.map.C)
         if (worst[1:] > 1e-9).any():
             return False, Distribution(x)
         return True, None
@@ -380,7 +380,7 @@ def marginal_mixing_time(
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
-    worst = _window_tv(L.A.entries, X, pi.weights[:, None], t_max, L.map.C)
+    worst = _window_tv(L.A._csr, X, pi.weights[:, None], t_max, L.map.C)
     return _settle_time(worst, eps)
 
 
@@ -421,7 +421,7 @@ def full_mixing_time(
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
     target = _ergodic_limits(L.A, X)
-    return _settle_time(_window_tv(L.A.entries, X, target, t_max, eps=eps), eps)
+    return _settle_time(_window_tv(L.A._csr, X, target, t_max, eps=eps), eps)
 
 
 def check_flow_match(

@@ -82,8 +82,8 @@ class StochasticMatrix:
     Entries are clamped to [0, 1] from within 1e-12; each raw column sum must
     be within 1e-6 of 1 (then the column is renormalized exactly). When a
     locality graph is set, off-diagonal support > 1e-12 must sit on its arcs.
-    Its classes, then their laws, are each found once, on first use, and
-    shared read-only (_labels, _ergodic).
+    Its CSR copy, its classes, then their laws, are each built once, on
+    first use, and shared read-only (_csr, _labels, _ergodic).
     """
 
     entries: np.ndarray
@@ -128,6 +128,14 @@ class StochasticMatrix:
         return self.entries.shape[0]
 
     @cached_property
+    def _csr(self) -> csr_array:
+        """The entries as CSR, read by every scan and the projector's LU."""
+        S = csr_array(self.entries)
+        for part in (S.data, S.indices, S.indptr):
+            part.setflags(write=False)
+        return S
+
+    @cached_property
     def _labels(self) -> np.ndarray:
         """Strong-component label of each state, arcs being entries > 1e-12."""
         return _strong_components(self.entries > _ENTRY_CLAMP)
@@ -164,9 +172,8 @@ class StochasticMatrix:
             H[members, k] = 1.0
         T = np.flatnonzero(leaky[labels])
         if len(T):
-            S = csr_array(M)
-            lu = splu(csc_array((eye_array(len(T)) - S[T][:, T]).T))
-            H[T] = lu.solve(S[:, T].T @ H)
+            lu = splu(csc_array((eye_array(len(T)) - self._csr[T][:, T]).T))
+            H[T] = lu.solve(self._csr[:, T].T @ H)
         Pi.setflags(write=False)
         H.setflags(write=False)
         return Pi, H
@@ -334,14 +341,17 @@ def _window_tv(
 ) -> np.ndarray:
     """Worst column TV of C A^t X against target for t = 0..t_max.
 
-    X is a batch of starts as columns, a single 1-D start, or None for
-    every vertex (the identity batch); C (default identity) projects each
-    state before comparing.  A is propagated as one CSR copy.  When C is
-    given for every vertex, the scan runs the adjoint rows M_{t+1} = M_t A
+    X is a batch of starts as columns, a single 1-D start, or None for every
+    vertex (the identity batch); C (default identity) projects each state
+    before comparing.  A is propagated as CSR, a matrix's _csr as it is.  When
+    C is given for every vertex, the scan runs the adjoint rows M_{t+1} = M_t A
     from M_0 = C and compares M_t itself, base_n rows instead of lifted_n
-    columns; an explicit batch (the init map's base_n columns, or one
-    start) propagates forward, X <- A X.  Single starts stay 1-D, since a
-    one-column matrix would sum in a different order.
+    columns; an explicit batch (the init map's base_n columns, or one start)
+    propagates forward, X <- A X.  Single starts stay 1-D, since a one-column
+    matrix would sum in a different order.  Every scan stops once worst[t] ==
+    worst[t-1] and the state is bit-equal to the last one, and repeats worst[t]
+    to t_max: step @ state is deterministic, so a state that maps to itself
+    always will.  Cheap scalar tests (the TV, then the first entry) go first.
 
     With eps, a full-state scan (C None, A column-stochastic) may return
     the prefix worst[:t+1] instead of the whole window, once no later step
@@ -362,7 +372,7 @@ def _window_tv(
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
     if eps is not None and C is not None:
         raise DimensionMismatch("an early stop needs a full-state scan")
-    A = csr_array(A)
+    A = A if isinstance(A, csr_array) else csr_array(A)
     if eps is not None:
         # a 1-D target is one column; a (n, k) target is k columns
         drift = 0.5 * np.abs(A @ target - target).sum(axis=0).max() + 1e-12
@@ -376,11 +386,15 @@ def _window_tv(
     gap = None  # reused: a fresh full-state buffer each step costs more than the step
     for t in range(t_max + 1):
         if t:
-            state = step @ state
+            state = step @ (prev := state)  # the older prev is freed first
         gap = np.subtract(read(state), target, out=gap)
         worst[t] = 0.5 * np.abs(gap, out=gap).sum(axis=0).max()
         if eps is not None and worst[t] <= eps - (t_max - t) * drift - 1e-9:
             return worst[:t + 1]
+        if (t and worst[t] == worst[t - 1] and state.flat[0] == prev.flat[0]
+                and np.array_equal(state, prev)):
+            worst[t:] = worst[t]
+            break
     return worst
 
 
@@ -395,7 +409,7 @@ def mixing_time(
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    worst = _window_tv(P.entries, None, pi.weights[:, None], t_max, eps=eps)
+    worst = _window_tv(P._csr, None, pi.weights[:, None], t_max, eps=eps)
     return _settle_time(worst, eps)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,24 @@ def test_lift_build_irreducible_mixer_rejects_zero_gamma(tmp_path, capsys):
     ]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("variant", ["flows", "irreducible"])
+@pytest.mark.parametrize("gamma", ["1", "2"])
+def test_lift_build_mixer_rejects_gamma_of_one_or_more(tmp_path, capsys, variant, gamma):
+    gfile = write_graph(tmp_path, cycle(6))
+    out = tmp_path / "mixer.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "lift", "build", "--construction", "diameter", "--graph", gfile,
+            "--pi", "uniform", "--variant", variant, "--gamma", gamma,
+            "--out", str(out),
+        ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_command_is_usage_error():

@@ -448,6 +448,17 @@ def test_irreducible_mixer_rejects_nonpositive_gamma():
             diameter_mixer(cycle(6), uniform_distribution(6), "irreducible", gamma=gamma)
 
 
+def test_mixer_rejects_gamma_of_one_or_more():
+    # gamma = 1 would divide by 1 - gamma in the top-chain solve, and the
+    # halving retries used to turn it silently into a smaller gamma
+    g, pi = cycle(6), uniform_distribution(6)
+    for variant in ("flows", "irreducible"):
+        for gamma in (1.0, 2.0):
+            with pytest.raises(BadGamma):
+                diameter_mixer(g, pi, variant, gamma=gamma)
+    assert diameter_mixer(g, pi, "reducible", gamma=2.0).metadata["variant"] == "reducible"
+
+
 def test_irreducible_mixer_infeasible_reference_raises():
     # plain Metropolis on barbell(3) has zero diagonal at the connector
     # nodes, so the tree correction can never compensate there

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_array, csr_array
 
 from liftmix import (
     BadScenario,
@@ -36,6 +37,7 @@ from liftmix import (
     cycle,
     default_t_max,
     diaconis_cycle_lift,
+    diameter,
     diameter_mixer,
     ergodic_flows,
     evolve,
@@ -66,6 +68,7 @@ from liftmix import (
     uniform_distribution,
     unlift_si,
 )
+import liftmix.cli as cli_module
 import liftmix.lift as lift_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
 from liftmix.lift import _batch_limits
@@ -749,6 +752,113 @@ def test_full_state_scan_keeps_the_window_on_periodic_lift(monkeypatch):
     L = diaconis_cycle_lift(8)
     assert full_mixing_time(L, 0.25, "s") == UNMIXED
     assert lengths == [default_t_max(8) + 1]
+
+
+def _whole_window_tv(A, X, target, t_max, C=None, *, eps=None):
+    """The window scan without the frozen-state stop: every step of the
+    window is taken, and only the certified full-state stop returns early."""
+    A = csr_array(A)
+    if eps is not None:
+        drift = 0.5 * np.abs(A @ target - target).sum(axis=0).max() + 1e-12
+    if C is not None and X is None:
+        step, state, read = A.T, np.ascontiguousarray(C.T), (lambda S: S.T)
+    else:
+        step, state = A, np.eye(A.shape[0]) if X is None else X
+        read = (lambda S: S) if C is None else (lambda S: C @ S)
+    worst = np.empty(t_max + 1)
+    gap = None
+    for t in range(t_max + 1):
+        if t:
+            state = step @ state
+        gap = np.subtract(read(state), target, out=gap)
+        worst[t] = 0.5 * np.abs(gap, out=gap).sum(axis=0).max()
+        if eps is not None and worst[t] <= eps - (t_max - t) * drift - 1e-9:
+            return worst[:t + 1]
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 80), st.sampled_from([0.05, 0.25, 0.5]))
+def test_frozen_state_stop_is_bit_identical_to_the_whole_window(seed, t_max, eps):
+    rng = rng_from_seed(seed)
+    if rng.random() < 0.2:
+        L = diaconis_cycle_lift(int(rng.choice([4, 6])))  # period 2
+        pi = uniform_distribution(L.map.base_n)
+    else:
+        L, pi = _random_lift(rng, mixer_variants=("reducible", "flows", "irreducible"))
+    A, C, n = L.A, L.map.C, L.map.lifted_n
+    x = random_distribution(rng, n).weights if rng.random() < 0.5 else np.eye(n)[0]
+    # marginal: adjoint (s), init-map batch (S), one 1-D start; from the
+    # cached CSR and from the dense entries alike
+    marginal = [(None, pi.weights[:, None]), (x, pi.weights)]
+    if L.F is not None:
+        marginal.append((L.F.entries, pi.weights[:, None]))
+    for X, target in marginal:
+        whole = _whole_window_tv(A.entries, X, target, t_max, C)
+        assert np.array_equal(_window_tv(A._csr, X, target, t_max, C), whole)
+        assert np.array_equal(_window_tv(A.entries, X, target, t_max, C), whole)
+    # full state, against the exact long-run targets, without and with eps
+    full = [(None, _ergodic_limits(A, None)), (x, _ergodic_limits(A, x[:, None])[:, 0])]
+    if L.F is not None:
+        full.append((L.F.entries, _ergodic_limits(A, L.F.entries)))
+    for X, target in full:
+        whole = _whole_window_tv(A.entries, X, target, t_max)
+        assert np.array_equal(_window_tv(A._csr, X, target, t_max), whole)
+        # either both stop at the certified t, or the freeze came first
+        # and the window is whole
+        early = _window_tv(A._csr, X, target, t_max, eps=eps)
+        certified = _whole_window_tv(A.entries, X, target, t_max, eps=eps)
+        assert len(early) in (len(certified), t_max + 1)
+        assert np.array_equal(early, whole[:len(early)])
+        assert _settle_time(early, eps) == _settle_time(certified, eps)
+
+
+def _counted_sparse_products(monkeypatch):
+    products = []
+    for cls in (csr_array, csc_array):  # A and its transpose A.T
+        def counting(S, other, _matmul=cls.__matmul__):
+            products.append(S.shape)
+            return _matmul(S, other)
+
+        monkeypatch.setattr(cls, "__matmul__", counting)
+    return products
+
+
+def test_frozen_scans_stop_at_the_freeze(monkeypatch):
+    # every start of the reducible mixer is held in its top layer within
+    # D + 2 steps; from there each step returns its state bit for bit
+    g, pi = cycle(6), uniform_distribution(6)
+    L = diameter_mixer(g, pi, "reducible")
+    D, t_max = diameter(g), 10_000
+    lengths = _recorded_scan_lengths(monkeypatch)
+    monkeypatch.setattr(cli_module, "_window_tv", lift_module._window_tv)  # the same recorder
+    products = _counted_sparse_products(monkeypatch)
+    assert marginal_mixing_time(L, pi, 0.25, "s", t_max) == UNMIXED
+    assert 0 < len(products) <= D + 3
+    products.clear()
+    assert _tau_from_start(L, pi, point_distribution(L.map.lifted_n, 0), 0.25, t_max) == 3
+    assert 0 < len(products) <= D + 3
+    assert lengths == [t_max + 1, t_max + 1]
+
+
+def test_scenario_report_converts_the_dynamics_to_csr_once(monkeypatch):
+    g, pi = cycle(8), uniform_distribution(8)
+    L = diameter_mixer(g, pi, "reducible")
+    n = L.map.lifted_n
+    conversions = []
+
+    class Counting(csr_array):
+        def __init__(self, arg, *args, **kwargs):
+            if isinstance(arg, np.ndarray) and arg.shape == (n, n) and arg.dtype == float:
+                conversions.append(arg)
+            super().__init__(arg, *args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("liftmix")]:
+        if hasattr(module, "csr_array"):
+            monkeypatch.setattr(module, "csr_array", Counting)
+    for text in ("sIMRE", "SIMRE"):
+        scenario_report(L, parse_scenario(text), pi)
+    assert len(conversions) == 1 and conversions[0] is L.A.entries
 
 
 def test_scenario_parse_and_format_round_trip():

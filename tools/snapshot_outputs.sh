@@ -19,6 +19,9 @@
 #   - lift analyze SIMRE on a copy of the cycle-8 reducible mixer bundle
 #     (uniform pi) whose A is written as dense "rows", so the corpus shows
 #     that such bundles are read as before;
+#   - lift analyze sIMRE with --t-max 4000 on the cycle-8 reducible mixer
+#     bundle (uniform pi), whose scans reach a frozen state thousands of
+#     steps before their window ends;
 #   - conductance chain on fixed random chains of 17, 20 and 24 nodes, whose
 #     cuts fill 2, 16 and 256 chunks of 2^16 masks: a reversible chain with
 #     its stationary pi, and a symmetric chain with uniform pi.
@@ -153,6 +156,10 @@ with open(sys.argv[2], "w") as fh:
 EOF
 run "analyze-SIMRE-reducible-cycle-8-uniform-dense" lift analyze --lift "$dense" \
     --pi uniform --scenario SIMRE
+
+run "analyze-sIMRE-reducible-cycle-8-uniform-t-max-4000" lift analyze \
+    --lift "$OUT/build-diameter-reducible-cycle-8-uniform.bundle.json" \
+    --pi uniform --scenario sIMRE --t-max 4000
 
 for v in reducible flows irreducible; do
     bundle=$OUT/build-diameter-$v-cycle-16-uniform.bundle.json
