@@ -11,7 +11,7 @@ and v is the projected position.  `_layered` lays out every such lift.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.sparse import coo_array, csr_array, eye_array
 
 from .errors import (
     BadGamma,
@@ -67,14 +67,14 @@ def mixer_default_reference(g: Graph, pi: Distribution) -> StochasticMatrix:
     return StochasticMatrix(half, locality=g)
 
 
-def _support_graph(A: np.ndarray) -> Graph:
-    """Directed graph of the off-diagonal support of a dynamics matrix."""
-    rows, cols = np.nonzero(A > _ENTRY_CLAMP)
+def _support_graph(A) -> Graph:
+    """Directed graph of the off-diagonal support of a dense or sparse A."""
+    rows, cols = (A > _ENTRY_CLAMP).nonzero()
     off = rows != cols
     return Graph(n=A.shape[0], arcs=frozenset(zip(cols[off].tolist(), rows[off].tolist())))
 
 
-def _make_lift(base: Graph, proj, A: np.ndarray, F: np.ndarray | None, metadata: dict) -> Lift:
+def _make_lift(base: Graph, proj, A, F: np.ndarray | None, metadata: dict) -> Lift:
     lifted = _support_graph(A)
     m = LiftMap(base.n, tuple(proj))
     init = None if F is None else InitMap(m, F)
@@ -131,28 +131,38 @@ def stochastic_bridge(
     return TimeVaryingChain(steps)
 
 
-def _layered(steps, periodic: bool) -> np.ndarray:
-    """Time-layered dynamics: layer t-1 feeds layer t through steps[t-1].
+def _layered(steps, periodic: bool, hold=None, restart=None) -> csr_array:
+    """Time-layered dynamics, as CSR: layer t-1 feeds layer t through steps[t-1].
 
     When periodic, the last step wraps back to layer 0 (len(steps)
-    layers); otherwise a top layer len(steps) holds its state.
+    layers); otherwise a top layer len(steps) holds its state through
+    `hold`, the identity by default, and feeds layer 0 through `restart`.
     """
     m = steps[0].shape[0]
     layers = len(steps) if periodic else len(steps) + 1
-    A = np.zeros((layers * m, layers * m))
-    for t, P in enumerate(steps, start=1):
-        A[t % layers * m:(t % layers + 1) * m, (t - 1) * m:t * m] = P
+    placed = [(t % layers, t - 1, P) for t, P in enumerate(steps, start=1)]
     if not periodic:
-        A[-m:, -m:] = np.eye(m)
-    return A
+        placed.append((layers - 1, layers - 1, eye_array(m) if hold is None else hold))
+    if restart is not None:
+        placed.append((0, layers - 1, restart))
+    blocks = [(i, j, coo_array(P)) for i, j, P in placed]
+    row = np.concatenate([P.row + i * m for i, _, P in blocks])
+    col = np.concatenate([P.col + j * m for _, j, P in blocks])
+    value = np.concatenate([P.data for _, _, P in blocks])
+    return csr_array((value, (row, col)), shape=(layers * m, layers * m))
 
 
-def _restart(n: int) -> np.ndarray:
+def _block_diagonal(blocks) -> coo_array:
+    """The block-diagonal matrix of k square m x m blocks, as COO."""
+    k, r, c = np.nonzero(stack := np.asarray(blocks))
+    m = stack.shape[1]
+    return coo_array((stack[k, r, c], (k * m + r, k * m + c)), shape=(len(stack) * m,) * 2)
+
+
+def _restart(n: int) -> coo_array:
     """Node-clock map (v0, v) -> (v, v): a walk at v restarts from start v."""
-    R = np.zeros((n * n, n * n))
     cols = np.arange(n * n)
-    R[cols % n * (n + 1), cols] = 1.0
-    return R
+    return coo_array((np.ones(n * n), (cols % n * (n + 1), cols)), shape=(n * n, n * n))
 
 
 def _clock(g: Graph, chain: TimeVaryingChain, periodic: bool, name: str) -> Lift:
@@ -190,13 +200,13 @@ def _require_local(chain: TimeVaryingChain, g: Graph) -> None:
 
 def _node_clock_blocks(
     g: Graph, per_node, pi: Distribution, periodic: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[list, np.ndarray, np.ndarray, int]:
     """Shared grid for node-clock lifts: states (t, v0, v) at t*n^2+v0*n+v.
 
-    Returns (A with block-diagonal bridge steps and the layer-T handoff, F,
-    projection, T).  The handoff differs: the plain variant resamples v0
-    from pi into an extra holding layer T+1, the periodic variant restarts
-    (T, v0, v) at the start state (0, v, v).
+    Returns (the sparse block-diagonal bridge steps and layer-T handoff
+    for `_layered`, F, projection, T).  The handoff differs: the plain
+    variant resamples v0 from pi into an extra holding layer T+1, the
+    periodic variant restarts (T, v0, v) at the start state (0, v, v).
     """
     n = g.n
     chains = list(per_node)
@@ -213,33 +223,34 @@ def _node_clock_blocks(
         _require_local(ch, g)
     if T == 0:
         raise EmptyChain("node-clock lift needs at least one step")
-    steps = [block_diag(*(ch.steps[t].entries for ch in chains)) for t in range(T)]
+    steps = [_block_diagonal([ch.steps[t].entries for ch in chains]) for t in range(T)]
     if periodic:
         steps.append(_restart(n))
-    else:
-        steps.append(np.kron(np.outer(pi.weights, np.ones(n)), np.eye(n)))
-    A = _layered(steps, periodic)
-    F = np.zeros((A.shape[0], n))
+    else:  # (T, v0, v) -> (T+1, w, v) with probability pi_w
+        w, v0, v = np.indices((n, n, n)).reshape(3, -1)
+        steps.append(coo_array((pi.weights[w], (w * n + v, v0 * n + v)), shape=(n * n,) * 2))
+    size = (T + 1 if periodic else T + 2) * n * n
+    F = np.zeros((size, n))
     F[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    proj = np.tile(np.arange(n), A.shape[0] // n)
-    return A, F, proj, T
+    proj = np.tile(np.arange(n), size // n)
+    return steps, F, proj, T
 
 
 def node_clock_lift(g: Graph, per_node, pi: Distribution) -> Lift:
     """Clock lift that also remembers the starting node v0, running one
     kernel sequence per start; after the sequences finish, v0 is resampled
     from pi and the state freezes in a holding layer."""
-    A, F, proj, T = _node_clock_blocks(g, per_node, pi, periodic=False)
-    return _make_lift(g, proj, A, F, {"construction": "node-clock", "T": T})
+    steps, F, proj, T = _node_clock_blocks(g, per_node, pi, periodic=False)
+    return _make_lift(g, proj, _layered(steps, False), F, {"construction": "node-clock", "T": T})
 
 
 def periodic_node_clock_lift(g: Graph, per_node, pi: Distribution) -> Lift:
     """Node-clock lift on a time cycle: after its T steps, a walk at
     projected position v restarts the sequence for start node v.  Every
     lifted start reaches the restart set within T+1 steps."""
-    A, F, proj, T = _node_clock_blocks(g, per_node, pi, periodic=True)
+    steps, F, proj, T = _node_clock_blocks(g, per_node, pi, periodic=True)
     return _make_lift(
-        g, proj, A, F, {"construction": "periodic-node-clock", "T": T}
+        g, proj, _layered(steps, True), F, {"construction": "periodic-node-clock", "T": T}
     )
 
 
@@ -381,10 +392,10 @@ def diameter_mixer(
     bridges = _mixer_bridges(g, pi)
     n = g.n
     T = bridges[0].T
-    A, F, proj, _ = _node_clock_blocks(g, bridges, pi, periodic=False)
+    steps, F, proj, _ = _node_clock_blocks(g, bridges, pi, periodic=False)
     meta = {"construction": "diameter-mixer", "variant": variant, "T": T}
     if variant == "reducible":
-        return _make_lift(g, proj, A, F, meta)
+        return _make_lift(g, proj, _layered(steps, False), F, meta)
 
     if not 0 < gamma < 1:
         raise BadGamma(f"restart probability gamma must lie in (0,1), got {gamma}")
@@ -392,9 +403,8 @@ def diameter_mixer(
         reference = mixer_default_reference(g, pi)
     check_stationary(reference, pi, tol=1e-9)
 
-    top = slice((T + 1) * n * n, None)
     if variant == "flows":
-        A[top, top] = block_diag(*[reference.entries] * n)
+        A = _layered(steps, False, hold=_block_diagonal([reference.entries] * n))
         return _make_lift(g, proj, A, F, meta)
 
     last_error: LiftmixError | None = None
@@ -405,16 +415,15 @@ def diameter_mixer(
             last_error = err
             gamma /= 2.0
             continue
-        A_full = A.copy()
-        A_full[top, top] = block_diag(*[(1.0 - gamma) * held.entries] * n)
-        A_full[:n * n, top] += gamma * _restart(n)
+        A = _layered(steps, False, hold=_block_diagonal([(1.0 - gamma) * held.entries] * n),
+                     restart=gamma * _restart(n))
         # keep the strong component of the start states (0, v, v), which
         # the restarts make mutually reachable; the rest is never reached
         # from a start or never returns to one
-        labels = _strong_components(A_full > _ENTRY_CLAMP)
+        labels = _strong_components(A > _ENTRY_CLAMP)
         keep = np.flatnonzero(labels == labels[0])
         meta = dict(meta, gamma=gamma)
-        return _make_lift(g, proj[keep], A_full[np.ix_(keep, keep)], F[keep], meta)
+        return _make_lift(g, proj[keep], A[keep][:, keep], F[keep], meta)
     raise last_error if last_error is not None else GammaTooLarge("gamma retry failed")
 
 

@@ -19,11 +19,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import shortest_path as _csgraph_distances
 
 from .errors import BadSize, DisconnectedGraph, NoSpanningTree, TooManyNodes
+
+
+def _read_only(a):
+    """Flag an array, or a sparse array's index and value arrays, read-only."""
+    for part in (a.data, a.indices, a.indptr) if issparse(a) else (a,):
+        part.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -56,17 +63,27 @@ class Graph:
     @cached_property
     def _adjacency(self) -> np.ndarray:
         M = np.zeros((self.n, self.n), dtype=bool)
-        M[tuple(np.array(list(self.arcs), dtype=np.intp).reshape(-1, 2).T)] = True
-        M.setflags(write=False)
-        return M
+        M.flat[self._arc_keys] = True
+        return _read_only(M)
+
+    @cached_property
+    def _arc_keys(self) -> np.ndarray:
+        """i * n + j of every arc (i, j), ascending: a lifted graph's arcs."""
+        arcs = np.array(list(self.arcs), dtype=np.int64).reshape(-1, 2)
+        return _read_only(np.sort(arcs[:, 0] * self.n + arcs[:, 1]))
+
+    def _has_arcs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each (i[k], j[k]) is an arc: off the adjacency if built."""
+        if "_adjacency" in self.__dict__:
+            return self._adjacency[i, j]
+        q = np.asarray(i, dtype=np.int64) * self.n + j
+        return np.append(self._arc_keys, -1)[np.searchsorted(self._arc_keys, q)] == q
 
     @cached_property
     def _distances(self) -> np.ndarray:
         """Arc-path lengths D[i, j] from i to j, -1 where j is unreachable."""
         D = _csgraph_distances(self._adjacency, unweighted=True)
-        D = np.where(np.isinf(D), -1, D).astype(int)
-        D.setflags(write=False)
-        return D
+        return _read_only(np.where(np.isinf(D), -1, D).astype(int))
 
     def _check_node(self, v: int, role: str) -> None:
         if not 0 <= v < self.n:
@@ -245,7 +262,7 @@ def load_graph(path: str) -> Graph:
         return graph_from_json(json.load(fh))
 
 
-def _strong_components(support: np.ndarray) -> np.ndarray:
+def _strong_components(support) -> np.ndarray:
     """Strong-component label (0..k-1) of each node of the digraph whose
     boolean adjacency matrix is `support`.  Components are the same for a
     digraph and its reverse, so either orientation of `support` will do."""

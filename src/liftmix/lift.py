@@ -190,9 +190,9 @@ class Lift:
 
 def validate_lift(L: Lift) -> None:
     """Structural checks, run by every Lift: projection legality of every
-    lifted arc, init-map fiber support, and A local to L.lifted by
-    StochasticMatrix._check_locality, a no-op when L.A was built against
-    L.lifted itself."""
+    lifted arc (read off its arc keys), init-map fiber support, and A
+    local to L.lifted by StochasticMatrix._check_locality, a no-op when
+    L.A was built against L.lifted itself."""
     if L.map.base_n != L.base.n:
         raise DimensionMismatch(
             f"projection targets {L.map.base_n} nodes, base has {L.base.n}"
@@ -205,10 +205,10 @@ def validate_lift(L: Lift) -> None:
         raise DimensionMismatch(
             f"dynamics on {L.A.n} nodes, lifted graph has {L.lifted.n}"
         )
-    i, j = np.nonzero(L.lifted.adjacency())
+    i, j = np.divmod(L.lifted._arc_keys, L.lifted.n)
     proj = np.asarray(L.map.projection)
     ci, cj = proj[i], proj[j]
-    bad = np.flatnonzero((ci != cj) & ~L.base.adjacency()[ci, cj])
+    bad = np.flatnonzero((ci != cj) & ~L.base._has_arcs(ci, cj))
     if bad.size:
         k = bad[0]
         raise LocalityViolation(
@@ -285,7 +285,8 @@ def _collapsed_flows(L: Lift, pi_hat: Distribution) -> np.ndarray:
     w = pi_hat.weights
     if w.shape != (L.map.lifted_n,):
         raise DimensionMismatch("pi_hat does not live on the lifted nodes")
-    return L.map.C @ (L.A.entries * w[None, :]) @ L.map.C.T
+    # C S in C order, as the dense C @ A is, so that C^T is summed alike
+    return np.ascontiguousarray(L.map.C @ L.A._csr.multiply(w[None, :])) @ L.map.C.T
 
 
 def lifted_stationary(L: Lift, seed_init: Distribution) -> Distribution:
@@ -337,7 +338,7 @@ def check_invariance(
             return False, Distribution(x)
         return True, None
     xs = fiber_uniform_init(L.map, pi)
-    M = L.map.C @ L.A.entries
+    M = np.ascontiguousarray(L.map.C @ L.A._csr)
     if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > 1e-12:
         return False, xs
     pair = _fiber_column_mismatch(M, L.map)

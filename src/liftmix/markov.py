@@ -10,11 +10,11 @@ P_{row[k], col[k]} = value[k] and every other entry 0; distribution JSON is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array, eye_array
+from scipy.sparse import coo_array, csc_array, csr_array, eye_array, issparse
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     NotStationary,
     ReducibleChain,
 )
-from .graph_core import Graph, _strong_components
+from .graph_core import Graph, _read_only, _strong_components
 
 #: Sentinel returned by mixing-time measurements that never settle below eps.
 UNMIXED = math.inf
@@ -75,70 +75,90 @@ def distribution_from_json(obj: dict) -> Distribution:
     return Distribution(np.asarray(obj["weights"], dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Column-stochastic matrix with an optional locality graph.
 
-    Entries are clamped to [0, 1] from within 1e-12; each raw column sum must
-    be within 1e-6 of 1 (then the column is renormalized exactly). When a
-    locality graph is set, off-diagonal support > 1e-12 must sit on its arcs.
-    Its CSR copy, its classes, then their laws, are each built once, on
-    first use, and shared read-only (_csr, _labels, _ergodic).
+    Kept in the form it is built from, dense or scipy sparse; the other form
+    is derived once, on first read (entries, _csr).  On the nonzero
+    triplets, entries are clamped to [0, 1] from within 1e-12; each raw
+    column sum, added in row order as a dense one is, must be within 1e-6
+    of 1 (then the column is renormalized exactly).  When a locality graph
+    is set, off-diagonal support > 1e-12 must sit on its arcs.  Its classes,
+    then their laws, are built once, on first use, and shared read-only
+    (_labels, _ergodic).
     """
 
-    entries: np.ndarray
+    n: int
     locality: Graph | None = None
 
     def __init__(self, entries, locality: Graph | None = None) -> None:
-        M = np.array(entries, dtype=float)
+        sparse = issparse(entries)
+        # a sparse input becomes a new CSR, duplicates summed and rows sorted
+        M = coo_array(entries, dtype=float).tocsr() if sparse else np.array(entries, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-        if (M < -_ENTRY_CLAMP).any() or (M > 1 + _ENTRY_CLAMP).any():
+        object.__setattr__(self, "n", M.shape[0])
+        self.__dict__["_csr" if sparse else "entries"] = M
+        row, col, value = self._triplets()  # a sparse input's value is M.data itself
+        if (value < -_ENTRY_CLAMP).any() or (value > 1 + _ENTRY_CLAMP).any():
             raise BadColumnSum("matrix entries outside [0,1] beyond clamp tolerance")
-        np.clip(M, 0.0, 1.0, out=M)  # M is already this matrix's own copy
-        sums = M.sum(axis=0)
+        np.clip(value, 0.0, 1.0, out=value)
+        sums = np.bincount(col, weights=value, minlength=self.n)
         bad = ~(np.abs(sums - 1.0) <= _COLUMN_TOL)  # NaN-safe
         if bad.any():
             j = int(np.nonzero(bad)[0][0])
             raise BadColumnSum(f"column {j} sums to {sums[j]}")
-        M /= sums
-        object.__setattr__(self, "entries", M)
-        self.entries.setflags(write=False)
-        self._check_locality(locality)
+        value /= sums[col]
+        self._check_locality(locality, (row, col, value))
+        if sparse:
+            M.eliminate_zeros()  # the clamped entries leave the support
+        else:
+            M = np.zeros_like(M)  # the input's layout, which dense products read
+            M[row, col] = value
+        self.__dict__["_csr" if sparse else "entries"] = _read_only(M)
         object.__setattr__(self, "locality", locality)
 
-    def _check_locality(self, g: Graph | None) -> None:
+    def _check_locality(self, g: Graph | None, triplets=None) -> None:
         """The one locality check: off-diagonal support > 1e-12 must sit on
         g's arcs; none for g None or the graph the read-only entries were
         built against."""
         if g is None or g is self.locality:
             return
-        M = self.entries
         if g.n != self.n:
             raise DimensionMismatch(f"matrix is {self.n}x{self.n} but graph has {g.n} nodes")
-        off = M > _ENTRY_CLAMP
-        np.fill_diagonal(off, False)
-        illegal = off & ~g.adjacency().T  # entry (j,i) needs arc (i,j)
+        j, i, value = self._triplets() if triplets is None else triplets
+        illegal = (value > _ENTRY_CLAMP) & (j != i) & ~g._has_arcs(i, j)  # (j, i) needs arc (i, j)
         if illegal.any():
-            j, i = map(int, np.argwhere(illegal)[0])
-            raise LocalityViolation(f"entry ({j},{i}) = {M[j, i]} has no arc ({i},{j})")
+            k = int(np.argmax(illegal))
+            raise LocalityViolation(
+                f"entry ({j[k]},{i[k]}) = {value[k]} has no arc ({i[k]},{j[k]})")
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense view, built from the CSR form on first read."""
+        return _read_only(self._csr.toarray())
 
     @cached_property
     def _csr(self) -> csr_array:
-        """The entries as CSR, read by every scan and the projector's LU."""
-        S = csr_array(self.entries)
-        for part in (S.data, S.indices, S.indptr):
-            part.setflags(write=False)
-        return S
+        """The CSR form, read by every scan and the projector's LU."""
+        return _read_only(csr_array(self.entries))
+
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries as (row, col, value) in row-major order, read
+        off the CSR form once it is built and off the dense one before."""
+        if "_csr" in self.__dict__:
+            S = self._csr
+            return np.repeat(np.arange(self.n), np.diff(S.indptr)), S.indices, S.data
+        row, col = np.nonzero(self.entries)
+        return row, col, self.entries[row, col]
 
     @cached_property
     def _labels(self) -> np.ndarray:
         """Strong-component label of each state, arcs being entries > 1e-12."""
-        return _strong_components(self.entries > _ENTRY_CLAMP)
+        row, col, value = self._triplets()
+        arc = value > _ENTRY_CLAMP
+        return _strong_components(csr_array((value[arc], (row[arc], col[arc])), (self.n,) * 2))
 
     @cached_property
     def _ergodic(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -151,13 +171,11 @@ class StochasticMatrix:
         probability h_c of absorption in c, which over the transient states
         T solves (I - M_TT)^T h_c = b_c, b_c(v) being v's one-step mass into
         c: one sparse LU, one right-hand side per class.  An irreducible M
-        gives (pi[:, None], None)."""
-        M, labels = self.entries, self._labels
+        gives (pi[:, None], None), solved on the dense view."""
+        labels = self._labels
         if labels.max() == 0:
-            Pi = _stationary_weights(M)[:, None]
-            Pi.setflags(write=False)
-            return Pi, None
-        to, frm = np.nonzero(M > _ENTRY_CLAMP)
+            return _read_only(_stationary_weights(self.entries)[:, None]), None
+        to, frm = (self._csr > _ENTRY_CLAMP).nonzero()
         leaky = np.zeros(labels.max() + 1, dtype=bool)
         leaky[labels[frm[labels[to] != labels[frm]]]] = True
         closed = np.flatnonzero(~leaky)
@@ -168,28 +186,25 @@ class StochasticMatrix:
             if len(members) == 1:  # the law the solve would return
                 Pi[members, k] = 1.0
             else:
-                Pi[members, k] = _stationary_weights(M[np.ix_(members, members)])
+                Pi[members, k] = _stationary_weights(self._csr[members][:, members].toarray())
             H[members, k] = 1.0
         T = np.flatnonzero(leaky[labels])
         if len(T):
             lu = splu(csc_array((eye_array(len(T)) - self._csr[T][:, T]).T))
             H[T] = lu.solve(self._csr[:, T].T @ H)
-        Pi.setflags(write=False)
-        H.setflags(write=False)
-        return Pi, H
+        return _read_only(Pi), _read_only(H)
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": self.entries.tolist()}
 
     def _sparse_json(self) -> dict:
-        """The nonzero entries as triplets in row-major (np.nonzero) order."""
-        row, col = np.nonzero(self.entries)
-        return {"n": self.n, "row": row.tolist(), "col": col.tolist(),
-                "value": self.entries[row, col].tolist()}
+        """The nonzero entries as triplets in row-major order."""
+        row, col, value = self._triplets()
+        return {"n": self.n, "row": row.tolist(), "col": col.tolist(), "value": value.tolist()}
 
 
 def matrix_from_json(obj: dict, locality: Graph | None = None) -> StochasticMatrix:
-    """Read either matrix form; both go through every StochasticMatrix check."""
+    """Read either matrix form (triplets as sparse); both get every check."""
     if "rows" in obj:
         return StochasticMatrix(np.asarray(obj["rows"], dtype=float), locality=locality)
     n = obj["n"]
@@ -207,9 +222,7 @@ def matrix_from_json(obj: dict, locality: Graph | None = None) -> StochasticMatr
     flat = row * n + col
     if len(np.unique(flat)) != len(flat):
         raise BadSize("matrix triplets repeat a (row, col) pair")
-    M = np.zeros((n, n))
-    M.flat[flat] = value
-    return StochasticMatrix(M, locality=locality)
+    return StochasticMatrix(coo_array((value, (row, col)), shape=(n, n)), locality=locality)
 
 
 def _triplet_indices(seq, key: str, n: int) -> np.ndarray:

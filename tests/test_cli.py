@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -382,3 +383,24 @@ def test_dump_json_converts_numpy_and_nonfinite_values():
         '"np_nan":"nan","rows":[[0.25,"inf"],["-inf","nan"]],'
         '"tuple":[1,2.5,[4,null]]}\n'
     )
+
+
+def test_lift_build_and_designed_report_form_no_dense_lifted_array(tmp_path):
+    # the cycle-12 reducible mixer has 1,152 lifted states, so one dense
+    # lifted array takes 10.6 MB: more than building, writing, reading and
+    # reporting (SIMRE) allocate at their peak
+    graph = write_graph(tmp_path, cycle(12))
+    bundle, report = str(tmp_path / "L.json"), str(tmp_path / "r.json")
+    tracemalloc.start()
+    try:
+        assert main(["lift", "build", "--construction", "diameter", "--graph", graph,
+                     "--pi", "uniform", "--out", bundle]) == 0
+        assert main(["lift", "analyze", "--lift", bundle, "--pi", "uniform",
+                     "--scenario", "SIMRE", "--out", report]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(bundle) as fh:
+        n = json.load(fh)["A"]["n"]
+    assert n == 1152
+    assert peak < 8 * n * n

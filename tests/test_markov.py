@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import coo_array
 
 from liftmix import (
     BadColumnSum,
@@ -24,25 +25,35 @@ from liftmix import (
     UNMIXED,
     barbell,
     check_stationary,
+    clock_lift,
     complete,
     cycle,
     default_t_max,
+    diaconis_cycle_lift,
     diameter_mixer,
     distribution_from_json,
     ergodic_flows,
     evolve,
+    four_cycle_lift,
+    graph_from_edges,
     is_connected,
     is_irreducible,
     lazy_walk,
     matrix_from_json,
     metropolis_chain,
     mixing_time,
+    node_clock_lift,
     path,
+    periodic_clock_lift,
+    periodic_node_clock_lift,
     point_distribution,
+    si_replicated_lift,
     stationary,
+    stochastic_bridge,
     tv_distance,
     uniform_distribution,
 )
+from liftmix.graph_core import _strong_components
 from liftmix.markov import _ergodic_limits, _stationary_weights
 from liftmix.randomgen import (
     random_connected_graph,
@@ -378,3 +389,106 @@ def test_barbell_walk_mixes_slower_than_cycle():
     tau_b = mixing_time(lazy_walk(barbell(4)), stationary(lazy_walk(barbell(4))), 0.25)
     tau_c = mixing_time(lazy_walk(cycle(8)), uniform_distribution(8), 0.25)
     assert tau_b > tau_c
+
+
+# ---------------------------------------------------------------------------
+# a StochasticMatrix gives the same bits whether it was built dense or sparse
+
+
+def _both_forms(dense: np.ndarray, sparse, locality: Graph):
+    """The outcome of building one matrix from its dense and from its sparse
+    form: each is the matrix, or the (type, message) of the error raised."""
+    outcomes = []
+    for entries in (dense, sparse):
+        try:
+            outcomes.append(StochasticMatrix(entries, locality=locality))
+        except (BadColumnSum, LocalityViolation) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _assert_same_bits(a: StochasticMatrix, b: StochasticMatrix) -> None:
+    assert a.entries.tobytes() == b.entries.tobytes()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a._csr, part), getattr(b._csr, part))
+    assert np.array_equal(a._labels, b._labels)
+    # the CSR support gives the labels the dense mask gives
+    assert np.array_equal(a._labels, _strong_components(a.entries > 1e-12))
+    for x, y in zip(a._ergodic, b._ergodic):
+        assert (x is None and y is None) or x.tobytes() == y.tobytes()
+    assert a._sparse_json() == b._sparse_json()
+
+
+def _family_lifts():
+    """One lift of every construction family: the layered ones hold a
+    sparse A, the others a dense one."""
+    rng = rng_from_seed(11)
+    g = random_connected_graph(rng, n=5)
+    pi = random_distribution(rng, g.n)
+    bridges = [stochastic_bridge(g, point_distribution(g.n, i), pi) for i in range(g.n)]
+    yield clock_lift(g, bridges[0])
+    yield periodic_clock_lift(g, bridges[0])
+    yield node_clock_lift(g, bridges, pi)
+    yield periodic_node_clock_lift(g, bridges, pi)
+    for variant in ("reducible", "flows", "irreducible"):
+        yield diameter_mixer(g, pi, variant)
+    yield diaconis_cycle_lift(8)
+    yield four_cycle_lift(0.05, 0.01)[0]
+    yield si_replicated_lift(lazy_walk(g), 3)
+
+
+def test_every_construction_gives_the_same_bits_from_either_form():
+    for L in _family_lifts():
+        n = L.map.lifted_n
+        dense, sparse = _both_forms(L.A.entries, L.A._csr, L.lifted)
+        _assert_same_bits(dense, sparse)
+        # the consumers that read C A get the dense product's bits
+        assert np.array_equal(L.map.C @ L.A.entries, L.map.C @ L.A._csr)
+        # dense column sums add in row order, as the triplet sums do
+        row, col, value = L.A._triplets()
+        assert np.array_equal(L.A.entries.sum(axis=0), np.bincount(col, weights=value, minlength=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dense_and_sparse_inputs_give_the_same_bits(seed):
+    rng = rng_from_seed(seed)
+    n = int(rng.integers(16, 32))
+    # states move only within their group or to a higher one, so the
+    # chain has transient states and several closed classes
+    group = rng.integers(0, 3, n)
+    raw = rng.random((n, n)) * (rng.random((n, n)) < 0.4) * (group[:, None] >= group)
+    raw[np.arange(n), np.arange(n)] += 0.05  # no empty column
+    # pairwise summation would reorder a column of 9 or more terms
+    first = int(np.argmin(group))
+    raw[:, first] = rng.random(n)
+    raw /= raw.sum(axis=0)
+    # raw column sums off by up to 1e-7, entries still at most 1
+    raw = np.minimum(raw * (1.0 + rng.uniform(-1e-7, 1e-7, n)), 1.0)
+    # entries in [-1e-12, 0) are clamped to 0 and leave the support, and
+    # entries in (0, 1e-12] stay stored but are no arcs, even backwards
+    tiny = (raw == 0.0) & (rng.random((n, n)) < 0.1)
+    raw[tiny] = rng.choice([-1.0, 1.0], int(tiny.sum())) * rng.uniform(1e-14, 1e-12, int(tiny.sum()))
+    arcs = {(int(i), int(j)) for j, i in zip(*np.nonzero(raw > 1e-12)) if i != j}
+    kind = rng.random()
+    if kind < 0.2:  # one column off by more than 1e-6
+        raw[:, int(rng.integers(0, n))] *= 1.01
+    elif kind < 0.4:  # one support arc missing from the graph
+        arcs.discard(sorted(arcs)[int(rng.integers(0, len(arcs)))])
+    g = Graph(n=n, arcs=frozenset(arcs))
+    # the sparse input in shuffled order, with a few explicit zeros
+    row, col = np.nonzero(raw)
+    zeros = np.argwhere(raw == 0.0)[:3]
+    row, col = np.concatenate([row, zeros[:, 0]]), np.concatenate([col, zeros[:, 1]])
+    order = rng.permutation(len(row))
+    sparse = coo_array((raw[row, col][order], (row[order], col[order])), shape=(n, n))
+    dense, other = _both_forms(raw, sparse, g)
+    if isinstance(dense, tuple):
+        assert dense == other
+        assert dense[0] is (BadColumnSum if kind < 0.2 else LocalityViolation)
+        return
+    _assert_same_bits(dense, other)
+    clipped = np.clip(raw, 0.0, 1.0)
+    row, col = np.nonzero(clipped)
+    assert np.array_equal(clipped.sum(axis=0),
+                          np.bincount(col, weights=clipped[row, col], minlength=n))

@@ -24,7 +24,13 @@
 #     steps before their window ends;
 #   - conductance chain on fixed random chains of 17, 20 and 24 nodes, whose
 #     cuts fill 2, 16 and 256 chunks of 2^16 masks: a reversible chain with
-#     its stationary pi, and a symmetric chain with uniform pi.
+#     its stationary pi, and a symmetric chain with uniform pi;
+#   - lift build for clock and periodic-clock on every graph and pi above,
+#     each from that tree's own `bridge --src e:0` output, for diaconis
+#     (N = 8, 16) and for four-cycle (delta 0.05, gamma 0.01);
+#   - lift analyze SIMRE and sIMRE on those bundles and on every node-clock
+#     and periodic-node-clock bundle (diaconis has no init map, so its
+#     SIMRE exits 2).
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
 # this script, not by liftmix, so two trees read the same files.  Compare
@@ -115,9 +121,20 @@ for g in $graphs; do
         tag=$g-$p
         run "conductance-graph-$tag" conductance graph --graph "$IN/$g.json" --pi "$pi"
         run "bridge-$tag" bridge --graph "$IN/$g.json" --dst "$pi" --all-sources
+        run "bridge-src0-$tag" bridge --graph "$IN/$g.json" --src e:0 --dst "$pi"
+        for c in clock periodic-clock; do
+            run "build-$c-$tag" lift build --construction "$c" --graph "$IN/$g.json" \
+                --chain "$OUT/bridge-src0-$tag.out" --out "$OUT/build-$c-$tag.bundle.json"
+        done
         for c in node-clock periodic-node-clock; do
             run "build-$c-$tag" lift build --construction "$c" \
                 --graph "$IN/$g.json" --pi "$pi" --out "$OUT/build-$c-$tag.bundle.json"
+        done
+        for c in clock periodic-clock node-clock periodic-node-clock; do
+            for s in SIMRE sIMRE; do
+                run "analyze-$s-$c-$tag" lift analyze \
+                    --lift "$OUT/build-$c-$tag.bundle.json" --pi "$pi" --scenario "$s"
+            done
         done
         for v in reducible flows irreducible; do
             bundle=$OUT/build-diameter-$v-$tag.bundle.json
@@ -167,6 +184,19 @@ for v in reducible flows irreducible; do
         --variant "$v" --graph "$IN/cycle-16.json" --pi uniform --out "$bundle"
     run "analyze-sIMRE-$v-cycle-16-uniform" lift analyze --lift "$bundle" \
         --pi uniform --scenario sIMRE
+done
+
+for N in 8 16; do
+    run "build-diaconis-$N" lift build --construction diaconis --nodes "$N" \
+        --out "$OUT/build-diaconis-$N.bundle.json"
+done
+run build-four-cycle lift build --construction four-cycle --delta 0.05 --gamma 0.01 \
+    --out "$OUT/build-four-cycle.bundle.json"
+for b in diaconis-8 diaconis-16 four-cycle; do
+    for s in SIMRE sIMRE; do
+        run "analyze-$s-$b" lift analyze --lift "$OUT/build-$b.bundle.json" \
+            --pi uniform --scenario "$s"
+    done
 done
 
 for n in 17 20 24; do
