@@ -71,6 +71,7 @@ from .markov import (
     Distribution,
     StochasticMatrix,
     TimeVaryingChain,
+    _marginal_certificate,
     _settle_time,
     _window_tv,
     distribution_from_json,
@@ -198,7 +199,8 @@ def _check(name: str, measured, bound, ok) -> dict:
 def _tau_from_start(L: Lift, pi: Distribution, x0: Distribution, eps: float,
                     t_max: int) -> float:
     """Marginal settle time from one explicit lifted start."""
-    worst = _window_tv(L.A._csr, x0.weights, pi.weights, t_max, L.map.C)
+    worst = _window_tv(L.A._csr, x0.weights, pi.weights, t_max, L.map.C,
+                       **_marginal_certificate(L.A, eps, True))
     return _settle_time(worst, eps)
 
 

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
@@ -250,11 +251,17 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    return graph_from_edges(
-        int(obj["n"]),
-        [(int(i), int(j)) for i, j in obj["edges"]],
-        directed=bool(obj.get("directed", False)),
-    )
+    """Read {"n", "edges", "directed"}: n and every endpoint must be JSON
+    integers and directed (default false) a JSON bool, never truncated or
+    coerced."""
+    n, edges, directed = obj["n"], obj["edges"], obj.get("directed", False)
+    if type(n) is not int:
+        raise BadSize(f"graph size n must be an integer, got {n!r}")
+    if type(directed) is not bool:
+        raise BadSize(f"graph 'directed' must be true or false, got {directed!r}")
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:  # at C speed
+        raise BadSize("graph edge endpoints must be integers")
+    return graph_from_edges(n, edges, directed=directed)
 
 
 def load_graph(path: str) -> Graph:
@@ -268,6 +275,13 @@ def _strong_components(support) -> np.ndarray:
     digraph and its reverse, so either orientation of `support` will do."""
     _, labels = connected_components(csr_array(support), directed=True, connection="strong")
     return labels
+
+
+def _levels(support, root: int) -> np.ndarray:
+    """Arc-path length from root to each node of the digraph whose adjacency
+    matrix is `support` (support[i, j] for the arc i -> j), every node being
+    reachable."""
+    return _csgraph_distances(csr_array(support), unweighted=True, indices=root).astype(np.int64)
 
 
 def is_connected(g: Graph) -> bool:

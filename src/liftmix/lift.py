@@ -27,6 +27,7 @@ from .conductance import _members_of, _phi_chain_or_cycle, phi_chain, phi_graph
 from .errors import (
     BadChoiceMap,
     BadScenario,
+    BadSize,
     DimensionMismatch,
     EmptyCutWeight,
     LocalityViolation,
@@ -53,6 +54,7 @@ from .markov import (
     stationary,
     _ENTRY_CLAMP,
     _ergodic_limits,
+    _marginal_certificate,
     _settle_time,
     _window_tv,
 )
@@ -373,7 +375,9 @@ def marginal_mixing_time(
     t_max: int | None = None,
 ) -> float:
     """Smallest t with every extreme start's marginal within TV eps of pi
-    for all later times up to t_max; UNMIXED if the window never closes."""
+    for all later times up to t_max; UNMIXED if the window never closes.
+    On irreducible dynamics the scan ends once its verdict is proven by
+    the cyclic classes of L.A (markov._window_tv)."""
     if not 0 < eps < 1:
         raise DimensionMismatch(f"eps must be in (0,1), got {eps}")
     if pi.n != L.map.base_n:
@@ -381,7 +385,8 @@ def marginal_mixing_time(
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
-    worst = _window_tv(L.A._csr, X, pi.weights[:, None], t_max, L.map.C)
+    worst = _window_tv(L.A._csr, X, pi.weights[:, None], t_max, L.map.C,
+                       **_marginal_certificate(L.A, eps, X is not None))
     return _settle_time(worst, eps)
 
 
@@ -412,9 +417,10 @@ def full_mixing_time(
     irreducible), taken exactly from the ergodic projector of L.A
     (StochasticMatrix._ergodic, made once per matrix).  Periodic
     dynamics never settle pointwise and come out UNMIXED even when the
-    marginal converges.  The scan stops once the rest of the window is
-    certified under eps (markov._window_tv), so an UNMIXED result is the
-    only one that scans the whole window.
+    marginal converges.  The scan stops once its verdict is proven
+    (markov._window_tv): once the rest of the window is certified under
+    eps, or, on periodic dynamics, at the first step above eps, once a
+    start's class at t_max holds too little of its target.
     """
     if not 0 < eps < 1:
         raise DimensionMismatch(f"eps must be in (0,1), got {eps}")
@@ -422,7 +428,7 @@ def full_mixing_time(
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
     target = _ergodic_limits(L.A, X)
-    return _settle_time(_window_tv(L.A._csr, X, target, t_max, eps=eps), eps)
+    return _settle_time(_window_tv(L.A._csr, X, target, t_max, eps=eps, cyclic=L.A._cyclic), eps)
 
 
 def check_flow_match(
@@ -806,7 +812,10 @@ def lift_to_json(L: Lift) -> dict:
 def lift_from_json(obj: dict) -> Lift:
     base = graph_from_json(obj["base"])
     lifted = graph_from_json(obj["lifted"])
-    m = LiftMap(base.n, tuple(obj["projection"]))
+    projection = obj["projection"]
+    if type(projection) is not list or not set(map(type, projection)) <= {int}:
+        raise BadSize("lift projection must be a list of integers")
+    m = LiftMap(base.n, tuple(projection))
     A = matrix_from_json(obj["A"], locality=lifted)
     F = None
     if obj.get("F") is not None:

@@ -26,7 +26,7 @@ from .errors import (
     NotStationary,
     ReducibleChain,
 )
-from .graph_core import Graph, _read_only, _strong_components
+from .graph_core import Graph, _levels, _read_only, _strong_components
 
 #: Sentinel returned by mixing-time measurements that never settle below eps.
 UNMIXED = math.inf
@@ -85,8 +85,9 @@ class StochasticMatrix:
     column sum, added in row order as a dense one is, must be within 1e-6
     of 1 (then the column is renormalized exactly).  When a locality graph
     is set, off-diagonal support > 1e-12 must sit on its arcs.  Its classes,
-    then their laws, are built once, on first use, and shared read-only
-    (_labels, _ergodic).
+    then their laws, and the cyclic classes of an irreducible matrix are
+    built once, on first use, and shared read-only (_labels, _ergodic,
+    _cyclic).
     """
 
     n: int
@@ -193,6 +194,22 @@ class StochasticMatrix:
             lu = splu(csc_array((eye_array(len(T)) - self._csr[T][:, T]).T))
             H[T] = lu.solve(self._csr[:, T].T @ H)
         return _read_only(Pi), _read_only(H)
+
+    @cached_property
+    def _cyclic(self) -> tuple[int, np.ndarray] | None:
+        """The period p of an irreducible matrix and each state's cyclic
+        class in 0..p-1 (Levin-Peres-Wilmer, 1.3); None for a reducible one.
+        Levels are BFS distances from state 0 over the exact stored support
+        (entries > 0, so that mass outside the class a start occupies stays
+        exactly 0.0), p is the gcd of level[j] + 1 - level[i] over the arcs
+        j -> i, and each arc leads from class c to class c + 1 mod p."""
+        if self._labels.max() > 0:
+            return None
+        to, frm, value = self._triplets()
+        to, frm = to[value > 0], frm[value > 0]
+        level = _levels(csr_array((np.ones(len(to)), (frm, to)), (self.n,) * 2), 0)
+        p = int(np.gcd.reduce(level[frm] + 1 - level[to]))
+        return p, _read_only(level % p)
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": self.entries.tolist()}
@@ -351,6 +368,7 @@ def _settle_time(worst_tv: np.ndarray, eps: float) -> float:
 def _window_tv(
     A: np.ndarray, X: np.ndarray | None, target: np.ndarray, t_max: int,
     C: np.ndarray | None = None, *, eps: float | None = None,
+    cyclic: tuple[int, np.ndarray] | None = None, law: np.ndarray | None = None,
 ) -> np.ndarray:
     """Worst column TV of C A^t X against target for t = 0..t_max.
 
@@ -366,35 +384,63 @@ def _window_tv(
     to t_max: step @ state is deterministic, so a state that maps to itself
     always will.  Cheap scalar tests (the TV, then the first entry) go first.
 
-    With eps, a full-state scan (C None, A column-stochastic) may return
-    the prefix worst[:t+1] instead of the whole window, once no later step
-    can rise above eps; _settle_time reads the prefix as the same tau.
-    Each column of A^{t+1} x - z is A (A^t x - z) + (A z - z), and A does
-    not grow l1 norms, so TV(A^{t+1} x, z) <= TV(A^t x, z) + r with
-    r = max_col 1/2 ||A z - z||_1, measured once on the target columns
-    (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 4.4).  The scan
-    stops at the first t with worst[t] <= eps - (t_max - t)(r + 1e-12)
-    - 1e-9.  The targets need only be near-fixed: their residuals are at
-    most 1e-9 from check_stationary, 1e-10 from stationary, and rounding
-    level from _ergodic_limits' exact projector.  The margins cover
-    the floats: CSR rounding adds far less than 1e-12 per step, and the TV
-    sums and r itself are off by far less than 1e-9.  A marginal TV can
-    rise again, so eps is refused with C.
+    With eps, the scan may return a prefix worst[:t+1] instead of the whole
+    window once its verdict is proven; _settle_time reads the prefix as the
+    same tau.  A (column-stochastic) never grows an l1 distance
+    (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 4.4), and a
+    one-hot C does not either.  Two certificates, for the cyclic classes
+    of an irreducible A (StochasticMatrix._cyclic; None gives p = 1):
+
+    - periodic: a start held in one class c sits in class c + t_max mod p
+      at t_max, every other entry exactly 0.0.  If the target holds less
+      than (start mass + target mass)/2 - eps - 1e-9 on that class (with C,
+      on the base nodes it projects to), the TV there is above eps, so the
+      scan returns at the first step whose worst TV is above eps: UNMIXED.
+    - mixed: the residue limits z_r, r mod p, are law itself for p = 1 and
+      p law o (the start's class masses, rolled by r) otherwise; law is the
+      target of a full-state scan and pi-hat (given) of a forward marginal
+      one.  Each column of x_{t+1} - z_{t+1} is A (x_t - z_t) + (A z_t -
+      z_{t+1}), so with rho = max_r 1/2 ||A z_r - z_{r+1}||_1, measured once,
+      TV(C x_t', target) <= max_r TV(C z_r, target) + d_t + (t' - t) rho
+      for t' >= t, d_t = max_col 1/2 ||x_t - z_{t mod p}||_1.  The scan
+      returns at the first t with d_t <= eps - max_r TV(C z_r, target)
+      - (t_max - t)(rho + 1e-12) - 1e-9.  For a full-state scan with p = 1,
+      z_0 is the target and d_t is worst[t].  The targets need only be
+      near-fixed: their residuals are at most 1e-9 from check_stationary,
+      1e-10 from stationary, and rounding level from _ergodic_limits' exact
+      projector.  The margins cover the floats: CSR rounding adds far less
+      than 1e-12 per step, and the TV sums and rho itself are off by far
+      less than 1e-9.
+
+    The adjoint scan and a forward one without law get only the periodic
+    certificate, so eps with C needs cyclic (a reducible chain's marginal
+    TV can rise again, and has neither).
     """
     if t_max < 0:
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
-    if eps is not None and C is not None:
-        raise DimensionMismatch("an early stop needs a full-state scan")
+    if eps is not None and C is not None and cyclic is None:
+        raise DimensionMismatch("an early stop of a marginal scan needs the cyclic classes")
     A = A if isinstance(A, csr_array) else csr_array(A)
-    if eps is not None:
-        # a 1-D target is one column; a (n, k) target is k columns
-        drift = 0.5 * np.abs(A @ target - target).sum(axis=0).max() + 1e-12
     if C is not None and X is None:
         # the state is M_t^T = (A^T)^t C^T, lifted x base
         step, state, read = A.T, np.ascontiguousarray(C.T), (lambda S: S.T)
     else:
         step, state = A, np.eye(A.shape[0]) if X is None else X
         read = (lambda S: S) if C is None else (lambda S: C @ S)
+    unmixed, limits = False, None
+    if eps is not None:
+        unmixed = cyclic is not None and _off_target_class(X, target, t_max, C, eps, cyclic)
+        if C is None:
+            law = target  # a full-state scan's limit is its own target
+        elif X is None:
+            law = None  # the adjoint state holds no lifted state to measure
+        if not unmixed and law is not None:
+            limits = _residue_limits(law, X, state.ndim, cyclic)
+            p = len(limits)
+            # a limit that is the target itself is 0 from it
+            slack = eps - max((_worst(read(z) - target) for z in limits if z is not target),
+                              default=0.0)
+            drift = max(_worst(A @ z - limits[(r + 1) % p]) for r, z in enumerate(limits)) + 1e-12
     worst = np.empty(t_max + 1)
     gap = None  # reused: a fresh full-state buffer each step costs more than the step
     for t in range(t_max + 1):
@@ -402,8 +448,12 @@ def _window_tv(
             state = step @ (prev := state)  # the older prev is freed first
         gap = np.subtract(read(state), target, out=gap)
         worst[t] = 0.5 * np.abs(gap, out=gap).sum(axis=0).max()
-        if eps is not None and worst[t] <= eps - (t_max - t) * drift - 1e-9:
+        if unmixed and worst[t] > eps:
             return worst[:t + 1]
+        if limits is not None and worst[t] <= eps:
+            z = limits[t % p]
+            if (worst[t] if z is target else _worst(state - z)) <= slack - (t_max - t) * drift - 1e-9:
+                return worst[:t + 1]
         if (t and worst[t] == worst[t - 1] and state.flat[0] == prev.flat[0]
                 and np.array_equal(state, prev)):
             worst[t:] = worst[t]
@@ -411,18 +461,77 @@ def _window_tv(
     return worst
 
 
+def _worst(gap: np.ndarray) -> float:
+    """Largest column half-l1 norm of gap (1-D: one column)."""
+    return 0.5 * np.abs(gap).sum(axis=0).max()
+
+
+def _class_masses(X: np.ndarray | None, cyclic: tuple[int, np.ndarray]) -> np.ndarray:
+    """Mass of each start in each cyclic class, p x starts (p for one 1-D
+    start); every vertex's row of the identity when X is None."""
+    p, cls = cyclic
+    Q = csr_array((np.ones(len(cls)), (cls, np.arange(len(cls)))), shape=(p, len(cls)))
+    return Q.toarray() if X is None else Q @ X
+
+
+def _off_target_class(X, target, t_max, C, eps, cyclic) -> bool:
+    """The periodic certificate: whether some start held in one cyclic
+    class is, at t_max, in a class whose compared entries (its states, or
+    with C the base nodes it projects to) hold less than (start mass +
+    target mass)/2 - eps - 1e-9 of the target, which bounds its TV below
+    by more than eps."""
+    p = cyclic[0]
+    if p == 1:
+        return False
+    held = _class_masses(None, cyclic)
+    if C is not None:
+        held = (held @ C.T > 0).astype(float)
+    T = target.reshape(len(target), -1)
+    held = held @ T
+    m = _class_masses(X, cyclic).reshape(p, -1)
+    end = ((m > 0).argmax(axis=0) + t_max) % p
+    col = np.arange(m.shape[1]) if T.shape[1] > 1 else 0
+    short = held[end, col] < 0.5 * (m.sum(axis=0) + T.sum(axis=0)[col]) - eps - 1e-9
+    return bool((short & ((m > 0).sum(axis=0) == 1)).any())
+
+
+def _residue_limits(law, X, ndim, cyclic) -> list[np.ndarray]:
+    """The limits z_r of A^t X along t = r mod p: law itself for p = 1, and
+    z_r(v) = p law(v) m_{cls(v) - r} otherwise, m being each start's class
+    masses.  law, a column, is made 1-D for a 1-D start."""
+    law = law[:, 0] if law.ndim > ndim else law
+    if cyclic is None or cyclic[0] == 1:
+        return [law]
+    p, cls = cyclic
+    m = _class_masses(X, cyclic)
+    return [p * law * m[(cls - r) % p] for r in range(p)]
+
+
+def _marginal_certificate(P: StochasticMatrix, eps: float, forward: bool) -> dict:
+    """_window_tv's certificate keywords for a marginal scan of P: none for
+    a reducible P; otherwise eps, P's cyclic classes and, for a forward
+    scan, its law pi-hat from the ergodic decomposition."""
+    if P._cyclic is None:
+        return {}
+    return {"eps": eps, "cyclic": P._cyclic,
+            "law": _ergodic_limits(P, None) if forward else None}
+
+
 def mixing_time(
     P: StochasticMatrix, pi: Distribution, eps: float, t_max: int | None = None
 ) -> float:
     """Smallest t such that every vertex initialization is within TV eps of pi
     for all t' in [t, t_max]; UNMIXED if none. Vertex worst case is exact
-    because TV distance to pi is convex in the initial distribution."""
+    because TV distance to pi is convex in the initial distribution.  The
+    scan ends once its verdict is proven (markov._window_tv): on a periodic
+    P at the first step above eps, as UNMIXED; otherwise once the rest of
+    the window is certified under eps."""
     if not 0 < eps < 1:
         raise DimensionMismatch(f"eps must be in (0,1), got {eps}")
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    worst = _window_tv(P._csr, None, pi.weights[:, None], t_max, eps=eps)
+    worst = _window_tv(P._csr, None, pi.weights[:, None], t_max, eps=eps, cyclic=P._cyclic)
     return _settle_time(worst, eps)
 
 

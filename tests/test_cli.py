@@ -150,6 +150,39 @@ def test_graph_stats_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"n": 4.9},
+    {"n": "4"},
+    {"edges": [[0, 1], [1, 2], [2, 3], [3, 0.7]]},
+    {"edges": [[0, 1], [1, 2], [2, 3], [3, True]]},
+    {"directed": "no"},
+    {"directed": 0},
+])
+def test_graph_reader_refuses_what_it_would_truncate(tmp_path, capsys, change):
+    # a float or bool node, or a directed flag that is no JSON bool, is an
+    # input error (exit 2), never read as a truncated or coerced value
+    obj = {**graph_to_json(cycle(4)), **change}
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(obj))
+    assert main(["graph", "stats", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_lift_reader_refuses_a_fractional_projection(tmp_path, capsys):
+    bundle = tmp_path / "lift.json"
+    assert main(["lift", "build", "--construction", "diaconis", "--nodes", "4",
+                 "--out", str(bundle)]) == 0
+    obj = json.loads(bundle.read_text())
+    obj["projection"] = [c + 0.5 for c in obj["projection"]]
+    bundle.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
+                 "--scenario", "sIMRE"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "projection" in captured.err
+
+
 def test_conductance_graph_k4(tmp_path, capsys):
     gfile = write_graph(tmp_path, complete(4))
     assert main(["conductance", "graph", "--graph", gfile, "--pi", "uniform"]) == 0

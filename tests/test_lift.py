@@ -36,7 +36,6 @@ from liftmix import (
     complete,
     conditional_unlift,
     cycle,
-    default_t_max,
     diaconis_cycle_lift,
     diameter,
     diameter_mixer,
@@ -59,6 +58,7 @@ from liftmix import (
     mixing_time,
     parse_scenario,
     path,
+    periodic_clock_lift,
     phi_chain,
     phi_graph,
     point_distribution,
@@ -73,7 +73,7 @@ import liftmix.cli as cli_module
 import liftmix.lift as lift_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
 from liftmix.lift import _batch_limits
-from liftmix.markov import _ergodic_limits, _settle_time, _window_tv
+from liftmix.markov import _ergodic_limits, _marginal_certificate, _settle_time, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -752,7 +752,7 @@ def test_full_state_scan_keeps_the_window_on_periodic_lift(monkeypatch):
     lengths = _recorded_scan_lengths(monkeypatch)
     L = diaconis_cycle_lift(8)
     assert full_mixing_time(L, 0.25, "s") == UNMIXED
-    assert lengths == [default_t_max(8) + 1]
+    assert lengths == [1]  # period 2: certified UNMIXED at step 0
 
 
 def _whole_window_tv(A, X, target, t_max, C=None, *, eps=None):
@@ -812,6 +812,82 @@ def test_frozen_state_stop_is_bit_identical_to_the_whole_window(seed, t_max, eps
         assert len(early) in (len(certified), t_max + 1)
         assert np.array_equal(early, whole[:len(early)])
         assert _settle_time(early, eps) == _settle_time(certified, eps)
+
+
+def _certified_scan_lift(rng):
+    """A lift with its base target law: a replicated lift, an irreducible
+    mixer, the four-cycle lift, a direction lift (period 2) or a
+    periodic-clock lift (period T, one class per time layer)."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        P = random_local_chain(rng, random_connected_graph(rng, n_max=4))
+        return si_replicated_lift(P, copies=int(rng.integers(2, 4))), stationary(P)
+    if kind == 1:
+        return _random_lift(rng, mixer_variants=("irreducible",))
+    if kind == 2:
+        return four_cycle_lift(0.05, 0.01)[0], uniform_distribution(4)
+    if kind == 3:
+        N = int(rng.choice([4, 6, 8]))
+        return diaconis_cycle_lift(N), uniform_distribution(N)
+    g = random_connected_graph(rng, n_max=5)
+    pi = random_distribution(rng, g.n)
+    return periodic_clock_lift(g, stochastic_bridge(g, pi, pi)), pi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 80))
+def test_certified_stop_gives_the_whole_window_tau(seed, t_max):
+    rng = rng_from_seed(seed)
+    L, pi = _certified_scan_lift(rng)
+    A, C, n = L.A, L.map.C, L.map.lifted_n
+    assert A._cyclic is not None
+    x = random_distribution(rng, n).weights if rng.random() < 0.5 else np.eye(n)[0]
+    batch = L.F.entries if L.F is not None else np.column_stack(
+        [np.eye(n)[int(rng.integers(0, n))], random_distribution(rng, n).weights])
+    off = random_distribution(rng, L.map.base_n).weights  # a target off the fixed points
+    wild = random_distribution(rng, n).weights
+    # marginal: adjoint (every vertex), forward batch, one 1-D start
+    scans = [(X, target, C) for X, target in [
+        (None, pi.weights[:, None]), (None, off[:, None]), (batch, pi.weights[:, None]),
+        (batch, off[:, None]), (x, pi.weights), (x, off)]]
+    # full state: every vertex, a batch, one start, against their exact
+    # long-run targets and against a target off the fixed points
+    scans += [(X, target, None) for X, target in [
+        (None, _ergodic_limits(A, None)), (None, wild[:, None]),
+        (batch, _ergodic_limits(A, batch)), (x, _ergodic_limits(A, None)[:, 0]), (x, wild)]]
+    for X, target, P in scans:
+        whole = _whole_window_tv(A.entries, X, target, t_max, P)
+        for eps in (0.05, 0.25, 0.5):
+            if P is None:
+                certificate = {"eps": eps, "cyclic": A._cyclic}
+            else:
+                certificate = _marginal_certificate(A, eps, X is not None)
+            early = _window_tv(A._csr, X, target, t_max, P, **certificate)
+            assert np.array_equal(early, whole[:len(early)])
+            assert _settle_time(early, eps) == _settle_time(whole, eps)
+
+
+def test_certified_stops_end_periodic_and_mixed_scans(monkeypatch):
+    # the direction lift of the 16-cycle has period 2: a vertex start is on
+    # one parity class, which holds half of pi, so its full-state and
+    # every-vertex marginal scans are UNMIXED from step 0; a start spread
+    # evenly over both classes mixes, and its scan stops once certified
+    L = diaconis_cycle_lift(16)
+    pi = uniform_distribution(16)
+    lengths = _recorded_scan_lengths(monkeypatch)
+    monkeypatch.setattr(cli_module, "_window_tv", lift_module._window_tv)
+    assert full_mixing_time(L, 0.25, "s", 1500) == UNMIXED
+    assert marginal_mixing_time(L, pi, 0.25, "s", 1500) == UNMIXED
+    assert lengths == [1, 1]
+    lengths.clear()
+    spread = Distribution(np.r_[np.full(16, 1 / 32), np.full(16, 1 / 32)])
+    tau = _tau_from_start(L, pi, spread, 0.25, 1600)
+    assert tau == 0 and lengths == [1]
+    x0 = Distribution(np.r_[[0.5, 0.5], np.zeros(30)])  # nodes 0 and 1, clockwise
+    tau = _tau_from_start(L, pi, x0, 0.25, 1600)
+    assert 0 < tau < lengths[-1] < 1601
+    assert tau == _settle_time(_whole_window_tv(L.A.entries, x0.weights, pi.weights,
+                                                1600, L.map.C), 0.25)
 
 
 def _counted_sparse_products(monkeypatch):

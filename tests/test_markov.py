@@ -1,6 +1,7 @@
 """Distributions, column-stochastic matrices, mixing times, flows."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -492,3 +493,77 @@ def test_dense_and_sparse_inputs_give_the_same_bits(seed):
     row, col = np.nonzero(clipped)
     assert np.array_equal(clipped.sum(axis=0),
                           np.bincount(col, weights=clipped[row, col], minlength=n))
+
+
+def _brute_period(M: np.ndarray) -> int:
+    """gcd of the return times k <= 2n read off the supports of M^k, the
+    support being the exact stored one (entries > 0)."""
+    n = len(M)
+    S = (M > 0).astype(np.int64)
+    R = np.eye(n, dtype=np.int64)
+    period = 0
+    for k in range(1, 2 * n + 1):
+        R = np.minimum(S @ R, 1)
+        if R.diagonal().any():
+            period = math.gcd(period, k)
+    return period
+
+
+def _random_cyclic_chain(rng, p: int) -> np.ndarray:
+    """Column-stochastic matrix whose arcs all lead from class c to c + 1
+    mod p, on 1-3 states per class, strongly connected by a closed walk
+    through every state."""
+    sizes = rng.integers(1, 4, size=p)
+    cls = np.repeat(np.arange(p), sizes)
+    n = len(cls)
+    M = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    M *= cls[:, None] == (cls[None, :] + 1) % p
+    first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    walk = [first[k % p] + (k // p) % sizes[k % p] for k in range(p * int(sizes.max()))]
+    for a, b in zip(walk, np.roll(walk, -1)):
+        M[b, a] += 1.0
+    return M / M.sum(axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cyclic_classes_match_brute_force_period(seed):
+    rng = rng_from_seed(seed)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        M = diaconis_cycle_lift(int(rng.choice([4, 6, 8]))).A.entries
+    elif kind == 1:
+        g = random_connected_graph(rng, n_max=5)
+        pi = random_distribution(rng, g.n)
+        M = periodic_clock_lift(g, stochastic_bridge(g, pi, pi)).A.entries
+    elif kind == 2:
+        M = _random_cyclic_chain(rng, int(rng.integers(1, 6)))
+    else:
+        M = random_local_chain(rng, random_connected_graph(rng, n_max=6)).entries
+    if rng.random() < 0.3:
+        # entries at or below 1e-12 are no arcs for irreducibility, but
+        # they carry mass, so they are arcs of the cyclic classes
+        M = M.copy()
+        i, j = rng.integers(0, len(M), size=2)
+        M[i, j] += float(rng.uniform(1e-14, 1e-12))
+        M /= M.sum(axis=0)
+    P = StochasticMatrix(M)
+    assert is_irreducible(P)
+    p, cls = P._cyclic
+    assert p == _brute_period(P.entries)
+    assert cls[0] == 0 and set(cls.tolist()) == set(range(p))
+    to, frm = np.nonzero(P.entries)
+    assert (cls[to] == (cls[frm] + 1) % p).all()
+
+
+def test_cyclic_classes_read_the_exact_support():
+    # the direction lift has period 2; one entry of 1e-13 on a diagonal
+    # adds a self-loop, so its exact support has period 1
+    M = diaconis_cycle_lift(4).A.entries.copy()
+    assert StochasticMatrix(M)._cyclic[0] == 2
+    M[0, 0] = 1e-13
+    P = StochasticMatrix(M / M.sum(axis=0))
+    assert P.entries[0, 0] > 0 and is_irreducible(P)
+    assert P._cyclic[0] == 1 == _brute_period(P.entries)
+    # a reducible matrix has no cyclic classes
+    assert StochasticMatrix(np.eye(3))._cyclic is None

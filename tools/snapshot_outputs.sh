@@ -30,7 +30,10 @@
 #     (N = 8, 16) and for four-cycle (delta 0.05, gamma 0.01);
 #   - lift analyze SIMRE and sIMRE on those bundles and on every node-clock
 #     and periodic-node-clock bundle (diaconis has no init map, so its
-#     SIMRE exits 2).
+#     SIMRE exits 2);
+#   - diaconis bundles for N = 32 and 64 with lift analyze sIMRE, and sIMRE
+#     with --t-max 3000 on N = 16: the periodic lifts at example1's sizes
+#     and far past the default window.
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
 # this script, not by liftmix, so two trees read the same files.  Compare
@@ -186,7 +189,7 @@ for v in reducible flows irreducible; do
         --pi uniform --scenario sIMRE
 done
 
-for N in 8 16; do
+for N in 8 16 32 64; do
     run "build-diaconis-$N" lift build --construction diaconis --nodes "$N" \
         --out "$OUT/build-diaconis-$N.bundle.json"
 done
@@ -198,6 +201,13 @@ for b in diaconis-8 diaconis-16 four-cycle; do
             --pi uniform --scenario "$s"
     done
 done
+
+for N in 32 64; do
+    run "analyze-sIMRE-diaconis-$N" lift analyze --lift "$OUT/build-diaconis-$N.bundle.json" \
+        --pi uniform --scenario sIMRE
+done
+run "analyze-sIMRE-diaconis-16-t-max-3000" lift analyze \
+    --lift "$OUT/build-diaconis-16.bundle.json" --pi uniform --scenario sIMRE --t-max 3000
 
 for n in 17 20 24; do
     run "conductance-chain-$n-reversible" conductance chain \
