@@ -71,7 +71,6 @@ from .markov import (
     Distribution,
     StochasticMatrix,
     TimeVaryingChain,
-    _marginal_certificate,
     _settle_time,
     _window_tv,
     distribution_from_json,
@@ -148,8 +147,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _read(path: str, reader, *args):
     """reader(obj, *args) on the JSON object in the file at path.  A file
-    that cannot be read, or whose JSON has the wrong shape for reader, is
-    an input error that names the file."""
+    that cannot be read, whose JSON has the wrong shape for reader, or
+    that reader rejects is an input error that names the file."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -159,6 +158,8 @@ def _read(path: str, reader, *args):
         return reader(obj, *args)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise LiftmixError(f"malformed input in {path}: {type(exc).__name__}: {exc}") from exc
+    except LiftmixError as exc:
+        raise type(exc)(f"malformed input in {path}: {exc}") from exc
 
 
 def _read_distribution(spec: str, n: int) -> Distribution:
@@ -199,8 +200,7 @@ def _check(name: str, measured, bound, ok) -> dict:
 def _tau_from_start(L: Lift, pi: Distribution, x0: Distribution, eps: float,
                     t_max: int) -> float:
     """Marginal settle time from one explicit lifted start."""
-    worst = _window_tv(L.A._csr, x0.weights, pi.weights, t_max, L.map.C,
-                       **_marginal_certificate(L.A, eps, True))
+    worst = _window_tv(L.A, x0.weights, pi.weights, t_max, L.map.C, eps=eps)
     return _settle_time(worst, eps)
 
 

@@ -54,7 +54,6 @@ from .markov import (
     stationary,
     _ENTRY_CLAMP,
     _ergodic_limits,
-    _marginal_certificate,
     _settle_time,
     _window_tv,
 )
@@ -335,7 +334,7 @@ def check_invariance(
     X = _init_batch(L, scenario_init)
     if X is not None:
         x = X @ pi.weights
-        worst = _window_tv(L.A._csr, x, pi.weights, horizon, L.map.C)
+        worst = _window_tv(L.A, x, pi.weights, horizon, L.map.C)
         if (worst[1:] > 1e-9).any():
             return False, Distribution(x)
         return True, None
@@ -385,8 +384,7 @@ def marginal_mixing_time(
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
-    worst = _window_tv(L.A._csr, X, pi.weights[:, None], t_max, L.map.C,
-                       **_marginal_certificate(L.A, eps, X is not None))
+    worst = _window_tv(L.A, X, pi.weights[:, None], t_max, L.map.C, eps=eps)
     return _settle_time(worst, eps)
 
 
@@ -428,7 +426,7 @@ def full_mixing_time(
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
     target = _ergodic_limits(L.A, X)
-    return _settle_time(_window_tv(L.A._csr, X, target, t_max, eps=eps, cyclic=L.A._cyclic), eps)
+    return _settle_time(_window_tv(L.A, X, target, t_max, eps=eps), eps)
 
 
 def check_flow_match(

@@ -205,9 +205,8 @@ class StochasticMatrix:
         j -> i, and each arc leads from class c to class c + 1 mod p."""
         if self._labels.max() > 0:
             return None
-        to, frm, value = self._triplets()
-        to, frm = to[value > 0], frm[value > 0]
-        level = _levels(csr_array((np.ones(len(to)), (frm, to)), (self.n,) * 2), 0)
+        to, frm = self._csr.nonzero()  # the CSR holds exactly the entries > 0
+        level = _levels(self._csr.T, 0)
         p = int(np.gcd.reduce(level[frm] + 1 - level[to]))
         return p, _read_only(level % p)
 
@@ -366,30 +365,31 @@ def _settle_time(worst_tv: np.ndarray, eps: float) -> float:
 
 
 def _window_tv(
-    A: np.ndarray, X: np.ndarray | None, target: np.ndarray, t_max: int,
+    P: StochasticMatrix, X: np.ndarray | None, target: np.ndarray, t_max: int,
     C: np.ndarray | None = None, *, eps: float | None = None,
-    cyclic: tuple[int, np.ndarray] | None = None, law: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Worst column TV of C A^t X against target for t = 0..t_max.
+    """Worst column TV of C A^t X against target for t = 0..t_max, A being
+    the entries of P, propagated as P's cached CSR form (P._csr).
 
     X is a batch of starts as columns, a single 1-D start, or None for every
     vertex (the identity batch); C (default identity) projects each state
-    before comparing.  A is propagated as CSR, a matrix's _csr as it is.  When
-    C is given for every vertex, the scan runs the adjoint rows M_{t+1} = M_t A
-    from M_0 = C and compares M_t itself, base_n rows instead of lifted_n
-    columns; an explicit batch (the init map's base_n columns, or one start)
-    propagates forward, X <- A X.  Single starts stay 1-D, since a one-column
-    matrix would sum in a different order.  Every scan stops once worst[t] ==
-    worst[t-1] and the state is bit-equal to the last one, and repeats worst[t]
-    to t_max: step @ state is deterministic, so a state that maps to itself
-    always will.  Cheap scalar tests (the TV, then the first entry) go first.
+    before comparing.  When C is given for every vertex, the scan runs the
+    adjoint rows M_{t+1} = M_t A from M_0 = C and compares M_t itself,
+    base_n rows instead of lifted_n columns; an explicit batch (the init
+    map's base_n columns, or one start) propagates forward, X <- A X.
+    Single starts stay 1-D, since a one-column matrix would sum in a
+    different order.  Every scan stops once worst[t] == worst[t-1] and the
+    state is bit-equal to the last one, and repeats worst[t] to t_max:
+    step @ state is deterministic, so a state that maps to itself always
+    will.  Cheap scalar tests (the TV, then the first entry) go first.
 
     With eps, the scan may return a prefix worst[:t+1] instead of the whole
     window once its verdict is proven; _settle_time reads the prefix as the
     same tau.  A (column-stochastic) never grows an l1 distance
     (Levin-Peres-Wilmer, Markov Chains and Mixing Times, 4.4), and a
-    one-hot C does not either.  Two certificates, for the cyclic classes
-    of an irreducible A (StochasticMatrix._cyclic; None gives p = 1):
+    one-hot C does not either.  Two certificates, read off the cyclic
+    classes of an irreducible P (StochasticMatrix._cyclic; a reducible P
+    has none and counts as p = 1):
 
     - periodic: a start held in one class c sits in class c + t_max mod p
       at t_max, every other entry exactly 0.0.  If the target holds less
@@ -397,30 +397,26 @@ def _window_tv(
       on the base nodes it projects to), the TV there is above eps, so the
       scan returns at the first step whose worst TV is above eps: UNMIXED.
     - mixed: the residue limits z_r, r mod p, are law itself for p = 1 and
-      p law o (the start's class masses, rolled by r) otherwise; law is the
-      target of a full-state scan and pi-hat (given) of a forward marginal
-      one.  Each column of x_{t+1} - z_{t+1} is A (x_t - z_t) + (A z_t -
-      z_{t+1}), so with rho = max_r 1/2 ||A z_r - z_{r+1}||_1, measured once,
-      TV(C x_t', target) <= max_r TV(C z_r, target) + d_t + (t' - t) rho
-      for t' >= t, d_t = max_col 1/2 ||x_t - z_{t mod p}||_1.  The scan
-      returns at the first t with d_t <= eps - max_r TV(C z_r, target)
-      - (t_max - t)(rho + 1e-12) - 1e-9.  For a full-state scan with p = 1,
-      z_0 is the target and d_t is worst[t].  The targets need only be
-      near-fixed: their residuals are at most 1e-9 from check_stationary,
-      1e-10 from stationary, and rounding level from _ergodic_limits' exact
-      projector.  The margins cover the floats: CSR rounding adds far less
-      than 1e-12 per step, and the TV sums and rho itself are off by far
-      less than 1e-9.
-
-    The adjoint scan and a forward one without law get only the periodic
-    certificate, so eps with C needs cyclic (a reducible chain's marginal
-    TV can rise again, and has neither).
+      p law o (the start's class masses, rolled by r) otherwise.  law is
+      the target of a full-state scan, and pi-hat of a forward marginal
+      scan of an irreducible P (_ergodic_limits).  The adjoint state holds
+      no lifted state to measure, and a reducible P's marginal TV can rise
+      again, so neither has a law.  Each column of x_{t+1} - z_{t+1} is
+      A (x_t - z_t) + (A z_t - z_{t+1}), so with rho = max_r 1/2 ||A z_r -
+      z_{r+1}||_1, measured once, TV(C x_t', target) <= max_r TV(C z_r,
+      target) + d_t + (t' - t) rho for t' >= t, d_t = max_col 1/2 ||x_t -
+      z_{t mod p}||_1.  The scan returns at the first t with d_t <= eps -
+      max_r TV(C z_r, target) - (t_max - t)(rho + 1e-12) - 1e-9.  For a
+      full-state scan with p = 1, z_0 is the target and d_t is worst[t].
+      The targets need only be near-fixed: their residuals are at most 1e-9
+      from check_stationary, 1e-10 from stationary, and rounding level from
+      _ergodic_limits' exact projector.  The margins cover the floats: CSR
+      rounding adds far less than 1e-12 per step, and the TV sums and rho
+      itself are off by far less than 1e-9.
     """
     if t_max < 0:
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
-    if eps is not None and C is not None and cyclic is None:
-        raise DimensionMismatch("an early stop of a marginal scan needs the cyclic classes")
-    A = A if isinstance(A, csr_array) else csr_array(A)
+    A = P._csr
     if C is not None and X is None:
         # the state is M_t^T = (A^T)^t C^T, lifted x base
         step, state, read = A.T, np.ascontiguousarray(C.T), (lambda S: S.T)
@@ -429,11 +425,14 @@ def _window_tv(
         read = (lambda S: S) if C is None else (lambda S: C @ S)
     unmixed, limits = False, None
     if eps is not None:
+        cyclic = P._cyclic
         unmixed = cyclic is not None and _off_target_class(X, target, t_max, C, eps, cyclic)
         if C is None:
             law = target  # a full-state scan's limit is its own target
-        elif X is None:
-            law = None  # the adjoint state holds no lifted state to measure
+        elif X is not None and cyclic is not None:
+            law = _ergodic_limits(P, None)  # pi-hat, for a forward marginal scan
+        else:
+            law = None  # the adjoint scan, or a reducible P's marginal one
         if not unmixed and law is not None:
             limits = _residue_limits(law, X, state.ndim, cyclic)
             p = len(limits)
@@ -507,16 +506,6 @@ def _residue_limits(law, X, ndim, cyclic) -> list[np.ndarray]:
     return [p * law * m[(cls - r) % p] for r in range(p)]
 
 
-def _marginal_certificate(P: StochasticMatrix, eps: float, forward: bool) -> dict:
-    """_window_tv's certificate keywords for a marginal scan of P: none for
-    a reducible P; otherwise eps, P's cyclic classes and, for a forward
-    scan, its law pi-hat from the ergodic decomposition."""
-    if P._cyclic is None:
-        return {}
-    return {"eps": eps, "cyclic": P._cyclic,
-            "law": _ergodic_limits(P, None) if forward else None}
-
-
 def mixing_time(
     P: StochasticMatrix, pi: Distribution, eps: float, t_max: int | None = None
 ) -> float:
@@ -531,7 +520,7 @@ def mixing_time(
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    worst = _window_tv(P._csr, None, pi.weights[:, None], t_max, eps=eps, cyclic=P._cyclic)
+    worst = _window_tv(P, None, pi.weights[:, None], t_max, eps=eps)
     return _settle_time(worst, eps)
 
 

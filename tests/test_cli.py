@@ -315,6 +315,11 @@ def test_lift_build_mixer_from_graph_file(tmp_path, capsys):
                    "--scenario", "SIMRE"]),
     ({"per_node": []}, ["lift", "build", "--construction", "clock", "--graph", "G",
                         "--chain", "F", "--out", "O"]),
+    # the readers' own input errors
+    ({"n": 4.9, "edges": []}, ["graph", "stats", "F"]),
+    ({"base": {"n": 2, "edges": [[0, 1]]}, "lifted": {"n": 2, "edges": [[0, 1]]},
+      "projection": [0, "1"]}, ["lift", "analyze", "--lift", "F", "--pi", "uniform",
+                                "--scenario", "SIMRE"]),
 ])
 def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, command):
     # a file of the wrong shape exits 2 with one error line naming it, not a traceback
@@ -343,6 +348,23 @@ def test_lift_analyze_rejects_negative_window(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_lift_analyze_rejects_eps_of_one(tmp_path, capsys):
+    bundle = tmp_path / "lift.json"
+    assert main([
+        "lift", "build", "--construction", "four-cycle",
+        "--delta", "0.05", "--gamma", "0.01", "--out", str(bundle),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
+        "--scenario", "SIMRE", "--eps", "1",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_lift_build_irreducible_mixer_rejects_zero_gamma(tmp_path, capsys):

@@ -73,7 +73,7 @@ import liftmix.cli as cli_module
 import liftmix.lift as lift_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
 from liftmix.lift import _batch_limits
-from liftmix.markov import _ergodic_limits, _marginal_certificate, _settle_time, _window_tv
+from liftmix.markov import _ergodic_limits, _settle_time, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -506,7 +506,7 @@ def _assert_same_scan(dense, sparse):
 def test_window_scan_matches_dense_propagation(seed, t_max):
     rng = rng_from_seed(seed)
     L, pi = _random_lift(rng)
-    A, C, n = L.A.entries, L.map.C, L.map.lifted_n
+    P, A, C, n = L.A, L.A.entries, L.map.C, L.map.lifted_n
     target = pi.weights[:, None]
     eye = np.eye(n)
     # more starts than base nodes: random columns, spread and point masses
@@ -518,23 +518,23 @@ def test_window_scan_matches_dense_propagation(seed, t_max):
     for t in (0, t_max):
         # adjoint: every vertex
         _assert_same_scan(_dense_window_tv(A, eye, target, t, C),
-                          _window_tv(A, None, target, t, C))
+                          _window_tv(P, None, target, t, C))
         # forward: explicit batches wider than C has rows or init-map-shaped,
         # one 1-D start, full-state scans
         _assert_same_scan(_dense_window_tv(A, wide, target, t, C),
-                          _window_tv(A, wide, target, t, C))
+                          _window_tv(P, wide, target, t, C))
         _assert_same_scan(_dense_window_tv(A, narrow, target, t, C),
-                          _window_tv(A, narrow, target, t, C))
+                          _window_tv(P, narrow, target, t, C))
         _assert_same_scan(_dense_window_tv(A, x, pi.weights, t, C),
-                          _window_tv(A, x, pi.weights, t, C))
+                          _window_tv(P, x, pi.weights, t, C))
         _assert_same_scan(_dense_window_tv(A, eye, limits, t),
-                          _window_tv(A, None, limits, t))
+                          _window_tv(P, None, limits, t))
         _assert_same_scan(_dense_window_tv(A, narrow, limits[:, :L.map.base_n], t),
-                          _window_tv(A, narrow, limits[:, :L.map.base_n], t))
+                          _window_tv(P, narrow, limits[:, :L.map.base_n], t))
         if L.F is not None:
             F = L.F.entries
             _assert_same_scan(_dense_window_tv(A, F, target, t, C),
-                              _window_tv(A, F, target, t, C))
+                              _window_tv(P, F, target, t, C))
 
 
 # (S) marginal, (S) full, (s) marginal, (s) full at the default windows, as
@@ -595,12 +595,12 @@ def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
         L = diaconis_cycle_lift(int(rng.choice([4, 6])))  # period 2
     else:
         L, _ = _random_lift(rng)  # replicated, reducible or irreducible mixer
-    A, n = L.A.entries, L.map.lifted_n
+    A, n = L.A, L.map.lifted_n
     P = random_local_chain(rng, random_connected_graph(rng, n_max=5))
     # the targets full_mixing_time scans against
-    scans = [(A, X, _ergodic_limits(L.A, X))
+    scans = [(A, X, _ergodic_limits(A, X))
              for X in ([None] if L.F is None else [None, L.F.entries])]
-    scans.append((P.entries, None, _ergodic_limits(P, None)))
+    scans.append((P, None, _ergodic_limits(P, None)))
     # off the fixed points of A, where TV may dip under eps and rise again
     scans.append((A, None, random_distribution(rng, n).weights[:, None]))
     scans.append((A, np.eye(n)[0], random_distribution(rng, n).weights))
@@ -614,16 +614,17 @@ def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
 def test_early_stop_waits_out_a_target_off_the_fixed_points():
     # 0 -> 1 -> 2, absorbed at 2: the start passes through the target e_1 at
     # t = 1, so TV dips to 0 there and is 1 ever after
-    A = np.zeros((3, 3))
-    A[1, 0] = A[2, 1] = A[2, 2] = 1.0
+    M = np.zeros((3, 3))
+    M[1, 0] = M[2, 1] = M[2, 2] = 1.0
+    A = StochasticMatrix(M)
     x, z = np.eye(3)[0], np.eye(3)[1]
     full = _window_tv(A, x, z, 10)
     assert full.tolist() == [1.0, 0.0] + [1.0] * 9
     early = _window_tv(A, x, z, 10, eps=0.25)
     assert np.array_equal(early, full)
     assert _settle_time(early, 0.25) == UNMIXED
-    with pytest.raises(DimensionMismatch):
-        _window_tv(A, x, z[:1], 10, np.ones((1, 3)), eps=0.25)
+    # a reducible chain has no marginal certificate: the whole window
+    assert len(_window_tv(A, x, z[:1], 10, np.ones((1, 3)), eps=0.25)) == 11
 
 
 def _random_reducible_chain(rng):
@@ -789,27 +790,27 @@ def test_frozen_state_stop_is_bit_identical_to_the_whole_window(seed, t_max, eps
         L, pi = _random_lift(rng, mixer_variants=("reducible", "flows", "irreducible"))
     A, C, n = L.A, L.map.C, L.map.lifted_n
     x = random_distribution(rng, n).weights if rng.random() < 0.5 else np.eye(n)[0]
-    # marginal: adjoint (s), init-map batch (S), one 1-D start; from the
-    # cached CSR and from the dense entries alike
+    # marginal: adjoint (s), init-map batch (S), one 1-D start
     marginal = [(None, pi.weights[:, None]), (x, pi.weights)]
     if L.F is not None:
         marginal.append((L.F.entries, pi.weights[:, None]))
     for X, target in marginal:
         whole = _whole_window_tv(A.entries, X, target, t_max, C)
-        assert np.array_equal(_window_tv(A._csr, X, target, t_max, C), whole)
-        assert np.array_equal(_window_tv(A.entries, X, target, t_max, C), whole)
+        assert np.array_equal(_window_tv(A, X, target, t_max, C), whole)
     # full state, against the exact long-run targets, without and with eps
     full = [(None, _ergodic_limits(A, None)), (x, _ergodic_limits(A, x[:, None])[:, 0])]
     if L.F is not None:
         full.append((L.F.entries, _ergodic_limits(A, L.F.entries)))
     for X, target in full:
         whole = _whole_window_tv(A.entries, X, target, t_max)
-        assert np.array_equal(_window_tv(A._csr, X, target, t_max), whole)
-        # either both stop at the certified t, or the freeze came first
-        # and the window is whole
-        early = _window_tv(A._csr, X, target, t_max, eps=eps)
+        assert np.array_equal(_window_tv(A, X, target, t_max), whole)
+        early = _window_tv(A, X, target, t_max, eps=eps)
         certified = _whole_window_tv(A.entries, X, target, t_max, eps=eps)
-        assert len(early) in (len(certified), t_max + 1)
+        if A._cyclic is None or A._cyclic[0] == 1:
+            # either both stop at the certified t, or the freeze came first
+            # and the window is whole; a periodic A may stop sooner, on its
+            # periodic certificate or its residue limits
+            assert len(early) in (len(certified), t_max + 1)
         assert np.array_equal(early, whole[:len(early)])
         assert _settle_time(early, eps) == _settle_time(certified, eps)
 
@@ -855,14 +856,10 @@ def test_certified_stop_gives_the_whole_window_tau(seed, t_max):
     scans += [(X, target, None) for X, target in [
         (None, _ergodic_limits(A, None)), (None, wild[:, None]),
         (batch, _ergodic_limits(A, batch)), (x, _ergodic_limits(A, None)[:, 0]), (x, wild)]]
-    for X, target, P in scans:
-        whole = _whole_window_tv(A.entries, X, target, t_max, P)
+    for X, target, proj in scans:
+        whole = _whole_window_tv(A.entries, X, target, t_max, proj)
         for eps in (0.05, 0.25, 0.5):
-            if P is None:
-                certificate = {"eps": eps, "cyclic": A._cyclic}
-            else:
-                certificate = _marginal_certificate(A, eps, X is not None)
-            early = _window_tv(A._csr, X, target, t_max, P, **certificate)
+            early = _window_tv(A, X, target, t_max, proj, eps=eps)
             assert np.array_equal(early, whole[:len(early)])
             assert _settle_time(early, eps) == _settle_time(whole, eps)
 
@@ -888,6 +885,30 @@ def test_certified_stops_end_periodic_and_mixed_scans(monkeypatch):
     assert 0 < tau < lengths[-1] < 1601
     assert tau == _settle_time(_whole_window_tv(L.A.entries, x0.weights, pi.weights,
                                                 1600, L.map.C), 0.25)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, float("nan")])
+def test_mixing_times_reject_eps_outside_the_open_unit_interval(eps):
+    L = four_cycle_lift(0.05, 0.01)[0]
+    pi = uniform_distribution(4)
+    with pytest.raises(DimensionMismatch):
+        mixing_time(lazy_walk(cycle(4)), pi, eps)
+    with pytest.raises(DimensionMismatch):
+        marginal_mixing_time(L, pi, eps, "S")
+    with pytest.raises(DimensionMismatch):
+        full_mixing_time(L, eps, "S")
+
+
+def test_scans_read_the_decomposition_only_for_a_certificate():
+    # a scan without eps reads only the CSR form; the adjoint marginal scan
+    # takes the periodic certificate, which needs the cyclic classes but
+    # not the law pi-hat
+    pi = uniform_distribution(6)
+    L = diameter_mixer(cycle(6), pi, "irreducible")
+    check_invariance(L, pi, "S")
+    assert "_cyclic" not in L.A.__dict__ and "_ergodic" not in L.A.__dict__
+    marginal_mixing_time(L, pi, 0.25, "s")
+    assert "_cyclic" in L.A.__dict__ and "_ergodic" not in L.A.__dict__
 
 
 def _counted_sparse_products(monkeypatch):
