@@ -272,8 +272,9 @@ def load_graph(path: str) -> Graph:
 def _strong_components(support) -> np.ndarray:
     """Strong-component label (0..k-1) of each node of the digraph whose
     boolean adjacency matrix is `support`.  Components are the same for a
-    digraph and its reverse, so either orientation of `support` will do."""
-    _, labels = connected_components(csr_array(support), directed=True, connection="strong")
+    digraph and its reverse, so either orientation of `support` will do.  A
+    float CSR `support` is read as it is, without a copy."""
+    _, labels = connected_components(support, directed=True, connection="strong")
     return labels
 
 

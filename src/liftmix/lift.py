@@ -55,6 +55,7 @@ from .markov import (
     _ENTRY_CLAMP,
     _ergodic_limits,
     _settle_time,
+    _vertex_tau,
     _window_tv,
 )
 
@@ -415,18 +416,20 @@ def full_mixing_time(
     irreducible), taken exactly from the ergodic projector of L.A
     (StochasticMatrix._ergodic, made once per matrix).  Periodic
     dynamics never settle pointwise and come out UNMIXED even when the
-    marginal converges.  The scan stops once its verdict is proven
-    (markov._window_tv): once the rest of the window is certified under
-    eps, or, on periodic dynamics, at the first step above eps, once a
-    start's class at t_max holds too little of its target.
+    marginal converges.  Under (s) the lifted vertices are scanned in
+    column chunks (markov._vertex_tau).  A scan stops once its verdict is
+    proven (markov._window_tv): once the rest of the window is certified
+    under eps, or, on periodic dynamics, at the first step above eps, once
+    a start's class at t_max holds too little of its target.
     """
     if not 0 < eps < 1:
         raise DimensionMismatch(f"eps must be in (0,1), got {eps}")
     if t_max is None:
         t_max = default_t_max(L.map.base_n)
     X = _init_batch(L, scenario_init)
-    target = _ergodic_limits(L.A, X)
-    return _settle_time(_window_tv(L.A, X, target, t_max, eps=eps), eps)
+    if X is None:
+        return _vertex_tau(L.A, *L.A._ergodic, t_max, eps)
+    return _settle_time(_window_tv(L.A, X, _ergodic_limits(L.A, X), t_max, eps=eps), eps)
 
 
 def check_flow_match(

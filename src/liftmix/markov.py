@@ -33,6 +33,9 @@ UNMIXED = math.inf
 
 _ENTRY_CLAMP = 1e-12
 _COLUMN_TOL = 1e-6
+#: Columns of the identity per every-vertex full-state chunk (_vertex_chunks);
+#: 64, 128 and 256 run alike.
+_CHUNK_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,12 @@ class StochasticMatrix:
 
     @cached_property
     def _labels(self) -> np.ndarray:
-        """Strong-component label of each state, arcs being entries > 1e-12."""
+        """Strong-component label of each state, arcs being entries > 1e-12,
+        on one CSR built straight from the row-major triplets."""
         row, col, value = self._triplets()
         arc = value > _ENTRY_CLAMP
-        return _strong_components(csr_array((value[arc], (row[arc], col[arc])), (self.n,) * 2))
+        indptr = np.searchsorted(row[arc], np.arange(self.n + 1))
+        return _strong_components(csr_array((value[arc], col[arc], indptr), (self.n,) * 2))
 
     @cached_property
     def _ergodic(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -243,7 +248,7 @@ def matrix_from_json(obj: dict, locality: Graph | None = None) -> StochasticMatr
 
 def _triplet_indices(seq, key: str, n: int) -> np.ndarray:
     """One index list of a sparse matrix, each an integer in [0, n)."""
-    if type(seq) is not list or any(type(i) is not int for i in seq):
+    if type(seq) is not list or not set(map(type, seq)) <= {int}:  # at C speed
         raise BadSize(f"matrix {key} indices must be a list of integers")
     if seq and (min(seq) < 0 or max(seq) >= n):
         raise BadSize(f"matrix {key} index outside [0, {n})")
@@ -506,12 +511,48 @@ def _residue_limits(law, X, ndim, cyclic) -> list[np.ndarray]:
     return [p * law * m[(cls - r) % p] for r in range(p)]
 
 
+def _vertex_chunks(n: int, Pi: np.ndarray, H: np.ndarray | None):
+    """The every-vertex starts (the n x n identity) in consecutive column
+    chunks of _CHUNK_WIDTH to 2 _CHUNK_WIDTH - 1 columns, or one chunk of
+    all n on a smaller chain, each with its columns of the target
+    Z = Pi H^T, as (starts, target).  H None gives the one column Pi to
+    every chunk, as _ergodic_limits does.  Each row of Pi holds at most one
+    nonzero (a state's closed class), so every entry of Pi @ H[cols].T is
+    one product, the bits of Z's entry; Pi is multiplied as CSR, which
+    skips the zeros.  A chunk is never one column wide: numpy sums a single
+    column pairwise, not row by row as it sums a wider batch."""
+    w = max(_CHUNK_WIDTH, 2)
+    if H is not None:
+        Pi = csr_array(Pi)
+    for cols in np.array_split(np.arange(n), max(1, n // w)):
+        X = np.eye(n, len(cols), -cols[0])  # X[cols[0] + j, j] = 1
+        yield X, (Pi if H is None else Pi @ H[cols].T)
+
+
+def _vertex_tau(P: StochasticMatrix, Pi: np.ndarray, H: np.ndarray | None,
+                t_max: int, eps: float) -> float:
+    """The every-vertex full-state tau of P against Z = Pi H^T: the largest
+    tau of its column chunks (_vertex_chunks), each scanned by _window_tv
+    with eps, UNMIXED at the first UNMIXED chunk.  The chunks' TVs are the
+    whole batch's columns bit for bit (CSR products and axis-0 sums run
+    column by column), and each certificate of _window_tv holds for any
+    subset of starts, so every chunk stops on its own once its own
+    columns are proven; no n x n state, target or gap is formed."""
+    tau = 0
+    for X, target in _vertex_chunks(P.n, Pi, H):
+        tau = max(tau, _settle_time(_window_tv(P, X, target, t_max, eps=eps), eps))
+        if tau == UNMIXED:
+            break
+    return tau
+
+
 def mixing_time(
     P: StochasticMatrix, pi: Distribution, eps: float, t_max: int | None = None
 ) -> float:
     """Smallest t such that every vertex initialization is within TV eps of pi
     for all t' in [t, t_max]; UNMIXED if none. Vertex worst case is exact
     because TV distance to pi is convex in the initial distribution.  The
+    starts are scanned in column chunks (_vertex_tau), and each chunk's
     scan ends once its verdict is proven (markov._window_tv): on a periodic
     P at the first step above eps, as UNMIXED; otherwise once the rest of
     the window is certified under eps."""
@@ -520,8 +561,7 @@ def mixing_time(
     check_stationary(P, pi)
     if t_max is None:
         t_max = default_t_max(P.n)
-    worst = _window_tv(P, None, pi.weights[:, None], t_max, eps=eps)
-    return _settle_time(worst, eps)
+    return _vertex_tau(P, pi.weights[:, None], None, t_max, eps)
 
 
 def ergodic_flows(P: StochasticMatrix, pi: Distribution) -> np.ndarray:

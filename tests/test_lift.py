@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,9 +72,10 @@ from liftmix import (
 )
 import liftmix.cli as cli_module
 import liftmix.lift as lift_module
+import liftmix.markov as markov_module
 from liftmix.cli import _criterion_lifts, _tau_from_start
 from liftmix.lift import _batch_limits
-from liftmix.markov import _ergodic_limits, _settle_time, _window_tv
+from liftmix.markov import _ergodic_limits, _settle_time, _vertex_chunks, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -737,7 +739,9 @@ def _recorded_scan_lengths(monkeypatch):
         lengths.append(len(worst))
         return worst
 
-    monkeypatch.setattr(lift_module, "_window_tv", recording)
+    # the chunked every-vertex full-state scans call markov's own name
+    for module in (lift_module, markov_module):
+        monkeypatch.setattr(module, "_window_tv", recording)
     return lengths
 
 
@@ -746,7 +750,8 @@ def test_full_state_scan_stops_by_tau_on_reducible_mixer(monkeypatch):
     L = diameter_mixer(cycle(8), uniform_distribution(8), "reducible")
     tau = full_mixing_time(L, 0.25, "s")
     assert tau == 5
-    assert len(lengths) == 1 and lengths[0] <= tau + 2  # by step tau + 1, of 400
+    # every chunk's scan ends by step tau + 1, of 400
+    assert lengths and all(k <= tau + 2 for k in lengths)
 
 
 def test_full_state_scan_keeps_the_window_on_periodic_lift(monkeypatch):
@@ -885,6 +890,78 @@ def test_certified_stops_end_periodic_and_mixed_scans(monkeypatch):
     assert 0 < tau < lengths[-1] < 1601
     assert tau == _settle_time(_whole_window_tv(L.A.entries, x0.weights, pi.weights,
                                                 1600, L.map.C), 0.25)
+
+
+def _chunked_scan_lift(rng):
+    """A replicated lift or a mixer of any of the three variants, a
+    direction lift (period 2) or a periodic-clock lift (period T)."""
+    kind = int(rng.integers(0, 4))
+    if kind < 2:
+        return _random_lift(rng, mixer_variants=("reducible", "flows", "irreducible"))[0]
+    if kind == 2:
+        return diaconis_cycle_lift(int(rng.choice([4, 6, 8])))
+    g = random_connected_graph(rng, n_max=5)
+    pi = random_distribution(rng, g.n)
+    return periodic_clock_lift(g, stochastic_bridge(g, pi, pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 80), st.sampled_from([1, 3, 7]))
+def test_chunked_full_state_scan_gives_the_whole_window_tau(seed, t_max, width):
+    rng = rng_from_seed(seed)
+    L = _chunked_scan_lift(rng)
+    A, n = L.A, L.map.lifted_n
+    Pi, H = A._ergodic
+    Z = _ergodic_limits(A, None)  # one broadcast column for an irreducible A
+    whole = _whole_window_tv(A.entries, None, Z, t_max)
+    taus = []
+
+    def recording(*args, **kwargs):
+        worst = _window_tv(*args, **kwargs)
+        taus.append(_settle_time(worst, kwargs["eps"]))
+        return worst
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov_module, "_CHUNK_WIDTH", width)
+        chunks = list(_vertex_chunks(n, Pi, H))
+        mp.setattr(markov_module, "_window_tv", recording)
+        for eps in (0.05, 0.25, 0.5):
+            taus.clear()
+            tau = full_mixing_time(L, eps, "s", t_max)
+            assert tau == _settle_time(whole, eps)
+            # one scan per chunk, up to the first UNMIXED one
+            assert UNMIXED not in taus[:-1]
+            assert len(taus) == len(chunks) or taus[-1] == UNMIXED
+            if H is None:  # the chain's own every-vertex scan, chunked alike
+                assert mixing_time(A, stationary(A), eps, t_max) == tau
+    # the chunks split the identity in order, at least two columns wide, and
+    # their targets are Z's columns bit for bit
+    w = max(width, 2)
+    assert all(min(n, w) <= X.shape[1] < 2 * w for X, _ in chunks)
+    assert np.array_equal(np.hstack([X for X, _ in chunks]), np.eye(n))
+    at = 0
+    for X, target in chunks:
+        assert np.array_equal(target, Z if H is None else Z[:, at:at + X.shape[1]])
+        at += X.shape[1]
+    # each chunk's TVs are the whole batch's columns, summed in the same order
+    chunked = np.max([_window_tv(A, X, target, t_max) for X, target in chunks], axis=0)
+    assert np.array_equal(chunked, whole)
+
+
+def test_full_state_scan_peaks_below_one_dense_lifted_array():
+    # 1,152 states: one dense lifted array is 10.6 MB, and the whole-batch
+    # scan held its identity, target, gap buffer and state at once
+    L = diameter_mixer(cycle(12), uniform_distribution(12), "reducible")
+    n = L.map.lifted_n
+    assert n == 1152
+    tracemalloc.start()
+    try:
+        tau = full_mixing_time(L, 0.25, "s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau == 7
+    assert peak < n * n * 8
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, float("nan")])
