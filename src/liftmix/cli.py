@@ -328,18 +328,16 @@ def _suite_lemma1(seed: int):
 
 
 def _criterion_lifts(seed: int):
-    """Every lift the reproduction suites construct, with its base target."""
-    out = []
+    """Every lift the reproduction suites construct, with its base target,
+    built one at a time as it is read."""
     for name, g, pi in _criterion1_cases(seed):
-        out.append((f"mixer-reducible/{name}", diameter_mixer(g, pi, "reducible"), pi))
+        yield f"mixer-reducible/{name}", diameter_mixer(g, pi, "reducible"), pi
     for name, L, pi, _ in _irreducible_mixers():
-        out.append((f"mixer-irreducible/{name}", L, pi))
+        yield f"mixer-irreducible/{name}", L, pi
     for N in (16, 32, 64):
-        out.append((f"direction-lift/cycle-{N}", diaconis_cycle_lift(N),
-                    uniform_distribution(N)))
+        yield f"direction-lift/cycle-{N}", diaconis_cycle_lift(N), uniform_distribution(N)
     L, _, _, _ = four_cycle_lift(0.05, 0.01)
-    out.append(("four-cycle", L, uniform_distribution(4)))
-    return out
+    yield "four-cycle", L, uniform_distribution(4)
 
 
 def _suite_thm3(seed: int):

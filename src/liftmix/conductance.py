@@ -24,7 +24,7 @@ from .errors import (
     LocalityViolation,
     TooManyNodes,
 )
-from .graph_core import Cut, Graph, _cut_chunks, _screened_chunks, cycle
+from .graph_core import Cut, Graph, _by_slabs, _cut_chunks, _screened_chunks, cycle
 from .markov import Distribution, StochasticMatrix, check_stationary
 
 # Most violated cuts that each chunk adds to phi_graph's LP per round.
@@ -73,13 +73,13 @@ def phi_cut(P: StochasticMatrix, pi: Distribution, X) -> float:
 def _cut_phis(chunks, flows: np.ndarray):
     """Yield (masks, members, weights, phis) for the positive-weight cuts of
     each chunk, phis being their conductances under the stationary flows
-    flows[j, i] = P[j, i] pi_i."""
+    flows[j, i] = P[j, i] pi_i; the internal flows are taken by `_by_slabs`."""
     for masks, members, weights in chunks:
         positive = weights > 0.0
         if not positive.any():
             continue
         masks, members, weights = masks[positive], members[positive], weights[positive]
-        internal = ((members @ flows.T) * members).sum(axis=1)
+        internal = _by_slabs(lambda m: ((m @ flows.T) * m).sum(axis=1), members)
         yield masks, members, weights, np.maximum(weights - internal, 0.0) / weights
 
 

@@ -107,6 +107,16 @@ class Cut:
 
 # A cut chunk holds the 2^16 masks that agree above their low 16 bits.
 _CHUNK_BITS = 16
+# Rows per slab of a chunk's matrix products (see `_cut_chunks`).
+_SLAB_ROWS = 4096
+
+
+def _by_slabs(product, members: np.ndarray) -> np.ndarray:
+    """product(rows) over consecutive `_SLAB_ROWS`-row slabs of members,
+    concatenated: product's temporaries hold one slab, never the chunk."""
+    return np.concatenate(
+        [product(members[i : i + _SLAB_ROWS]) for i in range(0, len(members), _SLAB_ROWS)]
+    )
 
 
 def _cut_chunks(n: int, w: np.ndarray, _only=None):
@@ -116,12 +126,19 @@ def _cut_chunks(n: int, w: np.ndarray, _only=None):
     only size guard: over 24 nodes raises TooManyNodes at the call.  `_only`,
     an iterable of chunk indices (mask >> 16) read on the first chunk, gives
     just those chunks, in its order.
+
+    Members are unpacked as bool from the masks' little-endian bytes, so a
+    chunk holds 2^16 n bytes of membership.  Its products (here and in
+    `_cut_phis`) run by `_by_slabs` over slabs of `_SLAB_ROWS` rows, never
+    holding more than `_SLAB_ROWS` n floats at a time, not 2^16 n (11.5 MB
+    at n = 22).  The slab is a power of two far above the BLAS kernels' row
+    blocking, so every row meets the kernel it meets in a product of the
+    whole chunk and gets the same bits; slabs of a few rows change them.
     """
     if n > 24:
         raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
     total = (1 << n) - 1
     step = 1 << _CHUNK_BITS
-    bits = np.arange(n, dtype=np.int64)
 
     def chunks():
         starts = range(1, total, step)
@@ -129,8 +146,9 @@ def _cut_chunks(n: int, w: np.ndarray, _only=None):
             starts = (max(c << _CHUNK_BITS, 1) for c in _only)
         for start in starts:
             masks = np.arange(start, min(start + step, total), dtype=np.int64)
-            members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
-            weights = members @ w
+            octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+            members = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+            weights = _by_slabs(lambda m: m @ w, members)
             keep = weights <= 0.5 + 1e-12
             if keep.any():
                 yield masks[keep], members[keep], weights[keep]

@@ -1,6 +1,7 @@
 """Cut, chain, and graph conductance plus the bound-check helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,62 @@ def test_phi_chain_settles_a_cut_at_the_weight_cap():
         w = near_cap_weights(rng, 17)
         M = 0.9 * np.eye(17) + 0.1 * w[:, None]
         assert_matches_full_scan(StochasticMatrix(M), Distribution(w))
+
+
+def one_shot_cut_phis(n: int, w: np.ndarray, flows: np.ndarray, only):
+    """`_cut_phis` over `_cut_chunks(n, w, only)` as one product per chunk
+    computes it: members by an int64 shift table, weights and internal
+    flows by whole-chunk products."""
+    total = (1 << n) - 1
+    bits = np.arange(n, dtype=np.int64)
+    for c in only:
+        start = max(c << 16, 1)
+        masks = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
+        weights = members @ w
+        kept = (weights <= 0.5 + 1e-12) & (weights > 0.0)
+        if kept.any():
+            masks, members, weights = masks[kept], members[kept], weights[kept]
+            internal = ((members @ flows.T) * members).sum(axis=1)
+            yield masks, members, weights, np.maximum(weights - internal, 0.0) / weights
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(("reversible", "uniform", "transient")),
+    st.integers(3, 22),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([64, 256, 4096]),
+)
+def test_slabbed_cut_products_match_whole_chunk_products(kind, n, seed, slab_rows):
+    # chunk 0 holds 2^16 - 1 masks (2^n - 2 below 17 nodes); the cap and the
+    # positivity filter leave the rest of the lengths
+    P, pi = chain_of_kind(kind, n, seed)
+    w = pi.weights
+    flows = P.entries * w[None, :]
+    chunks = 1 << max(n - 16, 0)
+    only = sorted({0, seed % chunks, chunks - 1})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_SLAB_ROWS", slab_rows)
+        got = list(_cut_phis(_cut_chunks(n, w, only), flows))
+    want = list(one_shot_cut_phis(n, w, flows, only))
+    assert len(got) == len(want)
+    for parts, expected in zip(got, want):
+        assert parts[1].dtype == bool
+        assert all(np.array_equal(a, b) for a, b in zip(parts, expected))
+
+
+def test_phi_chain_peaks_below_one_chunk_of_float_members():
+    # 22 nodes fill 64 chunks; one 2^16 x 22 float64 array is 11.5 MB
+    rng = rng_from_seed(22)
+    P, pi = random_reversible_chain(rng, random_connected_graph(rng, n=22))
+    tracemalloc.start()
+    try:
+        phi_chain(P, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16) * 22 * 8
 
 
 def test_phi_chain_guards_raise_in_order_before_any_scan(monkeypatch):

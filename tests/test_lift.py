@@ -577,7 +577,7 @@ _CRITERION_TAUS = {
 
 
 def test_mixing_times_match_dense_propagation_on_criterion_lifts():
-    lifts = _criterion_lifts(0)
+    lifts = list(_criterion_lifts(0))
     assert [name for name, _, _ in lifts] == list(_CRITERION_TAUS)
     for name, L, pi in lifts:
         got = []

@@ -25,6 +25,8 @@
 #   - conductance chain on fixed random chains of 17, 20 and 24 nodes, whose
 #     cuts fill 2, 16 and 256 chunks of 2^16 masks: a reversible chain with
 #     its stationary pi, and a symmetric chain with uniform pi;
+#   - conductance graph with uniform pi on the 17-node chains' support (a
+#     ring plus chords), whose Kelley rounds scan both chunks;
 #   - lift build for clock and periodic-clock on every graph and pi above,
 #     each from that tree's own `bridge --src e:0` output, for diaconis
 #     (N = 8, 16) and for four-cycle (delta 0.05, gamma 0.01);
@@ -81,6 +83,10 @@ for n in (17, 20, 24):
     arcs = np.triu(rng.random((n, n)) < 0.3, 1)
     arcs[np.arange(n - 1), np.arange(1, n)] = arcs[0, n - 1] = True
     arcs = arcs | arcs.T
+    if n == 17:
+        with open(f"{out}/chain-{n}.support.json", "w") as fh:
+            json.dump({"n": n, "edges": np.argwhere(np.triu(arcs, 1)).tolist(),
+                       "directed": False}, fh)
     # reversible: symmetric edge weights over node totals, pi the totals
     W = np.where(arcs, np.triu(0.05 + rng.random((n, n)), 1), 0.0)
     W = W + W.T + np.diag(0.05 + rng.random(n))
@@ -215,3 +221,5 @@ for n in 17 20 24; do
     run "conductance-chain-$n-uniform" conductance chain \
         --chain "$IN/chain-$n.uniform.json" --pi uniform
 done
+run conductance-graph-chain-17-support-uniform conductance graph \
+    --graph "$IN/chain-17.support.json" --pi uniform
