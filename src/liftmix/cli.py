@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from ._tolerances import TOL
 from ._version import __version__
 from .conductance import (
     _phi_chain_or_cycle,
@@ -94,6 +95,7 @@ from .randomgen import (
 
 TOOL = {"name": "liftmix", "version": __version__}
 _MIXER_GAMMA = 1e-3  # restart probability of the suites' irreducible mixers
+_EPS = 0.25  # the TV threshold of every mixing time the suites measure
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +190,13 @@ def _chain_from_steps(steps: list, g: Graph) -> TimeVaryingChain:
     return TimeVaryingChain(mats)
 
 
-def _check(name: str, measured, bound, ok) -> dict:
+def _check(name: str, measured, bound, ok=None) -> dict:
+    """One suite row; it passes when ok, by default when measured <= bound."""
     return {
         "check": name,
         "measured": measured,
         "bound": bound,
-        "pass": bool(ok),
+        "pass": bool(measured <= bound if ok is None else ok),
     }
 
 
@@ -233,6 +236,7 @@ def _irreducible_mixers():
 
 def _suite_thm2(seed: int):
     checks = []
+    tols = {key: TOL[key] for key in ("exact_tv", "stationary_tv")}
     for name, g, pi in _criterion1_cases(seed):
         L = diameter_mixer(g, pi, "reducible")
         D = diameter(g)
@@ -240,9 +244,9 @@ def _suite_thm2(seed: int):
         for _ in range(D):
             X = L.A.entries @ X
         tv = 0.5 * np.abs(L.map.C @ X - pi.weights[:, None]).sum(axis=0).max()
-        checks.append(_check(f"thm2/{name}/exact-at-diameter", tv, 1e-10, tv <= 1e-10))
-        tau = marginal_mixing_time(L, pi, 0.25, "S", t_max=max(20, 4 * (D + 1)))
-        checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1, tau <= D + 1))
+        checks.append(_check(f"thm2/{name}/exact-at-diameter", tv, tols["exact_tv"]))
+        tau = marginal_mixing_time(L, pi, _EPS, "S", t_max=max(20, 4 * (D + 1)))
+        checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1))
 
     for name, L, pi, ref in _irreducible_mixers():
         used = L.metadata["gamma"]
@@ -250,19 +254,19 @@ def _suite_thm2(seed: int):
         checks.append(_check(f"thm2/{name}/irreducible", irreducible, True, irreducible))
         pi_hat = stationary(L.A)
         tv = tv_distance(marginal(L, pi_hat), pi)
-        checks.append(_check(f"thm2/{name}/marginal-stationary", tv, 1e-8, tv <= 1e-8))
+        checks.append(_check(f"thm2/{name}/marginal-stationary", tv, tols["stationary_tv"]))
         dev, ok = check_flow_match(L, pi_hat, ref, 10 * used)
         checks.append(_check(f"thm2/{name}/flow-deviation", dev, 10 * used, ok))
         D = diameter(L.base)
-        tau = marginal_mixing_time(L, pi, 0.25, "S", t_max=200)
-        checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1, tau <= D + 1))
-    tols = {"exact_tv": 1e-10, "stationary_tv": 1e-8, "eps": 0.25, "gamma": _MIXER_GAMMA}
-    return checks, [], {"tolerances": tols}
+        tau = marginal_mixing_time(L, pi, _EPS, "S", t_max=200)
+        checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1))
+    return checks, [], {"tolerances": tols | {"eps": _EPS, "gamma": _MIXER_GAMMA}}
 
 
 def _suite_thm1(seed: int):
     rng = rng_from_seed(seed)
     checks = []
+    unlift, step_tv, horizon, starts = TOL["unlift_match"], TOL["step_tv"], 50, 20
     for idx, copies in enumerate((2, 3)):
         g = random_connected_graph(rng, n_max=8)
         P, pi = random_reversible_chain(rng, g)
@@ -271,19 +275,17 @@ def _suite_thm1(seed: int):
         checks.append(_check(f"thm1/replicated-{idx}/invariant", ok_inv, True, ok_inv))
         Q = unlift_si(L, list(range(g.n)))
         dq = np.abs(Q.entries - P.entries).max()
-        checks.append(_check(f"thm1/replicated-{idx}/unlift-returns-base", dq, 1e-12,
-                             dq <= 1e-12))
+        checks.append(_check(f"thm1/replicated-{idx}/unlift-returns-base", dq, unlift))
         worst = 0.0
         m = L.map.lifted_n
-        for _ in range(20):
+        for _ in range(starts):
             x = np.asarray(random_distribution(rng, m).weights)
             p = L.map.C @ x
-            for _ in range(50):
+            for _ in range(horizon):
                 x = L.A.entries @ x
                 p = Q.entries @ p
                 worst = max(worst, 0.5 * np.abs(L.map.C @ x - p).sum())
-        checks.append(_check(f"thm1/replicated-{idx}/trajectories-match", worst, 1e-9,
-                             worst <= 1e-9))
+        checks.append(_check(f"thm1/replicated-{idx}/trajectories-match", worst, step_tv))
 
     N = 16
     L = diaconis_cycle_lift(N)
@@ -297,7 +299,7 @@ def _suite_thm1(seed: int):
     ok_inv, witness = check_invariance(L, pi, "s")
     checks.append(_check("thm1/direction-lift/invariance-fails", ok_inv, False,
                          not ok_inv and witness is not None))
-    tols = {"step_tv": 1e-9, "horizon": 50, "starts": 20}
+    tols = {"step_tv": step_tv, "horizon": horizon, "starts": starts}
     return checks, [], {"tolerances": tols}
 
 
@@ -305,8 +307,9 @@ def _suite_lemma1(seed: int):
     rng = rng_from_seed(seed)
     violations = 0
     worst_margin = -np.inf
-    for k in range(500):
-        g = random_connected_graph(rng, n=int(rng.integers(2, 9)))
+    slack, instances, max_nodes, max_t = TOL["bound_slack"], 500, 8, 20
+    for k in range(instances):
+        g = random_connected_graph(rng, n=int(rng.integers(2, max_nodes + 1)))
         if rng.random() < 0.5:
             P, pi = random_reversible_chain(rng, g)
         else:
@@ -314,16 +317,16 @@ def _suite_lemma1(seed: int):
             pi = stationary(P)
         size = int(rng.integers(1, g.n))
         X = [int(v) for v in rng.choice(g.n, size=size, replace=False)]
-        t = int(rng.integers(1, 21))
+        t = int(rng.integers(1, max_t + 1))
         leaked, bound, ok = lemma1_check(P, pi, X, t)
         if not ok:
             violations += 1
         worst_margin = max(worst_margin, leaked - bound)
     checks = [
         _check("lemma1/violations", violations, 0, violations == 0),
-        _check("lemma1/worst-margin", worst_margin, 1e-9, worst_margin <= 1e-9),
+        _check("lemma1/worst-margin", worst_margin, slack),
     ]
-    tols = {"slack": 1e-9, "instances": 500, "max_nodes": 8, "max_t": 20}
+    tols = {"slack": slack, "instances": instances, "max_nodes": max_nodes, "max_t": max_t}
     return checks, [], {"tolerances": tols}
 
 
@@ -342,6 +345,7 @@ def _criterion_lifts(seed: int):
 
 def _suite_thm3(seed: int):
     checks = []
+    tols = {"eps": _EPS, "slack": TOL["bound_slack"]}
     for name, L, pi in _criterion_lifts(seed):
         pi_hat = lifted_stationary(L, _stationary_seed(L, pi)[0])
         pi_m = marginal(L, pi_hat)
@@ -349,14 +353,13 @@ def _suite_thm3(seed: int):
         phi, cut = _phi_chain_or_cycle(P_tilde, pi_m)
         x0 = adversarial_init(L.map, pi_hat, cut)
         t_max = min(1600, max(200, 100 * L.map.base_n))
-        tau = _tau_from_start(L, pi, x0, 0.25, t_max)
+        tau = _tau_from_start(L, pi, x0, _EPS, t_max)
         bound = UNMIXED if phi == 0 else 1.0 / (4.0 * phi) - 1.0
         if bound == UNMIXED:
             ok = tau == UNMIXED
         else:
-            ok = tau >= bound - 1e-9
+            ok = tau >= bound - tols["slack"]
         checks.append(_check(f"thm3/{name}/adversarial-lower-bound", tau, bound, ok))
-    tols = {"eps": 0.25, "slack": 1e-9}
     return checks, [], {"tolerances": tols}
 
 
@@ -382,9 +385,8 @@ def _suite_thm4(seed: int):
     checks = []
     L, g, pi = _rotation_cycle_fixture()
     D = diameter(g)
-    tau = marginal_mixing_time(L, pi, 0.25, "s")
-    checks.append(_check("thm4/periodic-node-clock/marginal-mixing", tau,
-                         2 * (D + 1), tau <= 2 * (D + 1)))
+    tau = marginal_mixing_time(L, pi, _EPS, "s")
+    checks.append(_check("thm4/periodic-node-clock/marginal-mixing", tau, 2 * (D + 1)))
 
     L4, ref, _, _ = four_cycle_lift(0.05, 0.01)
     pi4 = uniform_distribution(4)
@@ -410,21 +412,21 @@ def _suite_thm4(seed: int):
     rep_s = scenario_report(Ls, "siMRE", pi_c)
     all_ok = all(b["consistent"] for b in rep_s["bounds"])
     checks.append(_check("thm4/replicated/bounds-consistent", all_ok, True, all_ok))
-    tols = {"eps": 0.25}
+    tols = {"eps": _EPS}
     return checks, [], {"tolerances": tols}
 
 
 def _suite_example1(seed: int):
-    sizes = (16, 32, 64)
+    sizes, lift_t_max = (16, 32, 64), 1500
     walk_tau = {}
     lift_tau = {}
     for N in sizes:
         g = cycle(N)
         pi = uniform_distribution(N)
-        walk_tau[N] = mixing_time(lazy_walk(g), pi, 0.25)
+        walk_tau[N] = mixing_time(lazy_walk(g), pi, _EPS)
         L = diaconis_cycle_lift(N)
         pi_hat = Distribution(np.full(2 * N, 1.0 / (2 * N)))
-        lift_tau[N] = mixing_time(L.A, pi_hat, 0.25, t_max=1500)
+        lift_tau[N] = mixing_time(L.A, pi_hat, _EPS, t_max=lift_t_max)
 
     checks = []
     for a, b in ((16, 32), (32, 64)):
@@ -451,7 +453,7 @@ def _suite_example1(seed: int):
             "finite tau exists; the failing rows above are the honest "
             "measurement of that obstruction"
         )
-    tols = {"eps": 0.25, "lift_t_max": 1500}
+    tols = {"eps": _EPS, "lift_t_max": lift_t_max}
     extras = {
         "tolerances": tols,
         "walk_tau": {str(k): v for k, v in walk_tau.items()},
@@ -462,26 +464,26 @@ def _suite_example1(seed: int):
 
 def _suite_example2(seed: int):
     checks = []
+    tols = {"slack": TOL["lp_feasibility"]}
     for half in (3, 4, 5, 6):
         g = barbell(half)
         pi = uniform_distribution(g.n)
         phi, _ = phi_graph(g, pi)
-        bound = 1.0 / half + 1e-8
-        checks.append(_check(f"example2/barbell-{half}/phi-graph", phi, bound,
-                             phi <= bound))
-    tols = {"slack": 1e-8}
+        checks.append(_check(f"example2/barbell-{half}/phi-graph", phi,
+                             1.0 / half + tols["slack"]))
     return checks, [], {"tolerances": tols}
 
 
 def _suite_example3(seed: int):
     delta, gamma = 0.05, 0.01
+    tols = {"flow_tv": TOL["flow_tv"], "eps": _EPS, "delta": delta, "gamma": gamma}
     L, ref, phi, epsilon = four_cycle_lift(delta, gamma)
     pi = uniform_distribution(4)
-    tau = marginal_mixing_time(L, pi, 0.25, "S")
+    tau = marginal_mixing_time(L, pi, _EPS, "S")
     checks = [_check("example3/marginal-mixing", tau, 2, tau == 2)]
     pi_hat = stationary(L.A)
     dev, _ = check_flow_match(L, pi_hat, ref, 0.0)
-    checks.append(_check("example3/flow-deviation", dev, 1e-9, dev <= 1e-9))
+    checks.append(_check("example3/flow-deviation", dev, tols["flow_tv"]))
     phi_ref, _ = phi_chain(ref, pi)
     bound_ref = 1.0 / (4.0 * phi_ref)
     checks.append(_check("example3/flow-bound-value", bound_ref, [5.0, 5.15],
@@ -491,8 +493,7 @@ def _suite_example3(seed: int):
     pg, _ = phi_graph(cycle(4), pi)
     bound_graph = 1.0 / (8.0 * pg)
     checks.append(_check("example3/one-over-8-phi-consistent", tau, bound_graph,
-                         tau >= bound_graph - 1 - 1e-9))
-    tols = {"flow_tv": 1e-9, "eps": 0.25, "delta": delta, "gamma": gamma}
+                         tau >= bound_graph - 1 - TOL["bound_slack"]))
     extras = {
         "tolerances": tols,
         "tau_M": tau,
@@ -507,21 +508,20 @@ def _suite_example3(seed: int):
 def _suite_clock_contraction(seed: int):
     rng = rng_from_seed(seed)
     checks = []
-    violations = 0
+    violations, trials_per_D = 0, 100
     for D in range(2, 11):
         gamma = 0.4 / (2 * (D + 1))
         worst = 0.0
-        for _ in range(100):
+        for _ in range(trials_per_D):
             q0 = random_zero_sum(rng, D + 2)
             ratio, bound, ok = clock_contraction_check(D, gamma, q0)
             worst = max(worst, ratio)
             if not ok:
                 violations += 1
-        checks.append(_check(f"clock-contraction/D-{D}", worst, 2 * (D + 1) * gamma,
-                             worst <= 2 * (D + 1) * gamma))
+        checks.append(_check(f"clock-contraction/D-{D}", worst, 2 * (D + 1) * gamma))
     checks.append(_check("clock-contraction/violations", violations, 0,
                          violations == 0))
-    tols = {"trials_per_D": 100}
+    tols = {"trials_per_D": trials_per_D}
     return checks, [], {"tolerances": tols}
 
 
@@ -530,8 +530,8 @@ def _suite_bridge_exactness(seed: int):
     worst_tv = 0.0
     worst_colsum = 0.0
     locality_violations = 0
-    bridges = 0
-    for _ in range(50):
+    bridges, graphs, clamp, endpoint_tv = 0, 50, TOL["entry_clamp"], TOL["exact_tv"]
+    for _ in range(graphs):
         g = random_connected_graph(rng, n_max=10)
         pi = random_distribution(rng, g.n)
         for i in range(g.n):
@@ -542,19 +542,18 @@ def _suite_bridge_exactness(seed: int):
                 E = step.entries
                 worst_colsum = max(worst_colsum,
                                    float(np.abs(E.sum(axis=0) - 1.0).max()))
-                off = E > 1e-12
+                off = E > clamp
                 np.fill_diagonal(off, False)
                 locality_violations += int((off & ~g.adjacency().T).sum())
                 x = E @ x
             worst_tv = max(worst_tv, 0.5 * float(np.abs(x - pi.weights).sum()))
     checks = [
-        _check("bridge-exactness/endpoint-tv", worst_tv, 1e-10, worst_tv <= 1e-10),
-        _check("bridge-exactness/column-sums", worst_colsum, 1e-12,
-               worst_colsum <= 1e-12),
+        _check("bridge-exactness/endpoint-tv", worst_tv, endpoint_tv),
+        _check("bridge-exactness/column-sums", worst_colsum, TOL["bridge_column_sum"]),
         _check("bridge-exactness/locality-violations", locality_violations, 0,
                locality_violations == 0),
     ]
-    tols = {"endpoint_tv": 1e-10, "graphs": 50, "bridges": bridges}
+    tols = {"endpoint_tv": endpoint_tv, "graphs": graphs, "bridges": bridges}
     return checks, [], {"tolerances": tols}
 
 

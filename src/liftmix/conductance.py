@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from ._tolerances import TOL
 from .errors import (
     BadGamma,
     BadSize,
@@ -97,7 +98,7 @@ def phi_chain(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         raise DimensionMismatch("conductance needs at least two nodes")
     w = pi.weights
     chunks = _cut_chunks(P.n, w, _screened_chunks(P.entries, w))
-    check_stationary(P, pi, tol=1e-9)
+    check_stationary(P, pi, TOL["stationary_residual"])
     best_phi = math.inf
     best_mask = 0
     best_weight = 0.0
@@ -126,7 +127,7 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         raise DimensionMismatch("chain and distribution sizes differ")
     if n < 3:
         return phi_chain(P, pi)
-    check_stationary(P, pi, tol=1e-9)
+    check_stationary(P, pi, TOL["stationary_residual"])
     try:
         P._check_locality(cycle(n))
     except LocalityViolation:
@@ -135,13 +136,13 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         ) from None
     w = pi.weights
     flows = P.entries * w[None, :]
-    best = None
+    best, cap = None, 0.5 + TOL["cut_weight"]
     for a in range(n):
         weight = 0.0
         for length in range(1, n):
             b = (a + length - 1) % n
             weight += w[b]
-            if weight > 0.5 + 1e-12 or weight <= 0.0:
+            if weight > cap or weight <= 0.0:
                 continue
             cross = flows[(a - 1) % n, a] + flows[(b + 1) % n, b]
             phi = max(cross, 0.0) / weight
@@ -176,10 +177,10 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     (Kelley's cutting planes): starting from the identity chain at t = 1,
     every cut is scanned against the current chain and t, each chunk's
     most violated cuts join the LP, and the LP is solved again, until no
-    cut's conductance falls below t by more than 1e-9.  HiGHS accepts rows
-    broken within its primal tolerance of 1e-7; if a cut row is then broken
-    by more than the 1e-8 that the result must meet, the LP is solved once
-    more with a 1e-10 tolerance and the loop goes on.  The LP is
+    cut's conductance falls below t by more than lp_cut_violation.  HiGHS
+    accepts rows broken within its own primal tolerance; if a cut row is
+    then broken by more than the lp_feasibility that the result must meet,
+    the LP is solved once more at lp_resolve and the loop goes on.  The LP is
     degenerate, so the chain is one optimal chain among possibly many.
     """
     from scipy.optimize import linprog  # here: its import adds ~0.4 s to every CLI start
@@ -207,6 +208,7 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     in_lp: set[int] = set()
     P, phi = np.eye(n), 1.0
     options: dict = {}
+    violation, feasible = TOL["lp_cut_violation"], TOL["lp_feasibility"]
     while True:
         lp_masks = np.fromiter(in_lp, dtype=np.int64, count=len(in_lp))
         cut_err = -math.inf
@@ -214,7 +216,7 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
             short = phi - phis
             cut_err = max(cut_err, float((short * weights).max()))
             # LP cuts can read as violated by solver tolerance: drop them first
-            new = np.flatnonzero((short > 1e-9) & ~np.isin(masks, lp_masks))
+            new = np.flatnonzero((short > violation) & ~np.isin(masks, lp_masks))
             if len(new) > _CUTS_PER_ROUND:
                 new = new[np.argpartition(-short[new], _CUTS_PER_ROUND - 1)[:_CUTS_PER_ROUND]]
             in_lp.update(masks[new].tolist())
@@ -223,11 +225,11 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
         if not math.isfinite(cut_err):
             raise EmptyCutWeight("no cut carries positive stationary mass")
         if len(in_lp) == len(lp_masks):
-            if cut_err <= 1e-8 or options:
+            if cut_err <= feasible or options:
                 break
-            # HiGHS accepts rows broken within its 1e-7 primal tolerance:
+            # HiGHS accepts rows broken within its default primal tolerance:
             # re-solve the same rows once, tighter, and rescan
-            options = {"primal_feasibility_tolerance": 1e-10}
+            options = {"primal_feasibility_tolerance": TOL["lp_resolve"]}
         res = linprog(
             cost, A_ub=np.vstack(rows), b_ub=np.zeros(len(in_lp)), A_eq=a_eq,
             b_eq=b_eq, bounds=bounds, method="highs", options=options,
@@ -241,9 +243,9 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     # cut_err comes from the last full scan, so it covers every cut
     col_err = np.abs(P.sum(axis=0) - 1.0).max()
     stat_err = np.abs(P @ w - w).max()
-    if col_err > 1e-8 or stat_err > 1e-8 or cut_err > 1e-8:
+    if col_err > feasible or stat_err > feasible or cut_err > feasible:
         raise InfeasibleLP(
-            "LP solution violates constraints beyond 1e-8 "
+            f"LP solution violates constraints beyond {feasible} "
             f"(columns {col_err:.2e}, stationarity {stat_err:.2e}, "
             f"cuts {cut_err:.2e})"
         )
@@ -261,7 +263,7 @@ def lemma1_check(
     """
     if t < 1:
         raise BadSize("need at least one step")
-    check_stationary(P, pi, tol=1e-9)
+    check_stationary(P, pi, TOL["stationary_residual"])
     sel = _members_of(X, P.n)
     w = pi.weights
     weight = float(w[sel].sum())
@@ -273,7 +275,7 @@ def lemma1_check(
         p = P.entries @ p
     leakage = float(p[~sel].sum())
     bound = t * phi
-    return leakage, bound, leakage <= bound + 1e-9
+    return leakage, bound, leakage <= bound + TOL["bound_slack"]
 
 
 def diameter_conductance_check(
@@ -290,7 +292,7 @@ def diameter_conductance_check(
     positive = pi.weights[pi.weights > 0.0]
     pi_min = float(positive.min())
     rhs = 4.0 * math.log(1.0 / pi_min) / (D - 1)
-    ok = lhs <= rhs + 1e-9
+    ok = lhs <= rhs + TOL["bound_slack"]
     if not ok:
         warnings.warn(
             f"conductance {lhs:.6g} exceeds diameter bound {rhs:.6g}",
@@ -318,7 +320,7 @@ def clock_contraction_check(
     q = np.asarray(q0, dtype=float)
     if q.shape != (D + 2,):
         raise DimensionMismatch(f"perturbation must have length {D + 2}")
-    if abs(q.sum()) > 1e-9:
+    if abs(q.sum()) > TOL["vector_sum"]:
         raise BadGamma("perturbation must sum to zero")
     n = D + 2
     P = np.zeros((n, n))
@@ -332,4 +334,4 @@ def clock_contraction_check(
     end = float(np.abs(q).sum())
     ratio = 0.0 if start == 0.0 else end / start
     bound = 2.0 * (D + 1) * gamma
-    return ratio, bound, ratio <= bound + 1e-9
+    return ratio, bound, ratio <= bound + TOL["bound_slack"]

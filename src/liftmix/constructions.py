@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import coo_array, csr_array, eye_array
 
+from ._tolerances import TOL
 from .errors import (
     BadGamma,
     BadSize,
@@ -38,7 +39,6 @@ from .markov import (
     Distribution,
     StochasticMatrix,
     TimeVaryingChain,
-    _ENTRY_CLAMP,
     check_stationary,
     metropolis_chain,
     point_distribution,
@@ -69,7 +69,7 @@ def mixer_default_reference(g: Graph, pi: Distribution) -> StochasticMatrix:
 
 def _support_graph(A) -> Graph:
     """Directed graph of the off-diagonal support of a dense or sparse A."""
-    rows, cols = (A > _ENTRY_CLAMP).nonzero()
+    rows, cols = (A > TOL["entry_clamp"]).nonzero()
     off = rows != cols
     return Graph(n=A.shape[0], arcs=frozenset(zip(cols[off].tolist(), rows[off].tolist())))
 
@@ -278,8 +278,8 @@ def spanning_tree_correction(
     t = target.weights if isinstance(target, Distribution) else np.asarray(target, dtype=float)
     if t.shape != (n,):
         raise LengthMismatch("target must be a base-sized vector")
-    y = t - P.entries @ w
-    if abs(float(y.sum())) > 1e-10:
+    y, tol = t - P.entries @ w, TOL["tree_residual"]
+    if abs(float(y.sum())) > tol:
         raise LengthMismatch(f"correction demand sums to {y.sum()}, not 0")
     if n == 1:
         return np.zeros((1, 1))
@@ -319,10 +319,10 @@ def spanning_tree_correction(
         flow[p] += flow[j]
 
     residual = float(np.abs(corr @ w - y).max())
-    if residual > 1e-10:
-        raise LiftmixError(f"tree correction residual {residual} exceeds 1e-10")
-    combined = P.entries + corr
-    if (combined < -1e-12).any() or (combined > 1 + 1e-12).any():
+    if residual > tol:
+        raise LiftmixError(f"tree correction residual {residual} exceeds {tol}")
+    combined, clamp = P.entries + corr, TOL["entry_clamp"]
+    if (combined < -clamp).any() or (combined > 1 + clamp).any():
         raise NegativeEntry("corrected chain leaves [0, 1]; reduce gamma")
     return corr
 
@@ -401,7 +401,7 @@ def diameter_mixer(
         raise BadGamma(f"restart probability gamma must lie in (0,1), got {gamma}")
     if reference is None:
         reference = mixer_default_reference(g, pi)
-    check_stationary(reference, pi, tol=1e-9)
+    check_stationary(reference, pi, TOL["stationary_residual"])
 
     if variant == "flows":
         A = _layered(steps, False, hold=_block_diagonal([reference.entries] * n))
@@ -420,7 +420,7 @@ def diameter_mixer(
         # keep the strong component of the start states (0, v, v), which
         # the restarts make mutually reachable; the rest is never reached
         # from a start or never returns to one
-        labels = _strong_components(A > _ENTRY_CLAMP)
+        labels = _strong_components(A > TOL["entry_clamp"])
         keep = np.flatnonzero(labels == labels[0])
         meta = dict(meta, gamma=gamma)
         return _make_lift(g, proj[keep], A[keep][:, keep], F[keep], meta)

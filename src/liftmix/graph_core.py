@@ -24,6 +24,7 @@ from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import shortest_path as _csgraph_distances
 
+from ._tolerances import TOL, _gamma
 from .errors import BadSize, DisconnectedGraph, NoSpanningTree, TooManyNodes
 
 
@@ -122,10 +123,11 @@ def _by_slabs(product, members: np.ndarray) -> np.ndarray:
 def _cut_chunks(n: int, w: np.ndarray, _only=None):
     """Lazy (masks, members, weights) chunks of up to 2^16 ascending masks,
     covering every cut with pi(X) <= 1/2 (both sides when pi(X) = 1/2 within
-    1e-12); weights are BLAS dot products.  The only cut enumerator and the
-    only size guard: over 24 nodes raises TooManyNodes at the call.  `_only`,
-    an iterable of chunk indices (mask >> 16) read on the first chunk, gives
-    just those chunks, in its order.
+    the cut_weight entry of _tolerances.TOL); weights are BLAS dot products.
+    The only cut enumerator and the only size guard: over 24 nodes raises
+    TooManyNodes at the call.  `_only`, an iterable of chunk indices
+    (mask >> 16) read on the first chunk, gives just those chunks, in its
+    order.
 
     Members are unpacked as bool from the masks' little-endian bytes, so a
     chunk holds 2^16 n bytes of membership.  Its products (here and in
@@ -139,6 +141,7 @@ def _cut_chunks(n: int, w: np.ndarray, _only=None):
         raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
     total = (1 << n) - 1
     step = 1 << _CHUNK_BITS
+    cap = 0.5 + TOL["cut_weight"]
 
     def chunks():
         starts = range(1, total, step)
@@ -149,20 +152,11 @@ def _cut_chunks(n: int, w: np.ndarray, _only=None):
             octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
             members = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
             weights = _by_slabs(lambda m: m @ w, members)
-            keep = weights <= 0.5 + 1e-12
+            keep = weights <= cap
             if keep.any():
                 yield masks[keep], members[keep], weights[keep]
 
     return chunks()
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u) (Accuracy and Stability of
-    Numerical Algorithms, 3.1): a sum of nonnegative terms, added in any
-    order with no term rounded more than k times, lies within gamma_k of
-    its exact value, relatively."""
-    ku = k * 2.0**-53  # u, the unit roundoff of IEEE doubles
-    return ku / (1.0 - ku)
 
 
 def _subset_sums(v: np.ndarray) -> np.ndarray:
@@ -207,17 +201,17 @@ def _screen_cuts(flows: np.ndarray, w: np.ndarray):
 def _screen_bounds(n: int) -> tuple[float, float, float]:
     """(delta, sure, wide) for `_screened_chunks` on n nodes.
 
-    delta = gamma_k, k = n^2 + 3n + 4, bounds the distance of both
-    `_screen_cuts`' phis and `_cut_phis`' from the exact conductances of the
-    same flows and weights: an internal flow sums at most n^2 nonnegative
-    terms and a weight at most n, each in any order, the ratio adds a
-    subtraction and a division, and a StochasticMatrix column sums to within
-    gamma_2n of 1.  A cut whose screened weight is at most `sure` passes
-    `_cut_chunks`' cap of 1/2 + 1e-12, and one that passes the cap has a
-    screened weight of at most `wide`: the cap moved by the weights' own
-    bound, 4 gamma_n.
+    delta = gamma_k (_tolerances._gamma), k = n^2 + 3n + 4, bounds the
+    distance of both `_screen_cuts`' phis and `_cut_phis`' from the exact
+    conductances of the same flows and weights: an internal flow sums at
+    most n^2 nonnegative terms and a weight at most n, each in any order,
+    the ratio adds a subtraction and a division, and a StochasticMatrix
+    column sums to within gamma_2n of 1.  A cut whose screened weight is at
+    most `sure` passes `_cut_chunks`' cap of 1/2 + cut_weight, and one that
+    passes the cap has a screened weight of at most `wide`: the cap moved
+    by the weights' own bound, 4 gamma_n.
     """
-    cap = 0.5 + 1e-12
+    cap = 0.5 + TOL["cut_weight"]
     slack = 4.0 * _gamma(n)
     return _gamma(n * n + 3 * n + 4), cap * (1.0 - slack), cap * (1.0 + slack)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._tolerances import TOL
 from ._version import __version__
 from .conductance import _members_of, _phi_chain_or_cycle, phi_chain, phi_graph
 from .errors import (
@@ -52,7 +53,6 @@ from .markov import (
     is_irreducible,
     matrix_from_json,
     stationary,
-    _ENTRY_CLAMP,
     _ergodic_limits,
     _settle_time,
     _vertex_tau,
@@ -148,16 +148,16 @@ class InitMap:
             raise DimensionMismatch(
                 f"init map shape {F.shape}, expected {expected}"
             )
-        if (F < -_ENTRY_CLAMP).any():
+        if (F < -TOL["entry_clamp"]).any():
             raise DimensionMismatch("init map has negative entries")
         F[F < 0] = 0.0
         sums = F.sum(axis=0)
-        if not np.abs(sums - 1.0).max() <= 1e-9:
+        if not np.abs(sums - 1.0).max() <= TOL["vector_sum"]:
             j = int(np.abs(sums - 1.0).argmax())
             raise DimensionMismatch(f"init map column {j} sums to {sums[j]}")
         F /= sums[None, :]
         proj = np.array(self.map.projection)
-        outside = (F > _ENTRY_CLAMP) & (proj[:, None] != np.arange(self.map.base_n)[None, :])
+        outside = (F > TOL["entry_clamp"]) & (proj[:, None] != np.arange(self.map.base_n)[None, :])
         if outside.any():
             k, j = np.argwhere(outside)[0]
             raise LocalityViolation(
@@ -272,9 +272,9 @@ def induced_chain(L: Lift, pi_hat: Distribution) -> StochasticMatrix:
     divided by the marginal mass of j; stationary at marginal(pi_hat).
     """
     collapsed = _collapsed_flows(L, pi_hat)
-    check_stationary(L.A, pi_hat, tol=1e-8)
+    check_stationary(L.A, pi_hat, tol=TOL["steady_state_residual"])
     marg = L.map.C @ pi_hat.weights
-    dead = np.nonzero(marg <= 1e-15)[0]
+    dead = np.nonzero(marg <= TOL["dead_marginal"])[0]
     if len(dead):
         raise ZeroMarginalSupport(
             f"marginal of pi_hat vanishes on base nodes {dead.tolist()}"
@@ -336,12 +336,12 @@ def check_invariance(
     if X is not None:
         x = X @ pi.weights
         worst = _window_tv(L.A, x, pi.weights, horizon, L.map.C)
-        if (worst[1:] > 1e-9).any():
+        if (worst[1:] > TOL["invariance_horizon_tv"]).any():
             return False, Distribution(x)
         return True, None
     xs = fiber_uniform_init(L.map, pi)
     M = np.ascontiguousarray(L.map.C @ L.A._csr)
-    if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > 1e-12:
+    if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > TOL["invariance_one_step"]:
         return False, xs
     pair = _fiber_column_mismatch(M, L.map)
     if pair is None:
@@ -392,12 +392,13 @@ def marginal_mixing_time(
 def _batch_limits(A: np.ndarray, X0: np.ndarray) -> np.ndarray:
     """Long-run average limit of each column's trajectory under A (a 1-D
     X0 is a single start and gives a 1-D limit), by half-lazy averaging
-    that stops at a 1e-10 step change; only lifted_stationary uses it."""
+    that stops at an averaging_step change; only lifted_stationary uses it."""
     Y = X0.copy()
+    step, residual = TOL["averaging_step"], TOL["averaging_residual"]
     for _ in range(100_000):
         Z = 0.5 * (Y + A @ Y)
-        if 0.5 * np.abs(Z - Y).sum(axis=0).max() < 1e-10:
-            if np.abs(A @ Z - Z).sum(axis=0).max() <= 1e-9:
+        if 0.5 * np.abs(Z - Y).sum(axis=0).max() < step:
+            if np.abs(A @ Z - Z).sum(axis=0).max() <= residual:
                 return Z
         Y = Z
     raise NoConvergence("steady-state averaging did not settle in 1e5 steps")
@@ -439,30 +440,31 @@ def check_flow_match(
 
     max_dev is the largest entrywise gap between the lift's fiber-collapsed
     ergodic flows under pi_hat and the reference chain's flows at the same
-    marginal.  delta = 0 means exact matching, judged with 1e-8 slack.
+    marginal, judged at max(delta, flow_exact_slack), so no budget is
+    judged more strictly than exact matching (delta = 0).
     """
     collapsed = _collapsed_flows(L, pi_hat)
     if P_ref.n != L.map.base_n:
         raise DimensionMismatch("reference chain is not on the base nodes")
     marg = Distribution(L.map.C @ pi_hat.weights)
-    check_stationary(P_ref, marg, tol=1e-6)
+    check_stationary(P_ref, marg, tol=TOL["flow_reference_residual"])
     reference = ergodic_flows(P_ref, marg)
     max_dev = float(np.abs(collapsed - reference).max())
-    threshold = delta if delta > 0 else 1e-8
-    return max_dev, max_dev <= threshold
+    return max_dev, max_dev <= max(delta, TOL["flow_exact_slack"])
 
 
 def _fiber_column_mismatch(M: np.ndarray, m: LiftMap) -> tuple[int, int] | None:
     """First same-fiber pair (j0, k) whose columns of the marginal step
-    M = C A differ, else None.
+    M = C A differ by more than invariance_one_step, else None.
 
     None means the marginal step does not depend on where mass sits within
     a fiber; j0 is the first lifted node of the fiber holding k.
     """
+    tol = TOL["invariance_one_step"]
     for fiber in m.fibers:
         j0 = fiber[0]
         for k in fiber[1:]:
-            if np.abs(M[:, k] - M[:, j0]).max() > 1e-12:
+            if np.abs(M[:, k] - M[:, j0]).max() > tol:
                 return j0, k
     return None
 
@@ -694,7 +696,7 @@ def scenario_report(
         elif value == UNMIXED:
             consistent = False
         else:
-            consistent = measured >= value - 1 - 1e-9
+            consistent = measured >= value - 1 - TOL["bound_slack"]
         return {
             "name": name,
             "kind": "lower",
@@ -755,7 +757,7 @@ def scenario_report(
                 "kind": "upper",
                 "binding": True,
                 "value": float(value),
-                "consistent": bool(measured <= value + 1e-9),
+                "consistent": bool(measured <= value + TOL["bound_slack"]),
             })
 
     return {
@@ -767,12 +769,9 @@ def scenario_report(
         "diameter": diameter(L.base),
         "construction": dict(L.metadata),
         "stationary_seed": seed_name,
-        "tolerances": {
-            "invariance_one_step": 1e-12,
-            "invariance_horizon_tv": 1e-9,
-            "steady_state_residual": 1e-8,
-            "flow_exact_slack": 1e-8,
-        },
+        "tolerances": {key: TOL[key] for key in (
+            "invariance_one_step", "invariance_horizon_tv", "steady_state_residual",
+            "flow_exact_slack")},
         "measured": {
             "marginal": _steps_json(tau_m),
             "full": _steps_json(tau_f),

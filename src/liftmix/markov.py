@@ -26,13 +26,12 @@ from .errors import (
     NotStationary,
     ReducibleChain,
 )
+from ._tolerances import TOL
 from .graph_core import Graph, _levels, _read_only, _strong_components
 
 #: Sentinel returned by mixing-time measurements that never settle below eps.
 UNMIXED = math.inf
 
-_ENTRY_CLAMP = 1e-12
-_COLUMN_TOL = 1e-6
 #: Columns of the identity per every-vertex full-state chunk (_vertex_chunks);
 #: 64, 128 and 256 run alike.
 _CHUNK_WIDTH = 128
@@ -40,18 +39,18 @@ _CHUNK_WIDTH = 128
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability vector; entries >= -1e-12 are clamped to 0, sum must be
-    within 1e-9 of 1 (no renormalization — a bad sum is an error)."""
+    """Probability vector; entries >= -entry_clamp are clamped to 0, sum must
+    be within vector_sum of 1 (no renormalization — a bad sum is an error)."""
 
     weights: np.ndarray
 
     def __init__(self, weights) -> None:
         w = np.array(weights, dtype=float).reshape(-1).copy()
-        if (w < -_ENTRY_CLAMP).any():
+        if (w < -TOL["entry_clamp"]).any():
             raise BadColumnSum(f"negative probability entry: min={w.min()}")
         w[w < 0] = 0.0
         s = w.sum()
-        if not abs(s - 1.0) <= 1e-9:  # NaN-safe: a NaN sum fails too
+        if not abs(s - 1.0) <= TOL["vector_sum"]:  # NaN-safe: a NaN sum fails too
             raise BadColumnSum(f"distribution sums to {s}, not 1")
         object.__setattr__(self, "weights", w)
         self.weights.setflags(write=False)
@@ -84,10 +83,11 @@ class StochasticMatrix:
 
     Kept in the form it is built from, dense or scipy sparse; the other form
     is derived once, on first read (entries, _csr).  On the nonzero
-    triplets, entries are clamped to [0, 1] from within 1e-12; each raw
-    column sum, added in row order as a dense one is, must be within 1e-6
-    of 1 (then the column is renormalized exactly).  When a locality graph
-    is set, off-diagonal support > 1e-12 must sit on its arcs.  Its classes,
+    triplets, entries are clamped to [0, 1] from within entry_clamp; each
+    raw column sum, added in row order as a dense one is, must be within
+    column_sum of 1 (then the column is renormalized exactly).  When a
+    locality graph is set, off-diagonal support > entry_clamp must sit on
+    its arcs.  Its classes,
     then their laws, and the cyclic classes of an irreducible matrix are
     built once, on first use, and shared read-only (_labels, _ergodic,
     _cyclic).
@@ -105,11 +105,11 @@ class StochasticMatrix:
         object.__setattr__(self, "n", M.shape[0])
         self.__dict__["_csr" if sparse else "entries"] = M
         row, col, value = self._triplets()  # a sparse input's value is M.data itself
-        if (value < -_ENTRY_CLAMP).any() or (value > 1 + _ENTRY_CLAMP).any():
+        if (value < -TOL["entry_clamp"]).any() or (value > 1 + TOL["entry_clamp"]).any():
             raise BadColumnSum("matrix entries outside [0,1] beyond clamp tolerance")
         np.clip(value, 0.0, 1.0, out=value)
         sums = np.bincount(col, weights=value, minlength=self.n)
-        bad = ~(np.abs(sums - 1.0) <= _COLUMN_TOL)  # NaN-safe
+        bad = ~(np.abs(sums - 1.0) <= TOL["column_sum"])  # NaN-safe
         if bad.any():
             j = int(np.nonzero(bad)[0][0])
             raise BadColumnSum(f"column {j} sums to {sums[j]}")
@@ -124,7 +124,7 @@ class StochasticMatrix:
         object.__setattr__(self, "locality", locality)
 
     def _check_locality(self, g: Graph | None, triplets=None) -> None:
-        """The one locality check: off-diagonal support > 1e-12 must sit on
+        """The one locality check: off-diagonal support > entry_clamp must sit on
         g's arcs; none for g None or the graph the read-only entries were
         built against."""
         if g is None or g is self.locality:
@@ -132,7 +132,7 @@ class StochasticMatrix:
         if g.n != self.n:
             raise DimensionMismatch(f"matrix is {self.n}x{self.n} but graph has {g.n} nodes")
         j, i, value = self._triplets() if triplets is None else triplets
-        illegal = (value > _ENTRY_CLAMP) & (j != i) & ~g._has_arcs(i, j)  # (j, i) needs arc (i, j)
+        illegal = (value > TOL["entry_clamp"]) & (j != i) & ~g._has_arcs(i, j)  # needs arc (i, j)
         if illegal.any():
             k = int(np.argmax(illegal))
             raise LocalityViolation(
@@ -159,10 +159,10 @@ class StochasticMatrix:
 
     @cached_property
     def _labels(self) -> np.ndarray:
-        """Strong-component label of each state, arcs being entries > 1e-12,
-        on one CSR built straight from the row-major triplets."""
+        """Strong-component label of each state, arcs being entries above
+        entry_clamp, on one CSR built straight from the row-major triplets."""
         row, col, value = self._triplets()
-        arc = value > _ENTRY_CLAMP
+        arc = value > TOL["entry_clamp"]
         indptr = np.searchsorted(row[arc], np.arange(self.n + 1))
         return _strong_components(csr_array((value[arc], col[arc], indptr), (self.n,) * 2))
 
@@ -181,7 +181,7 @@ class StochasticMatrix:
         labels = self._labels
         if labels.max() == 0:
             return _read_only(_stationary_weights(self.entries)[:, None]), None
-        to, frm = (self._csr > _ENTRY_CLAMP).nonzero()
+        to, frm = (self._csr > TOL["entry_clamp"]).nonzero()
         leaky = np.zeros(labels.max() + 1, dtype=bool)
         leaky[labels[frm[labels[to] != labels[frm]]]] = True
         closed = np.flatnonzero(~leaky)
@@ -304,7 +304,7 @@ def evolve(P: StochasticMatrix, p: Distribution, t: int) -> Distribution:
 
 
 def is_irreducible(P: StochasticMatrix) -> bool:
-    """Strong connectivity of the support digraph (entries > 1e-12): one
+    """Strong connectivity of the support digraph (entries > entry_clamp): one
     component in P's classes, the first half of its ergodic decomposition."""
     return bool(P._labels.max() == 0)
 
@@ -330,9 +330,9 @@ def _stationary_weights(M: np.ndarray) -> np.ndarray:
     # one polish step tightens the residual
     pi = M @ pi
     pi /= pi.sum()
-    res = float(np.abs(M @ pi - pi).sum())
-    if res > 1e-10:
-        raise NotStationary(f"stationary solve residual {res} exceeds 1e-10")
+    res, tol = float(np.abs(M @ pi - pi).sum()), TOL["stationary_solve"]
+    if res > tol:
+        raise NotStationary(f"stationary solve residual {res} exceeds {tol}")
     return pi
 
 
@@ -346,7 +346,8 @@ def _ergodic_limits(P: StochasticMatrix, X: np.ndarray | None) -> np.ndarray:
     return Pi @ H.T if X is None else Pi @ (H.T @ X)
 
 
-def check_stationary(P: StochasticMatrix, pi: Distribution, tol: float = 1e-9) -> None:
+def check_stationary(P: StochasticMatrix, pi: Distribution,
+                     tol: float = TOL["stationary_residual"]) -> None:
     if P.n != pi.n:
         raise DimensionMismatch(f"matrix size {P.n} vs vector size {pi.n}")
     res = float(np.abs(P.entries @ pi.weights - pi.weights).sum())
@@ -398,9 +399,10 @@ def _window_tv(
 
     - periodic: a start held in one class c sits in class c + t_max mod p
       at t_max, every other entry exactly 0.0.  If the target holds less
-      than (start mass + target mass)/2 - eps - 1e-9 on that class (with C,
-      on the base nodes it projects to), the TV there is above eps, so the
-      scan returns at the first step whose worst TV is above eps: UNMIXED.
+      than (start mass + target mass)/2 - eps - scan_margin on that class
+      (with C, on the base nodes it projects to), the TV there is above
+      eps, so the scan returns at the first step whose worst TV is above
+      eps: UNMIXED.
     - mixed: the residue limits z_r, r mod p, are law itself for p = 1 and
       p law o (the start's class masses, rolled by r) otherwise.  law is
       the target of a full-state scan, and pi-hat of a forward marginal
@@ -411,13 +413,14 @@ def _window_tv(
       z_{r+1}||_1, measured once, TV(C x_t', target) <= max_r TV(C z_r,
       target) + d_t + (t' - t) rho for t' >= t, d_t = max_col 1/2 ||x_t -
       z_{t mod p}||_1.  The scan returns at the first t with d_t <= eps -
-      max_r TV(C z_r, target) - (t_max - t)(rho + 1e-12) - 1e-9.  For a
-      full-state scan with p = 1, z_0 is the target and d_t is worst[t].
-      The targets need only be near-fixed: their residuals are at most 1e-9
-      from check_stationary, 1e-10 from stationary, and rounding level from
-      _ergodic_limits' exact projector.  The margins cover the floats: CSR
-      rounding adds far less than 1e-12 per step, and the TV sums and rho
-      itself are off by far less than 1e-9.
+      max_r TV(C z_r, target) - (t_max - t)(rho + scan_drift) - scan_margin.
+      For a full-state scan with p = 1, z_0 is the target and d_t is
+      worst[t].  The targets need only be near-fixed: their residuals are
+      at most stationary_residual from check_stationary, stationary_solve
+      from stationary, and rounding level from _ergodic_limits' exact
+      projector.  The margins cover the floats: CSR rounding adds far less
+      than scan_drift per step, and the TV sums and rho itself are off by
+      far less than scan_margin.
     """
     if t_max < 0:
         raise DimensionMismatch(f"t_max must be at least 0, got {t_max}")
@@ -444,7 +447,8 @@ def _window_tv(
             # a limit that is the target itself is 0 from it
             slack = eps - max((_worst(read(z) - target) for z in limits if z is not target),
                               default=0.0)
-            drift = max(_worst(A @ z - limits[(r + 1) % p]) for r, z in enumerate(limits)) + 1e-12
+            rho = max(_worst(A @ z - limits[(r + 1) % p]) for r, z in enumerate(limits))
+            drift, margin = rho + TOL["scan_drift"], TOL["scan_margin"]
     worst = np.empty(t_max + 1)
     gap = None  # reused: a fresh full-state buffer each step costs more than the step
     for t in range(t_max + 1):
@@ -456,7 +460,8 @@ def _window_tv(
             return worst[:t + 1]
         if limits is not None and worst[t] <= eps:
             z = limits[t % p]
-            if (worst[t] if z is target else _worst(state - z)) <= slack - (t_max - t) * drift - 1e-9:
+            d = worst[t] if z is target else _worst(state - z)  # d_t
+            if d <= slack - (t_max - t) * drift - margin:
                 return worst[:t + 1]
         if (t and worst[t] == worst[t - 1] and state.flat[0] == prev.flat[0]
                 and np.array_equal(state, prev)):
@@ -482,8 +487,8 @@ def _off_target_class(X, target, t_max, C, eps, cyclic) -> bool:
     """The periodic certificate: whether some start held in one cyclic
     class is, at t_max, in a class whose compared entries (its states, or
     with C the base nodes it projects to) hold less than (start mass +
-    target mass)/2 - eps - 1e-9 of the target, which bounds its TV below
-    by more than eps."""
+    target mass)/2 - eps - scan_margin of the target, which bounds its TV
+    below by more than eps."""
     p = cyclic[0]
     if p == 1:
         return False
@@ -495,8 +500,8 @@ def _off_target_class(X, target, t_max, C, eps, cyclic) -> bool:
     m = _class_masses(X, cyclic).reshape(p, -1)
     end = ((m > 0).argmax(axis=0) + t_max) % p
     col = np.arange(m.shape[1]) if T.shape[1] > 1 else 0
-    short = held[end, col] < 0.5 * (m.sum(axis=0) + T.sum(axis=0)[col]) - eps - 1e-9
-    return bool((short & ((m > 0).sum(axis=0) == 1)).any())
+    need = 0.5 * (m.sum(axis=0) + T.sum(axis=0)[col]) - eps - TOL["scan_margin"]
+    return bool(((held[end, col] < need) & ((m > 0).sum(axis=0) == 1)).any())
 
 
 def _residue_limits(law, X, ndim, cyclic) -> list[np.ndarray]:
