@@ -16,6 +16,8 @@ import csv
 import json
 import math
 import sys
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -107,7 +109,11 @@ def _plain(obj):
 
     Non-finite floats become the strings "inf", "-inf" and "nan" so the
     output stays strict JSON.  Exact built-in types are dispatched first,
-    since bundles hold millions of plain floats.
+    since bundles hold long lists of plain numbers: a list whose elements
+    are all int and str, or all finite float, is returned as it is, and so
+    is a list of such lists (edges, rows), all tested at C speed; any other
+    list (bools, numpy scalars, non-finite floats, deeper nesting) is
+    converted element by element.
     """
     kind = type(obj)
     if kind is float:
@@ -117,6 +123,10 @@ def _plain(obj):
             return "nan"
         return "inf" if obj > 0 else "-inf"
     if kind is list:
+        flat = list(chain.from_iterable(obj)) if set(map(type, obj)) == {list} else obj
+        kinds = set(map(type, flat))
+        if kinds <= {int, str} or kinds == {float} and all(map(math.isfinite, flat)):
+            return obj
         return [_plain(v) for v in obj]
     if kind is int or kind is str:
         return obj
@@ -750,7 +760,9 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="liftmix",
         description="Construct and analyze lifted Markov chains at desk scale.",

@@ -255,11 +255,13 @@ def graph_from_edges(n: int, edges: list[tuple[int, int]], directed: bool = Fals
 
 
 def graph_to_json(g: Graph) -> dict:
+    """Ascending edges off the arc keys; undirected input as [min, max]."""
+    keys = g._arc_keys
     if g.undirected_input:
-        edges = sorted({(min(i, j), max(i, j)) for i, j in g.arcs})
-    else:
-        edges = sorted(g.arcs)
-    return {"n": g.n, "edges": [list(e) for e in edges], "directed": not g.undirected_input}
+        i, j = np.divmod(keys, g.n)
+        keys = np.unique(np.minimum(i, j) * g.n + np.maximum(i, j))
+    edges = np.stack(np.divmod(keys, g.n), axis=1).tolist()
+    return {"n": g.n, "edges": edges, "directed": not g.undirected_input}
 
 
 def graph_from_json(obj: dict) -> Graph:

@@ -54,7 +54,10 @@ from .markov import (
     matrix_from_json,
     stationary,
     _ergodic_limits,
+    _json_floats,
     _settle_time,
+    _sparse_from_json,
+    _triplet_json,
     _vertex_tau,
     _window_tv,
 )
@@ -797,19 +800,20 @@ def scenario_report(
 
 
 def lift_to_json(L: Lift) -> dict:
+    """A and F as nonzero triplets in row-major order; F's shape is implied."""
+    F = None if L.F is None else L.F.entries
     return {
         "base": graph_to_json(L.base),
         "lifted": graph_to_json(L.lifted),
         "projection": list(L.map.projection),
         "A": L.A._sparse_json(),
-        "F": None if L.F is None else {
-            "rows": L.F.entries.tolist()
-        },
+        "F": None if F is None else _triplet_json(*np.nonzero(F), F[F != 0]),
         "metadata": dict(L.metadata),
     }
 
 
 def lift_from_json(obj: dict) -> Lift:
+    """Read a bundle; F may also be dense "rows", as older bundles hold it."""
     base = graph_from_json(obj["base"])
     lifted = graph_from_json(obj["lifted"])
     projection = obj["projection"]
@@ -817,9 +821,10 @@ def lift_from_json(obj: dict) -> Lift:
         raise BadSize("lift projection must be a list of integers")
     m = LiftMap(base.n, tuple(projection))
     A = matrix_from_json(obj["A"], locality=lifted)
-    F = None
-    if obj.get("F") is not None:
-        F = InitMap(m, np.asarray(obj["F"]["rows"], dtype=float))
+    F = obj.get("F")
+    if F is not None:
+        F = InitMap(m, _json_floats(F["rows"], "init map rows") if "rows" in F
+                    else _sparse_from_json(F, (m.lifted_n, m.base_n)).toarray())
     return Lift(
         base=base, lifted=lifted, map=m, A=A, F=F,
         metadata=dict(obj.get("metadata", {})),

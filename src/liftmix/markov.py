@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_array, csc_array, csr_array, eye_array, issparse
@@ -74,7 +75,21 @@ def point_distribution(n: int, i: int) -> Distribution:
 
 
 def distribution_from_json(obj: dict) -> Distribution:
-    return Distribution(np.asarray(obj["weights"], dtype=float))
+    return Distribution(_json_floats(obj["weights"], "distribution weights"))
+
+
+def _json_floats(seq, what: str) -> np.ndarray:
+    """A JSON number, list of numbers or list of such lists as a float
+    array; a str or bool in it is refused, never coerced."""
+    leaves = seq if type(seq) is list else [seq]
+    if set(map(type, leaves)) == {list}:
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:  # at C speed
+        raise BadColumnSum(f"{what} must be JSON numbers")
+    try:
+        return np.asarray(seq, dtype=float)
+    except ValueError as exc:  # ragged lists
+        raise BadColumnSum(f"{what} are not a rectangular array: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,30 +235,36 @@ class StochasticMatrix:
 
     def _sparse_json(self) -> dict:
         """The nonzero entries as triplets in row-major order."""
-        row, col, value = self._triplets()
-        return {"n": self.n, "row": row.tolist(), "col": col.tolist(), "value": value.tolist()}
+        return {"n": self.n, **_triplet_json(*self._triplets())}
+
+
+def _triplet_json(row, col, value) -> dict:
+    """Sparse triplets as JSON lists, in the order given."""
+    return {"row": row.tolist(), "col": col.tolist(), "value": value.tolist()}
 
 
 def matrix_from_json(obj: dict, locality: Graph | None = None) -> StochasticMatrix:
     """Read either matrix form (triplets as sparse); both get every check."""
     if "rows" in obj:
-        return StochasticMatrix(np.asarray(obj["rows"], dtype=float), locality=locality)
+        return StochasticMatrix(_json_floats(obj["rows"], "matrix rows"), locality=locality)
     n = obj["n"]
     if type(n) is not int or n < 1:
         raise BadSize(f"matrix size n must be a positive integer, got {n!r}")
-    row, col = (_triplet_indices(obj[key], key, n) for key in ("row", "col"))
-    try:
-        value = np.asarray(obj["value"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BadColumnSum(f"matrix values are not numbers: {exc}") from exc
+    return StochasticMatrix(_sparse_from_json(obj, (n, n)), locality=locality)
+
+
+def _sparse_from_json(obj: dict, shape: tuple[int, int]) -> coo_array:
+    """The matrix of this shape with triplets {"row", "col", "value"}: indices
+    integers in range, values JSON numbers, no (row, col) pair twice."""
+    row, col = (_triplet_indices(obj[key], key, size) for key, size in zip(("row", "col"), shape))
+    value = _json_floats(obj["value"], "matrix values")
     if value.ndim != 1 or not len(row) == len(col) == len(value):
         raise LengthMismatch(
             f"row, col and value hold {len(row)}, {len(col)} and {value.size} entries"
         )
-    flat = row * n + col
-    if len(np.unique(flat)) != len(flat):
+    if len(np.unique(row * shape[1] + col)) != len(row):
         raise BadSize("matrix triplets repeat a (row, col) pair")
-    return StochasticMatrix(coo_array((value, (row, col)), shape=(n, n)), locality=locality)
+    return coo_array((value, (row, col)), shape=shape)
 
 
 def _triplet_indices(seq, key: str, n: int) -> np.ndarray:

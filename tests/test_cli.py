@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from liftmix import barbell, complete, cycle, graph_to_json, path
+from liftmix import (
+    barbell, complete, cycle, four_cycle_lift, graph_to_json, lift_to_json, path,
+)
 from liftmix.cli import SUITE_NAMES, _dump_json, main, run_suite
 
 EXPECTED_SUITE_PASS = {
@@ -309,6 +311,16 @@ def test_lift_build_mixer_from_graph_file(tmp_path, capsys):
     assert report["measured"]["marginal"]["tau"] <= report["diameter"] + 1
 
 
+def _four_cycle_bundle(part: str) -> dict:
+    """The four-cycle lift's bundle with the first value of A or F as a str."""
+    obj = lift_to_json(four_cycle_lift(0.05, 0.01)[0])
+    obj[part]["value"][0] = str(obj[part]["value"][0])
+    return obj
+
+
+_ANALYZE = ["lift", "analyze", "--lift", "F", "--pi", "uniform", "--scenario", "SIMRE"]
+
+
 @pytest.mark.parametrize("content, command", [
     ({"n": 2}, ["conductance", "chain", "--chain", "F", "--pi", "uniform"]),
     ({"base": 1}, ["lift", "analyze", "--lift", "F", "--pi", "uniform",
@@ -320,6 +332,10 @@ def test_lift_build_mixer_from_graph_file(tmp_path, capsys):
     ({"base": {"n": 2, "edges": [[0, 1]]}, "lifted": {"n": 2, "edges": [[0, 1]]},
       "projection": [0, "1"]}, ["lift", "analyze", "--lift", "F", "--pi", "uniform",
                                 "--scenario", "SIMRE"]),
+    # numbers written as strings
+    (_four_cycle_bundle("A"), _ANALYZE),
+    (_four_cycle_bundle("F"), _ANALYZE),
+    ({"weights": ["0.25"] * 4}, ["conductance", "graph", "--graph", "G", "--pi", "F"]),
 ])
 def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, command):
     # a file of the wrong shape exits 2 with one error line naming it, not a traceback
@@ -430,13 +446,34 @@ def test_dump_json_converts_numpy_and_nonfinite_values():
         "flags": np.array([True, False]),
         "counts": np.arange(3),
         2: [{"nested": np.float64(-0.0)}, "text"],
+        # lists of plain values, some returned as they are
+        "ints": [3, -1, 0],
+        "words": ["a", 1, "b"],
+        "floats": [0.5, -0.0, 1e300],
+        "float_inf": [0.5, math.inf],
+        "float_nan": [math.nan, 0.5],
+        "int_float": [1, 2.5, -math.inf],
+        "bools": [True, 0, 1.0],
+        "np_floats": [np.float64(0.5), 0.25],
+        "np_ints": [np.int64(2), 3],
+        "lists": [[1.0, math.nan], [], [2]],
+        "edges": [[0, 1], [1, 2]],
+        "float_rows": [[0.5, 0.25], [1.0]],
+        "deep": [[[0.5]], [[1]]],
+        "bool_rows": [[True], [1]],
+        "empty": [],
     }
     assert _dump_json(report) == (
-        '{"2":[{"nested":-0.0},"text"],"bool":true,"counts":[0,1,2],'
-        '"f32":0.5,"f64":0.1,"flags":[true,false],"i64":-3,"inf":"inf",'
-        '"int":7,"nan":"nan","ninf":"-inf","np_bool":false,"np_inf":"inf",'
-        '"np_nan":"nan","rows":[[0.25,"inf"],["-inf","nan"]],'
-        '"tuple":[1,2.5,[4,null]]}\n'
+        '{"2":[{"nested":-0.0},"text"],"bool":true,"bool_rows":[[true],[1]],'
+        '"bools":[true,0,1.0],"counts":[0,1,2],"deep":[[[0.5]],[[1]]],'
+        '"edges":[[0,1],[1,2]],"empty":[],"f32":0.5,"f64":0.1,"flags":[true,false],'
+        '"float_inf":[0.5,"inf"],"float_nan":["nan",0.5],"float_rows":[[0.5,0.25],[1.0]],'
+        '"floats":[0.5,-0.0,1e+300],"i64":-3,"inf":"inf","int":7,'
+        '"int_float":[1,2.5,"-inf"],"ints":[3,-1,0],"lists":[[1.0,"nan"],[],[2]],'
+        '"nan":"nan","ninf":"-inf","np_bool":false,"np_floats":[0.5,0.25],'
+        '"np_inf":"inf","np_ints":[2,3],"np_nan":"nan",'
+        '"rows":[[0.25,"inf"],["-inf","nan"]],'
+        '"tuple":[1,2.5,[4,null]],"words":["a",1,"b"]}\n'
     )
 
 

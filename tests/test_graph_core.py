@@ -326,6 +326,27 @@ def test_graph_json_round_trip(tmp_path):
     assert loaded.arcs == g.arcs
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))),
+       st.booleans())
+def test_graph_json_edges_follow_the_sorted_arc_rule(n, pairs, undirected_input):
+    # edges are the sorted arcs, or for undirected input the sorted set of
+    # (min, max) pairs; a one-way arc of an undirected-input graph is kept
+    arcs = frozenset((i, j) for i, j in pairs if i != j and i < n and j < n)
+    g = Graph(n=n, arcs=arcs, undirected_input=undirected_input)
+    if undirected_input:
+        edges = sorted({(min(i, j), max(i, j)) for i, j in arcs})
+    else:
+        edges = sorted(arcs)
+    assert graph_to_json(g) == {"n": n, "edges": [list(e) for e in edges],
+                                "directed": not undirected_input}
+
+
+def test_undirected_json_keeps_one_way_arcs():
+    g = Graph(n=3, arcs=frozenset({(2, 0), (1, 2), (2, 1)}), undirected_input=True)
+    assert graph_to_json(g) == {"n": 3, "edges": [[0, 2], [1, 2]], "directed": False}
+
+
 def test_directed_json_survives_round_trip():
     g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
     assert (0, 1) in g.arcs and (1, 0) not in g.arcs

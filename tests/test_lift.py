@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_array, csr_array
 
 from liftmix import (
+    BadColumnSum,
     BadScenario,
+    BadSize,
     DimensionMismatch,
     Distribution,
     EmptyCutWeight,
     Graph,
     InitMap,
+    LengthMismatch,
     Lift,
     LiftMap,
     LocalityViolation,
@@ -57,6 +60,7 @@ from liftmix import (
     marginal_mixing_time,
     metropolis_chain,
     mixing_time,
+    node_clock_lift,
     parse_scenario,
     path,
     periodic_clock_lift,
@@ -1202,10 +1206,70 @@ def test_sparse_bundle_round_trip_matches_the_dense_reader(seed):
 
 
 def test_lift_json_rejects_nan_in_init_map():
-    # json.load accepts NaN, and NaN compares False against any tolerance
+    # json.load accepts NaN, and NaN compares False against any tolerance;
+    # F is read from dense "rows" as from triplets
+    L = four_cycle_lift(0.05, 0.01)[0]
+    rows = lift_to_json(L)
+    rows["F"] = {"rows": L.F.entries.tolist()}
+    rows["F"]["rows"][0][0] = float("nan")
+    triplets = lift_to_json(L)
+    triplets["F"]["value"][0] = float("nan")
+    for obj in (rows, triplets):
+        with pytest.raises(DimensionMismatch):
+            lift_from_json(obj)
+
+
+def _random_init_lift(rng) -> Lift:
+    """A lift with an init map: a diameter mixer of each variant, a
+    node-clock or a clock lift of a small random graph, or the four-cycle
+    lift."""
+    g = random_connected_graph(rng, n_max=4)
+    pi = random_distribution(rng, g.n)
+    kind = int(rng.integers(0, 6))
+    if kind < 3:
+        return diameter_mixer(g, pi, ("reducible", "flows", "irreducible")[kind])
+    if kind == 3:
+        bridges = [stochastic_bridge(g, point_distribution(g.n, i), pi) for i in range(g.n)]
+        return node_clock_lift(g, bridges, pi)
+    if kind == 4:
+        return clock_lift(g, stochastic_bridge(g, point_distribution(g.n, 0), pi))
+    return four_cycle_lift(0.05, 0.01)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_init_map_triplets_round_trip_like_dense_rows(seed):
+    # F is written as the nonzero triplets of its entries in row-major order,
+    # and read back to the bits a dense "rows" bundle of the same F gives
+    L = _random_init_lift(rng_from_seed(seed))
+    obj = json.loads(json.dumps(lift_to_json(L)))
+    F = obj["F"]
+    row, col = np.nonzero(L.F.entries)
+    assert F == {"row": row.tolist(), "col": col.tolist(),
+                 "value": L.F.entries[row, col].tolist()}
+    back = lift_from_json(obj)
+    dense = lift_from_json({**obj, "F": {"rows": L.F.entries.tolist()}})
+    assert np.array_equal(back.F.entries, dense.F.entries)
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda F, shape: {"row": [float(F["row"][0])] + F["row"][1:]}, BadSize),
+    (lambda F, shape: {"col": [True] + F["col"][1:]}, BadSize),
+    (lambda F, shape: {"row": F["row"][:-1] + [shape[0]]}, BadSize),
+    (lambda F, shape: {"col": [-1] + F["col"][1:]}, BadSize),
+    (lambda F, shape: {"col": F["col"][:-1] + [shape[1]]}, BadSize),
+    (lambda F, shape: {key: v + v[-1:] for key, v in F.items()}, BadSize),  # a pair twice
+    (lambda F, shape: {"value": F["value"][:-1]}, LengthMismatch),
+    (lambda F, shape: {"col": F["col"][1:]}, LengthMismatch),
+    (lambda F, shape: {"value": [str(F["value"][0])] + F["value"][1:]}, BadColumnSum),
+    (lambda F, shape: {"value": [True] + F["value"][1:]}, BadColumnSum),
+], ids=["float-index", "bool-index", "row-past-end", "negative-col", "col-past-end",
+        "repeated-pair", "short-value", "short-col", "str-value", "bool-value"])
+def test_lift_json_rejects_malformed_init_map_triplets(change, error):
     obj = lift_to_json(four_cycle_lift(0.05, 0.01)[0])
-    obj["F"]["rows"][0][0] = float("nan")
-    with pytest.raises(DimensionMismatch):
+    shape = (len(obj["projection"]), obj["base"]["n"])
+    obj["F"] = {**obj["F"], **change(obj["F"], shape)}
+    with pytest.raises(error):
         lift_from_json(obj)
 
 

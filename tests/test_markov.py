@@ -92,6 +92,26 @@ def test_nan_fails_column_sum_checks():
         matrix_from_json(json.loads('{"n": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}'))
 
 
+def test_readers_refuse_strings_and_booleans_as_numbers():
+    # a number written as a str or a bool is refused, never coerced
+    for value in (["0.5", "0.5", True, 0], [0.5, 0.5, 1, False]):
+        with pytest.raises(BadColumnSum):
+            matrix_from_json({"n": 2, "row": [0, 1, 0, 1], "col": [0, 0, 1, 1],
+                              "value": value})
+    for rows in ([["0.5", True], ["0.5", False]], [[0.5, 1], [0.5, False]], "1"):
+        with pytest.raises(BadColumnSum):
+            matrix_from_json({"n": 2, "rows": rows})
+    for weights in (["0.5", "5e-1"], [True], "1"):
+        with pytest.raises(BadColumnSum):
+            distribution_from_json({"weights": weights})
+    # integers are numbers
+    P = matrix_from_json({"n": 2, "row": [0, 1], "col": [1, 0], "value": [1, 1]})
+    assert np.array_equal(P.entries, [[0, 1], [1, 0]])
+    assert np.array_equal(matrix_from_json({"n": 2, "rows": [[0, 1], [1, 0]]}).entries,
+                          P.entries)
+    assert distribution_from_json({"weights": [0, 1]}).weights.tolist() == [0.0, 1.0]
+
+
 def test_mixing_time_rejects_negative_window():
     P = lazy_walk(cycle(4))
     pi = uniform_distribution(4)
@@ -174,6 +194,7 @@ def test_sparse_matrix_json_reads_the_dense_bits():
     ({"n": 0, "row": [], "col": [], "value": []}, BadSize),
     ({"n": 2.0}, BadSize),
     ({"row": [0], "col": [0], "value": [1.0]}, BadColumnSum),  # column 1 is empty
+    ({"row": [0, 1], "col": [0, 1], "value": [[1.0], [1.0, 0.0]]}, BadColumnSum),
 ])
 def test_sparse_matrix_json_rejects_bad_triplets(change, error):
     obj = {"n": 2, "row": [0, 1], "col": [0, 1], "value": [1.0, 1.0], **change}

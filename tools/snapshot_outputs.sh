@@ -17,8 +17,8 @@
 #     walk, and sIMRE on the three mixer variants of the 16-node cycle
 #     (uniform pi), whose bound goes through the induced chain;
 #   - lift analyze SIMRE on a copy of the cycle-8 reducible mixer bundle
-#     (uniform pi) whose A is written as dense "rows", so the corpus shows
-#     that such bundles are read as before;
+#     (uniform pi) whose A and F are written as dense "rows", so the corpus
+#     shows that such bundles are read as before;
 #   - lift analyze sIMRE with --t-max 4000 on the cycle-8 reducible mixer
 #     bundle (uniform pi), whose scans reach a frozen state thousands of
 #     steps before their window ends;
@@ -172,11 +172,15 @@ import numpy as np
 
 with open(sys.argv[1]) as fh:
     bundle = json.load(fh)
-A = bundle["A"]
+A, F = bundle["A"], bundle["F"]
 if "rows" not in A:
     rows = np.zeros((A["n"], A["n"]))
     rows[A["row"], A["col"]] = A["value"]
     bundle["A"] = {"n": A["n"], "rows": rows.tolist()}
+if F is not None and "rows" not in F:
+    rows = np.zeros((len(bundle["projection"]), bundle["base"]["n"]))
+    rows[F["row"], F["col"]] = F["value"]
+    bundle["F"] = {"rows": rows.tolist()}
 with open(sys.argv[2], "w") as fh:
     json.dump(bundle, fh, sort_keys=True, separators=(",", ":"))
 EOF
