@@ -656,8 +656,6 @@ def _cmd_conductance(args) -> int:
 def _cmd_bridge(args) -> int:
     g = _read(args.graph, graph_from_json)
     dst = _read_distribution(args.dst, g.n)
-    if not args.all_sources and args.src is None:
-        raise BadSize("bridge needs --src or --all-sources")
     if args.all_sources:
         chains = [
             stochastic_bridge(g, point_distribution(g.n, i), dst)
@@ -735,7 +733,9 @@ def _cmd_lift_analyze(args) -> int:
     pi = _read_distribution(args.pi, L.map.base_n)
     ref = _read(args.ref_chain, matrix_from_json, L.base) if args.ref_chain else None
     scenario = args.scenario
-    if args.delta is not None and ":" not in scenario:
+    if args.delta is not None:
+        if ":" in scenario:
+            raise BadScenario(f"scenario {scenario!r} already sets delta; drop --delta")
         scenario = f"{scenario}:{args.delta}"
     spec = parse_scenario(scenario, reference_chain=ref)
     report = scenario_report(L, spec, pi, eps=args.eps, t_max=args.t_max)
@@ -795,10 +795,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bridge", help="steer one distribution to another")
     pb.add_argument("--graph", required=True)
-    pb.add_argument("--src", help="'uniform', 'e:K', or a distribution JSON file")
+    sources = pb.add_mutually_exclusive_group(required=True)
+    sources.add_argument("--src", help="'uniform', 'e:K', or a distribution JSON file")
+    sources.add_argument("--all-sources", action="store_true",
+                         help="one bridge per base vertex instead of --src")
     pb.add_argument("--dst", required=True)
-    pb.add_argument("--all-sources", action="store_true",
-                    help="one bridge per base vertex instead of --src")
     pb.add_argument("--out")
     pb.set_defaults(func=_cmd_bridge)
 

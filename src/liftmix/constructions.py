@@ -42,6 +42,7 @@ from .markov import (
     check_stationary,
     metropolis_chain,
     point_distribution,
+    _support_graph,
 )
 
 __all__ = [
@@ -67,25 +68,10 @@ def mixer_default_reference(g: Graph, pi: Distribution) -> StochasticMatrix:
     return StochasticMatrix(half, locality=g)
 
 
-def _support_graph(A) -> Graph:
-    """Directed graph of the off-diagonal support of a dense or sparse A."""
-    rows, cols = (A > TOL["entry_clamp"]).nonzero()
-    off = rows != cols
-    return Graph(n=A.shape[0], arcs=frozenset(zip(cols[off].tolist(), rows[off].tolist())))
-
-
 def _make_lift(base: Graph, proj, A, F: np.ndarray | None, metadata: dict) -> Lift:
-    lifted = _support_graph(A)
     m = LiftMap(base.n, tuple(proj))
     init = None if F is None else InitMap(m, F)
-    return Lift(
-        base=base,
-        lifted=lifted,
-        map=m,
-        A=StochasticMatrix(A, locality=lifted),
-        F=init,
-        metadata=metadata,
-    )
+    return Lift(base=base, map=m, A=StochasticMatrix(A), F=init, metadata=metadata)
 
 
 def stochastic_bridge(
@@ -515,7 +501,7 @@ def si_replicated_lift(P: StochasticMatrix, copies: int = 2) -> Lift:
     and unlifts back to P for any representative choice."""
     if copies < 2:
         raise BadSize("need at least two copies")
-    base = P.locality if P.locality is not None else _support_graph(P.entries)
+    base = P.locality if P.locality is not None else _support_graph(P)
     k, n = copies, P.n
     A = np.tile(P.entries / k, (k, k))
     proj = list(range(n)) * k

@@ -70,16 +70,9 @@ class Graph:
 
     @cached_property
     def _arc_keys(self) -> np.ndarray:
-        """i * n + j of every arc (i, j), ascending: a lifted graph's arcs."""
+        """i * n + j of every arc (i, j), ascending."""
         arcs = np.array(list(self.arcs), dtype=np.int64).reshape(-1, 2)
         return _read_only(np.sort(arcs[:, 0] * self.n + arcs[:, 1]))
-
-    def _has_arcs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Whether each (i[k], j[k]) is an arc: off the adjacency if built."""
-        if "_adjacency" in self.__dict__:
-            return self._adjacency[i, j]
-        q = np.asarray(i, dtype=np.int64) * self.n + j
-        return np.append(self._arc_keys, -1)[np.searchsorted(self._arc_keys, q)] == q
 
     @cached_property
     def _distances(self) -> np.ndarray:

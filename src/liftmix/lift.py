@@ -57,6 +57,7 @@ from .markov import (
     _json_floats,
     _settle_time,
     _sparse_from_json,
+    _support_graph,
     _triplet_json,
     _vertex_tau,
     _window_tv,
@@ -179,11 +180,10 @@ class InitMap:
 
 @dataclass(frozen=True, eq=False)
 class Lift:
-    """A lifted chain: base graph, lifted graph, projection, dynamics A,
-    optional designed-initialization map F, and construction metadata."""
+    """A lifted chain: base graph, projection, dynamics A, optional
+    designed-initialization map F, and construction metadata."""
 
     base: Graph
-    lifted: Graph
     map: LiftMap
     A: StochasticMatrix
     F: InitMap | None = None
@@ -192,34 +192,35 @@ class Lift:
     def __post_init__(self) -> None:
         validate_lift(self)
 
+    @functools.cached_property
+    def lifted(self) -> Graph:
+        """The lifted graph: A's off-diagonal support, the smallest graph A
+        is local on, built when first read."""
+        return _support_graph(self.A)
+
 
 def validate_lift(L: Lift) -> None:
-    """Structural checks, run by every Lift: projection legality of every
-    lifted arc (read off its arc keys), init-map fiber support, and A
-    local to L.lifted by StochasticMatrix._check_locality, a no-op when
-    L.A was built against L.lifted itself."""
+    """Structural checks, run by every Lift: sizes, the init map's
+    projection, and locality through the projection: every off-diagonal
+    entry (j, i) of A above entry_clamp stays in one fiber or projects
+    onto the base arc (c(i), c(j))."""
     if L.map.base_n != L.base.n:
         raise DimensionMismatch(
             f"projection targets {L.map.base_n} nodes, base has {L.base.n}"
         )
-    if L.map.lifted_n != L.lifted.n:
+    if L.A.n != L.map.lifted_n:
         raise DimensionMismatch(
-            f"projection covers {L.map.lifted_n} nodes, lifted graph has {L.lifted.n}"
+            f"dynamics on {L.A.n} nodes, projection covers {L.map.lifted_n}"
         )
-    if L.A.n != L.lifted.n:
-        raise DimensionMismatch(
-            f"dynamics on {L.A.n} nodes, lifted graph has {L.lifted.n}"
-        )
-    i, j = np.divmod(L.lifted._arc_keys, L.lifted.n)
+    j, i, value = L.A._triplets()
     proj = np.asarray(L.map.projection)
-    ci, cj = proj[i], proj[j]
-    bad = np.flatnonzero((ci != cj) & ~L.base._has_arcs(ci, cj))
+    cj, ci = proj[j], proj[i]
+    bad = np.flatnonzero((value > TOL["entry_clamp"]) & (ci != cj) & ~L.base._adjacency[ci, cj])
     if bad.size:
         k = bad[0]
         raise LocalityViolation(
-            f"lifted arc ({i[k]},{j[k]}) projects to missing base arc ({ci[k]},{cj[k]})"
+            f"entry ({j[k]},{i[k]}) = {value[k]} projects to missing base arc ({ci[k]},{cj[k]})"
         )
-    L.A._check_locality(L.lifted)
     if L.F is not None:
         if L.F.map.projection != L.map.projection:
             raise DimensionMismatch("init map built for a different projection")
@@ -800,11 +801,11 @@ def scenario_report(
 
 
 def lift_to_json(L: Lift) -> dict:
-    """A and F as nonzero triplets in row-major order; F's shape is implied."""
+    """A and F as nonzero triplets in row-major order; F's shape is implied,
+    and the lifted graph is A's support, so it is not written."""
     F = None if L.F is None else L.F.entries
     return {
         "base": graph_to_json(L.base),
-        "lifted": graph_to_json(L.lifted),
         "projection": list(L.map.projection),
         "A": L.A._sparse_json(),
         "F": None if F is None else _triplet_json(*np.nonzero(F), F[F != 0]),
@@ -813,19 +814,19 @@ def lift_to_json(L: Lift) -> dict:
 
 
 def lift_from_json(obj: dict) -> Lift:
-    """Read a bundle; F may also be dense "rows", as older bundles hold it."""
+    """Read a bundle; F may also be dense "rows", as older bundles hold it,
+    and their "lifted" graph, like any other key, is ignored."""
     base = graph_from_json(obj["base"])
-    lifted = graph_from_json(obj["lifted"])
     projection = obj["projection"]
     if type(projection) is not list or not set(map(type, projection)) <= {int}:
         raise BadSize("lift projection must be a list of integers")
     m = LiftMap(base.n, tuple(projection))
-    A = matrix_from_json(obj["A"], locality=lifted)
+    A = matrix_from_json(obj["A"])
     F = obj.get("F")
     if F is not None:
         F = InitMap(m, _json_floats(F["rows"], "init map rows") if "rows" in F
                     else _sparse_from_json(F, (m.lifted_n, m.base_n)).toarray())
     return Lift(
-        base=base, lifted=lifted, map=m, A=A, F=F,
+        base=base, map=m, A=A, F=F,
         metadata=dict(obj.get("metadata", {})),
     )

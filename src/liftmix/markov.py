@@ -147,7 +147,7 @@ class StochasticMatrix:
         if g.n != self.n:
             raise DimensionMismatch(f"matrix is {self.n}x{self.n} but graph has {g.n} nodes")
         j, i, value = self._triplets() if triplets is None else triplets
-        illegal = (value > TOL["entry_clamp"]) & (j != i) & ~g._has_arcs(i, j)  # needs arc (i, j)
+        illegal = (value > TOL["entry_clamp"]) & (j != i) & ~g._adjacency[i, j]  # needs arc (i, j)
         if illegal.any():
             k = int(np.argmax(illegal))
             raise LocalityViolation(
@@ -236,6 +236,14 @@ class StochasticMatrix:
     def _sparse_json(self) -> dict:
         """The nonzero entries as triplets in row-major order."""
         return {"n": self.n, **_triplet_json(*self._triplets())}
+
+
+def _support_graph(P: StochasticMatrix) -> Graph:
+    """Directed graph of P's off-diagonal support above entry_clamp: the arc
+    (i, j) for each entry (j, i), the smallest graph P is local on."""
+    j, i, value = P._triplets()
+    off = (value > TOL["entry_clamp"]) & (i != j)
+    return Graph(n=P.n, arcs=frozenset(zip(i[off].tolist(), j[off].tolist())))
 
 
 def _triplet_json(row, col, value) -> dict:

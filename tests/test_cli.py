@@ -233,7 +233,19 @@ def test_bridge_command_shapes(tmp_path, capsys):
     per_node = json.loads(capsys.readouterr().out)["per_node"]
     assert len(per_node) == 4
 
-    assert main(["bridge", "--graph", gfile, "--dst", "uniform"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bridge", "--graph", gfile, "--dst", "uniform"])
+    assert exc.value.code == 2
+
+
+def test_bridge_refuses_src_with_all_sources(tmp_path, capsys):
+    # --src and --all-sources are exclusive: one must not silently win
+    gfile = write_graph(tmp_path, path(4))
+    with pytest.raises(SystemExit) as exc:
+        main(["bridge", "--graph", gfile, "--src", "e:0", "--all-sources", "--dst", "uniform"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
 
 
 @pytest.mark.parametrize("spec", ["e:-1", "e:99", "e:x"])
@@ -256,7 +268,7 @@ def test_lift_build_and_analyze_round_trip(tmp_path, capsys):
     assert code == 0
     obj = json.loads(bundle.read_text())
     assert obj["metadata"]["construction"] == "four-cycle"
-    assert obj["lifted"]["n"] == 12
+    assert "lifted" not in obj
 
     code = main([
         "lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
@@ -268,6 +280,24 @@ def test_lift_build_and_analyze_round_trip(tmp_path, capsys):
     assert report["measured"]["marginal"] == {"tau": 2, "mixed": True}
     names = {b["name"] for b in report["bounds"]}
     assert {"one-over-4-phi", "one-over-8-phi"} <= names
+
+
+def test_lift_analyze_refuses_a_second_delta(tmp_path, capsys):
+    # --delta fills in a scenario without one, and never overrides ":delta"
+    bundle, ref = tmp_path / "lift.json", tmp_path / "ref.json"
+    assert main(["lift", "build", "--construction", "four-cycle", "--delta", "0.05",
+                 "--gamma", "0.01", "--out", str(bundle), "--ref-out", str(ref)]) == 0
+    analyze = ["lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
+               "--ref-chain", str(ref), "--scenario"]
+    capsys.readouterr()
+    assert main(analyze + ["SiMre:0.01"]) == 0
+    suffixed = capsys.readouterr().out
+    assert main(analyze + ["SiMre", "--delta", "0.01"]) == 0
+    assert capsys.readouterr().out == suffixed
+    assert main(analyze + ["SiMre:0.01", "--delta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--delta" in captured.err
 
 
 def test_lift_analyze_reads_sparse_and_dense_bundles_alike(tmp_path, capsys):
@@ -284,13 +314,17 @@ def test_lift_analyze_reads_sparse_and_dense_bundles_alike(tmp_path, capsys):
     rows[A["row"], A["col"]] = A["value"]
     dense = tmp_path / "dense.json"
     dense.write_text(json.dumps({**obj, "A": {"n": A["n"], "rows": rows.tolist()}}))
+    # older bundles also held the lifted graph, A's off-diagonal support
+    old = tmp_path / "old.json"
+    arcs = sorted([i, j] for j, i in zip(A["row"], A["col"]) if i != j)
+    old.write_text(json.dumps({**obj, "lifted": {"n": A["n"], "edges": arcs, "directed": True}}))
     capsys.readouterr()
     reports = []
-    for bundle in (sparse, dense):
+    for bundle in (sparse, dense, old):
         assert main(["lift", "analyze", "--lift", str(bundle), "--pi", "uniform",
                      "--scenario", "sIMRE"]) == 0
         reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["sizes"]["lifted"] == A["n"]
 
 

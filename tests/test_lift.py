@@ -126,31 +126,47 @@ def test_init_map_columns_confined_to_fibers():
 
 def test_lift_validation_catches_bad_arcs_and_dynamics():
     base = graph_from_edges(2, [])  # two isolated base nodes
-    lifted = graph_from_edges(2, [(0, 1)], directed=True)
     m = LiftMap(base_n=2, projection=(0, 1))
-    A = StochasticMatrix(np.eye(2))
-    with pytest.raises(LocalityViolation):
-        Lift(base=base, lifted=lifted, map=m, A=A)
+    A = StochasticMatrix(np.array([[0.5, 0.0], [0.5, 1.0]]))
+    with pytest.raises(LocalityViolation,
+                       match=r"entry \(1,0\) = 0.5 projects to missing base arc \(0,1\)"):
+        Lift(base=base, map=m, A=A)
 
-    base2 = path(2)
-    lifted2 = graph_from_edges(3, [(0, 2), (2, 0)], directed=True)
     m2 = LiftMap(base_n=2, projection=(0, 0, 1))
-    bad = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(LocalityViolation):
-        # mass flows 1 -> 1 is fine, but 0 -> 1 has no lifted arc (0,1)
-        Lift(base=base2, lifted=lifted2, map=m2,
-             A=StochasticMatrix(bad))
+    bad = np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+    with pytest.raises(LocalityViolation,
+                       match=r"entry \(2,0\) = 0.5 projects to missing base arc \(0,1\)"):
+        # mass flows 0 -> 2, from fiber 0 into fiber 1
+        Lift(base=base, map=m2, A=StochasticMatrix(bad))
 
 
 def test_lift_rechecks_dynamics_built_against_another_graph():
-    # A is local to complete(3) but moves 0 -> 2, which path(3) (the lifted
-    # graph) lacks; only a matrix built against L.lifted itself is trusted
+    # A is local to complete(3) but moves 0 -> 2, which the base path(3)
+    # lacks; the projection check ignores the graph A was built against
     g = path(3)
     M = np.eye(3)
     M[0, 0] = M[2, 0] = 0.5
-    with pytest.raises(LocalityViolation, match=r"entry \(2,0\) = 0.5 has no arc \(0,2\)"):
-        Lift(base=g, lifted=g, map=LiftMap(3, (0, 1, 2)),
-             A=StochasticMatrix(M, locality=complete(3)))
+    with pytest.raises(LocalityViolation,
+                       match=r"entry \(2,0\) = 0.5 projects to missing base arc \(0,2\)"):
+        Lift(base=g, map=LiftMap(3, (0, 1, 2)), A=StochasticMatrix(M, locality=complete(3)))
+
+
+def test_locality_is_checked_through_the_projection():
+    # lifted 0, 1 sit over base 0 and lifted 2 over base 1
+    m = LiftMap(base_n=2, projection=(0, 0, 1))
+    up = np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])  # 0 -> 2
+    down = up.T.copy()  # 2 -> 0
+    down[[0, 2], [0, 2]] = 1.0, 0.5
+    one_way = graph_from_edges(2, [(0, 1)], directed=True)
+    L = Lift(base=one_way, map=m, A=StochasticMatrix(up))
+    assert L.lifted.arcs == {(0, 2)}
+    with pytest.raises(LocalityViolation,
+                       match=r"entry \(0,2\) = 0.5 projects to missing base arc \(1,0\)"):
+        Lift(base=one_way, map=m, A=StochasticMatrix(down))
+    # a move inside one fiber needs no base arc at all
+    within = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])  # 0 -> 1
+    L = Lift(base=graph_from_edges(2, []), map=m, A=StochasticMatrix(within))
+    assert L.lifted.arcs == {(0, 1)}
 
 
 def test_induced_phi_is_unavailable_off_the_cycle_past_the_guard():
@@ -1048,7 +1064,7 @@ def test_report_path_never_forms_the_dense_lifted_view(monkeypatch):
     assert conversions == []
     for A in (L.A, back.A):
         assert A.n == n and "entries" not in vars(A)
-    assert "_adjacency" not in vars(back.lifted)
+    assert "lifted" not in vars(back)
 
 
 def test_bundle_round_trip_is_byte_identical():
@@ -1202,7 +1218,6 @@ def test_sparse_bundle_round_trip_matches_the_dense_reader(seed):
     back = lift_from_json(obj)
     dense = lift_from_json({**obj, "A": L.A.to_json()})
     assert np.array_equal(back.A.entries, dense.A.entries)
-    assert back.A.locality is back.lifted
 
 
 def test_lift_json_rejects_nan_in_init_map():

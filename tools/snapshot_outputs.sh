@@ -17,8 +17,9 @@
 #     walk, and sIMRE on the three mixer variants of the 16-node cycle
 #     (uniform pi), whose bound goes through the induced chain;
 #   - lift analyze SIMRE on a copy of the cycle-8 reducible mixer bundle
-#     (uniform pi) whose A and F are written as dense "rows", so the corpus
-#     shows that such bundles are read as before;
+#     (uniform pi) in the older format: A and F written as dense "rows",
+#     and the lifted graph (A's off-diagonal support) stored beside them,
+#     so the corpus shows that such bundles are read as before;
 #   - lift analyze sIMRE with --t-max 4000 on the cycle-8 reducible mixer
 #     bundle (uniform pi), whose scans reach a frozen state thousands of
 #     steps before their window ends;
@@ -173,6 +174,11 @@ import numpy as np
 with open(sys.argv[1]) as fh:
     bundle = json.load(fh)
 A, F = bundle["A"], bundle["F"]
+if "lifted" not in bundle:
+    # the lifted graph that older bundles hold: A's off-diagonal support
+    arcs = sorted([i, j] for j, i, v in zip(A["row"], A["col"], A["value"])
+                  if i != j and v > 1e-12)
+    bundle["lifted"] = {"n": A["n"], "edges": arcs, "directed": True}
 if "rows" not in A:
     rows = np.zeros((A["n"], A["n"]))
     rows[A["row"], A["col"]] = A["value"]
