@@ -24,7 +24,6 @@ import numpy as np
 from ._tolerances import TOL
 from ._version import __version__
 from .conductance import (
-    _phi_chain_or_cycle,
     clock_contraction_check,
     lemma1_check,
     phi_chain,
@@ -55,11 +54,12 @@ from .graph_core import (
 )
 from .lift import (
     Lift,
+    _induced_conductance,
+    _lower_bound,
     _stationary_seed,
     adversarial_init,
     check_flow_match,
     check_invariance,
-    induced_chain,
     lift_from_json,
     lift_to_json,
     lifted_stationary,
@@ -250,10 +250,7 @@ def _suite_thm2(seed: int):
     for name, g, pi in _criterion1_cases(seed):
         L = diameter_mixer(g, pi, "reducible")
         D = diameter(g)
-        X = L.F.entries.copy()
-        for _ in range(D):
-            X = L.A.entries @ X
-        tv = 0.5 * np.abs(L.map.C @ X - pi.weights[:, None]).sum(axis=0).max()
+        tv = _window_tv(L.A, L.F.entries, pi.weights[:, None], D, L.map.C)[D]
         checks.append(_check(f"thm2/{name}/exact-at-diameter", tv, tols["exact_tv"]))
         tau = marginal_mixing_time(L, pi, _EPS, "S", t_max=max(20, 4 * (D + 1)))
         checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1))
@@ -358,18 +355,12 @@ def _suite_thm3(seed: int):
     tols = {"eps": _EPS, "slack": TOL["bound_slack"]}
     for name, L, pi in _criterion_lifts(seed):
         pi_hat = lifted_stationary(L, _stationary_seed(L, pi)[0])
-        pi_m = marginal(L, pi_hat)
-        P_tilde = induced_chain(L, pi_hat)
-        phi, cut = _phi_chain_or_cycle(P_tilde, pi_m)
+        phi, cut = _induced_conductance(L, pi_hat)
         x0 = adversarial_init(L.map, pi_hat, cut)
         t_max = min(1600, max(200, 100 * L.map.base_n))
         tau = _tau_from_start(L, pi, x0, _EPS, t_max)
-        bound = UNMIXED if phi == 0 else 1.0 / (4.0 * phi) - 1.0
-        if bound == UNMIXED:
-            ok = tau == UNMIXED
-        else:
-            ok = tau >= bound - tols["slack"]
-        checks.append(_check(f"thm3/{name}/adversarial-lower-bound", tau, bound, ok))
+        value, ok = _lower_bound(tau, phi, 4.0)
+        checks.append(_check(f"thm3/{name}/adversarial-lower-bound", tau, value - 1.0, ok))
     return checks, [], {"tolerances": tols}
 
 
@@ -501,9 +492,8 @@ def _suite_example3(seed: int):
     checks.append(_check("example3/beats-flow-bound", tau, bound_ref,
                          tau < bound_ref))
     pg, _ = phi_graph(cycle(4), pi)
-    bound_graph = 1.0 / (8.0 * pg)
-    checks.append(_check("example3/one-over-8-phi-consistent", tau, bound_graph,
-                         tau >= bound_graph - 1 - TOL["bound_slack"]))
+    bound_graph, ok = _lower_bound(tau, pg, 8.0)
+    checks.append(_check("example3/one-over-8-phi-consistent", tau, bound_graph, ok))
     extras = {
         "tolerances": tols,
         "tau_M": tau,
@@ -632,7 +622,7 @@ def _cmd_graph_stats(args) -> int:
 
 
 def _cmd_conductance(args) -> int:
-    if args.mode == "chain":
+    if args.mode_command == "chain":
         P = _read(args.chain, matrix_from_json)
         pi = _read_distribution(args.pi, P.n)
         finder = phi_chain_cycle if args.cycle else phi_chain
@@ -786,12 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc_chain.add_argument("--cycle", action="store_true",
                           help="restrict to contiguous cuts of a cycle chain")
     pc_chain.add_argument("--out")
-    pc_chain.set_defaults(func=_cmd_conductance, mode="chain")
+    pc_chain.set_defaults(func=_cmd_conductance)
     pc_graph = pc_sub.add_parser("graph", help="best conductance over local chains")
     pc_graph.add_argument("--graph", required=True, help="graph JSON file")
     pc_graph.add_argument("--pi", required=True)
     pc_graph.add_argument("--out")
-    pc_graph.set_defaults(func=_cmd_conductance, mode="graph")
+    pc_graph.set_defaults(func=_cmd_conductance)
 
     pb = sub.add_parser("bridge", help="steer one distribution to another")
     pb.add_argument("--graph", required=True)
@@ -845,8 +835,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code, argparse's own included."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), --help or --version (0)
+        return exc.code
     try:
         return args.func(args)
     except LiftmixError as exc:

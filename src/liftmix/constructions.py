@@ -154,7 +154,8 @@ def _restart(n: int) -> coo_array:
 def _clock(g: Graph, chain: TimeVaryingChain, periodic: bool, name: str) -> Lift:
     if chain.T == 0:
         raise EmptyChain(f"{name.replace('-', ' ')} lift needs at least one step")
-    _require_local(chain, g)
+    if chain.n != g.n:
+        raise LengthMismatch(f"chain is on {chain.n} nodes, graph has {g.n}")
     A = _layered([P.entries for P in chain.steps], periodic)
     F = np.eye(A.shape[0], g.n)
     proj = np.tile(np.arange(g.n), A.shape[0] // g.n)
@@ -175,13 +176,6 @@ def periodic_clock_lift(g: Graph, chain: TimeVaryingChain) -> Lift:
     """Clock lift on a time cycle: layer T-1 wraps to layer 0 through P(T),
     so the kernel sequence applies periodically forever."""
     return _clock(g, chain, True, "periodic-clock")
-
-
-def _require_local(chain: TimeVaryingChain, g: Graph) -> None:
-    for k, P in enumerate(chain.steps):
-        if P.n != g.n:
-            raise LengthMismatch(f"step {k + 1} is on {P.n} nodes, graph has {g.n}")
-        P._check_locality(g)
 
 
 def _node_clock_blocks(
@@ -206,7 +200,8 @@ def _node_clock_blocks(
             raise LengthMismatch(
                 f"chain for node {v0} has length {ch.T}, expected {T}"
             )
-        _require_local(ch, g)
+        if T and ch.n != n:
+            raise LengthMismatch(f"chain for node {v0} is on {ch.n} nodes, graph has {n}")
     if T == 0:
         raise EmptyChain("node-clock lift needs at least one step")
     steps = [_block_diagonal([ch.steps[t].entries for ch in chains]) for t in range(T)]

@@ -96,9 +96,10 @@ class LiftMap:
     projection: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "projection", tuple(int(c) for c in self.projection)
-        )
+        # a bool is refused too: its type is neither int nor an np.integer
+        if not all(k is int or issubclass(k, np.integer) for k in set(map(type, self.projection))):
+            raise BadSize("lift projection values must be integers")
+        object.__setattr__(self, "projection", tuple(map(int, self.projection)))
         if self.base_n < 1:
             raise DimensionMismatch("base needs at least one node")
         fibers: list[list[int]] = [[] for _ in range(self.base_n)]
@@ -266,7 +267,7 @@ def conditional_unlift(L: Lift, x) -> StochasticMatrix:
             B[idx, j] = w[idx] / mass
         else:
             B[idx, j] = 1.0 / len(fiber)
-    return StochasticMatrix(m.C @ L.A.entries @ B, locality=L.base)
+    return StochasticMatrix(_marginal_step(L) @ B, locality=L.base)
 
 
 def induced_chain(L: Lift, pi_hat: Distribution) -> StochasticMatrix:
@@ -344,7 +345,7 @@ def check_invariance(
             return False, Distribution(x)
         return True, None
     xs = fiber_uniform_init(L.map, pi)
-    M = np.ascontiguousarray(L.map.C @ L.A._csr)
+    M = _marginal_step(L)
     if 0.5 * np.abs(M @ xs.weights - pi.weights).sum() > TOL["invariance_one_step"]:
         return False, xs
     pair = _fiber_column_mismatch(M, L.map)
@@ -457,6 +458,11 @@ def check_flow_match(
     return max_dev, max_dev <= max(delta, TOL["flow_exact_slack"])
 
 
+def _marginal_step(L: Lift) -> np.ndarray:
+    """The marginal step C A, dense, taken off A's CSR form."""
+    return np.ascontiguousarray(L.map.C @ L.A._csr)
+
+
 def _fiber_column_mismatch(M: np.ndarray, m: LiftMap) -> tuple[int, int] | None:
     """First same-fiber pair (j0, k) whose columns of the marginal step
     M = C A differ by more than invariance_one_step, else None.
@@ -488,7 +494,7 @@ def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
             raise BadChoiceMap(
                 f"choice for base node {j} is {k}, not in its fiber"
             )
-    M = m.C @ L.A.entries
+    M = _marginal_step(L)
     if _fiber_column_mismatch(M, m) is not None:
         warnings.warn(
             "lift marginal depends on placement within fibers; the unlifted "
@@ -593,15 +599,26 @@ def _steps_json(tau: float) -> dict:
     return {"tau": int(tau), "mixed": True}
 
 
-def _induced_phi(L: Lift, pi: Distribution, pi_hat: Distribution):
+def _induced_conductance(L: Lift, pi_hat: Distribution):
+    """(phi, cut) of the chain that the steady state pi_hat induces on the base."""
+    return _phi_chain_or_cycle(induced_chain(L, pi_hat), marginal(L, pi_hat))
+
+
+def _lower_bound(tau: float, phi: float, factor: float) -> tuple[float, bool]:
+    """The lower bound 1/(factor phi) on tau, UNMIXED when phi = 0, and whether
+    tau is UNMIXED or meets a finite bound: tau >= bound - 1 - bound_slack."""
+    value = UNMIXED if phi == 0 else 1.0 / (factor * phi)
+    consistent = tau == UNMIXED or (value != UNMIXED and tau >= value - 1 - TOL["bound_slack"])
+    return value, bool(consistent)
+
+
+def _induced_phi(L: Lift, pi_hat: Distribution):
     notes = [
         "base graph exceeds the conductance-program guard; the bound uses "
         "the induced chain's conductance instead"
     ]
-    P_ind = induced_chain(L, pi_hat)
-    pi_m = marginal(L, pi_hat)
     try:
-        phi, _ = _phi_chain_or_cycle(P_ind, pi_m)
+        phi, _ = _induced_conductance(L, pi_hat)
     except DimensionMismatch:
         notes.append(
             "induced chain too large to enumerate and not cycle-"
@@ -636,7 +653,7 @@ def _scenario_phi(
         phi, _ = phi_graph(L.base, pi)
         return phi, "graph", []
     if ref is None:
-        return _induced_phi(L, pi, pi_hat())
+        return _induced_phi(L, pi_hat())
     phi, _ = phi_chain(ref, pi)
     notes = [
         "base graph exceeds the conductance-program guard; the "
@@ -694,13 +711,7 @@ def scenario_report(
             )
 
     def lower_entry(name: str, phi, source: str, factor: float, binding: bool) -> dict:
-        value = UNMIXED if phi == 0 else 1.0 / (factor * phi)
-        if measured == UNMIXED:
-            consistent = True
-        elif value == UNMIXED:
-            consistent = False
-        else:
-            consistent = measured >= value - 1 - TOL["bound_slack"]
+        value, consistent = _lower_bound(measured, phi, factor)
         return {
             "name": name,
             "kind": "lower",
@@ -708,7 +719,7 @@ def scenario_report(
             "phi": phi,
             "phi_source": source,
             "value": None if value == UNMIXED else value,
-            "consistent": bool(consistent),
+            "consistent": consistent,
         }
 
     # without a reference chain both lower bounds read one graph program
@@ -818,7 +829,7 @@ def lift_from_json(obj: dict) -> Lift:
     and their "lifted" graph, like any other key, is ignored."""
     base = graph_from_json(obj["base"])
     projection = obj["projection"]
-    if type(projection) is not list or not set(map(type, projection)) <= {int}:
+    if type(projection) is not list:
         raise BadSize("lift projection must be a list of integers")
     m = LiftMap(base.n, tuple(projection))
     A = matrix_from_json(obj["A"])

@@ -140,9 +140,8 @@ class StochasticMatrix:
 
     def _check_locality(self, g: Graph | None, triplets=None) -> None:
         """The one locality check: off-diagonal support > entry_clamp must sit on
-        g's arcs; none for g None or the graph the read-only entries were
-        built against."""
-        if g is None or g is self.locality:
+        g's arcs; none for g None."""
+        if g is None:
             return
         if g.n != self.n:
             raise DimensionMismatch(f"matrix is {self.n}x{self.n} but graph has {g.n} nodes")

@@ -125,9 +125,15 @@ def test_verify_csv_table(tmp_path):
 
 
 def test_verify_unknown_suite():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nope"])
-    assert exc.value.code == 2
+    assert main(["verify", "--suite", "nope"]) == 2
+
+
+def test_help_and_version_return_zero(capsys):
+    # main returns argparse's own exit code instead of raising it
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("liftmix ")
+    assert main(["verify", "--help"]) == 0
+    assert "--suite" in capsys.readouterr().out
 
 
 def test_verify_rejects_negative_seed(capsys):
@@ -233,17 +239,14 @@ def test_bridge_command_shapes(tmp_path, capsys):
     per_node = json.loads(capsys.readouterr().out)["per_node"]
     assert len(per_node) == 4
 
-    with pytest.raises(SystemExit) as exc:
-        main(["bridge", "--graph", gfile, "--dst", "uniform"])
-    assert exc.value.code == 2
+    assert main(["bridge", "--graph", gfile, "--dst", "uniform"]) == 2
 
 
 def test_bridge_refuses_src_with_all_sources(tmp_path, capsys):
     # --src and --all-sources are exclusive: one must not silently win
     gfile = write_graph(tmp_path, path(4))
-    with pytest.raises(SystemExit) as exc:
-        main(["bridge", "--graph", gfile, "--src", "e:0", "--all-sources", "--dst", "uniform"])
-    assert exc.value.code == 2
+    assert main(["bridge", "--graph", gfile, "--src", "e:0", "--all-sources",
+                 "--dst", "uniform"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not allowed with argument" in captured.err
 
@@ -447,9 +450,7 @@ def test_lift_build_mixer_rejects_gamma_of_one_or_more(tmp_path, capsys, variant
 
 
 def test_unknown_command_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    assert main(["frobnicate"]) == 2
 
 
 def test_nonfinite_values_serialize_as_strings(tmp_path):

@@ -159,21 +159,25 @@ def test_bridge_size_mismatch():
 
 # ------------------------------------------------------------ clock lifts
 
-@pytest.mark.parametrize("build", [
-    lambda g, ch: clock_lift(g, ch),
-    lambda g, ch: periodic_clock_lift(g, ch),
-    lambda g, ch: node_clock_lift(g, [ch] * g.n, uniform_distribution(g.n)),
-    lambda g, ch: periodic_node_clock_lift(g, [ch] * g.n, uniform_distribution(g.n)),
+@pytest.mark.parametrize("build, entry", [
+    (lambda g, ch: clock_lift(g, ch), "5,0"),
+    (lambda g, ch: periodic_clock_lift(g, ch), "2,0"),
+    (lambda g, ch: node_clock_lift(g, [ch] * g.n, uniform_distribution(g.n)), "11,0"),
+    (lambda g, ch: periodic_node_clock_lift(g, [ch] * g.n, uniform_distribution(g.n)), "11,0"),
 ], ids=["clock", "periodic-clock", "node-clock", "periodic-node-clock"])
-def test_clock_lifts_reject_a_step_off_the_graph(build):
+def test_clock_lifts_reject_a_step_off_the_graph(build, entry):
     # built without locality, the step sends mass 0 -> 2 across no arc of
-    # path(3); the step check must name the entry before the lifted
-    # entries are ever projected
+    # path(3); the lift's one check, through the projection, names the
+    # lifted entry and the missing base arc
     P = np.eye(3)
     P[0, 0] = P[2, 0] = 0.5
     chain = TimeVaryingChain([StochasticMatrix(P)])
-    with pytest.raises(LocalityViolation, match=r"entry \(2,0\) = 0.5 has no arc \(0,2\)"):
+    with pytest.raises(LocalityViolation,
+                       match=rf"entry \({entry}\) = 0.5 projects to missing base arc \(0,2\)"):
         build(path(3), chain)
+    # the lifts check only that their chains live on the graph's nodes
+    with pytest.raises(LengthMismatch, match="on 4 nodes, graph has 3"):
+        build(path(3), TimeVaryingChain([lazy_walk(path(4))]))
 
 
 def test_locality_is_checked_once_per_matrix(monkeypatch):

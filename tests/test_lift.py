@@ -1,5 +1,6 @@
 """Lift maps, projections, invariance checks, scenario machinery."""
 
+import functools
 import json
 import sys
 import tracemalloc
@@ -77,8 +78,9 @@ from liftmix import (
 import liftmix.cli as cli_module
 import liftmix.lift as lift_module
 import liftmix.markov as markov_module
-from liftmix.cli import _criterion_lifts, _tau_from_start
-from liftmix.lift import _batch_limits
+from liftmix._tolerances import TOL
+from liftmix.cli import _criterion_lifts, _tau_from_start, run_suite
+from liftmix.lift import _batch_limits, _lower_bound
 from liftmix.markov import _ergodic_limits, _settle_time, _vertex_chunks, _window_tv
 from liftmix.randomgen import (
     random_connected_graph,
@@ -111,6 +113,18 @@ def test_lift_map_rejects_bad_projections():
         LiftMap(base_n=3, projection=(0, 1, 0))  # node 2 unreached
     with pytest.raises(DimensionMismatch):
         LiftMap(base_n=2, projection=(0, 2))
+
+
+def test_lift_map_refuses_non_integer_projections():
+    # a value is never truncated or parsed into a different lift
+    for projection in ((0, 1.7, 1), (0, 1.0), (0, "1"), (0, True), (np.bool_(False), 1)):
+        with pytest.raises(BadSize, match="must be integers"):
+            LiftMap(2, projection)
+    # the constructions pass NumPy integers, kept as plain ints
+    for projection in (tuple(np.array([0, 1, 1])), np.array([1, 0], dtype=np.int32)):
+        m = LiftMap(2, projection)
+        assert m.projection == tuple(projection)
+        assert {type(c) for c in m.projection} == {int}
 
 
 def test_init_map_columns_confined_to_fibers():
@@ -177,9 +191,7 @@ def test_induced_phi_is_unavailable_off_the_cycle_past_the_guard():
         locality=g,
     )
     L = si_replicated_lift(P)
-    phi, source, notes = lift_module._induced_phi(
-        L, uniform_distribution(g.n), uniform_distribution(L.map.lifted_n)
-    )
+    phi, source, notes = lift_module._induced_phi(L, uniform_distribution(L.map.lifted_n))
     assert (phi, source) == (None, "unavailable")
     assert "not cycle-supported" in notes[-1]
 
@@ -1065,6 +1077,73 @@ def test_report_path_never_forms_the_dense_lifted_view(monkeypatch):
     for A in (L.A, back.A):
         assert A.n == n and "entries" not in vars(A)
     assert "lifted" not in vars(back)
+
+
+def test_marginal_step_and_thm2_never_form_the_dense_view(monkeypatch):
+    # unlift_si and conditional_unlift read C A off A's CSR form, and thm2's
+    # exact-at-diameter row is a window scan: no sparse-built matrix gets
+    # its dense view, except an irreducible one, whose stationary law is
+    # still a dense least-squares solve
+    built = []
+    dense = StochasticMatrix.entries
+
+    def spying(self):
+        built.append(self)
+        return dense.func(self)
+
+    spy = functools.cached_property(spying)
+    spy.__set_name__(StochasticMatrix, "entries")
+    monkeypatch.setattr(StochasticMatrix, "entries", spy)
+    pi = random_distribution(rng_from_seed(1), 6)
+    L = diameter_mixer(cycle(6), pi, "reducible")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mixer's step depends on the representative
+        unlift_si(L, [fiber[0] for fiber in L.map.fibers])
+    conditional_unlift(L, fiber_uniform_init(L.map, pi))
+    assert built == []
+    assert run_suite("thm2", 0)[1]
+    assert len(built) == 2 and all(is_irreducible(A) for A in built)
+
+
+def test_lower_bound_is_the_rule_of_the_report_thm3_and_example3():
+    # the three rules it replaces, written out: scenario_report's entry,
+    # thm3's bound shifted by one, and example3's 1/(8 phi) row
+    slack = TOL["bound_slack"]
+
+    def report_rule(tau, phi, factor):
+        value = UNMIXED if phi == 0 else 1.0 / (factor * phi)
+        if tau == UNMIXED:
+            return value, True
+        if value == UNMIXED:
+            return value, False
+        return value, tau >= value - 1 - slack
+
+    def thm3_rule(tau, phi):
+        bound = UNMIXED if phi == 0 else 1.0 / (4.0 * phi) - 1.0
+        return bound, (tau == UNMIXED if bound == UNMIXED else tau >= bound - slack)
+
+    def example3_rule(tau, pg):
+        bound = 1.0 / (8.0 * pg)
+        return bound, tau >= bound - 1 - slack
+
+    # 5e-324 is the smallest subnormal: 1/(k phi) overflows to inf
+    for phi in (0.0, 5e-324, 0.0625, 0.1, 1 / 3, 0.5):
+        for factor in (4.0, 8.0):
+            taus = [UNMIXED, 0.0, 7.0]
+            if phi != 0 and 1.0 / (factor * phi) != UNMIXED:
+                edge = 1.0 / (factor * phi) - 1 - slack
+                taus += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+                assert [_lower_bound(tau, phi, factor)[1] for tau in taus[-3:]] == [
+                    False, True, True]
+            for tau in taus:
+                value, ok = _lower_bound(tau, phi, factor)
+                assert (value, ok) == report_rule(tau, phi, factor)
+                if factor == 4.0:
+                    assert (value - 1.0, ok) == thm3_rule(tau, phi)
+                if factor == 8.0 and phi != 0:
+                    assert (value, ok) == example3_rule(tau, phi)
+    assert _lower_bound(5.0, 5e-324, 4.0) == (UNMIXED, False)
+    assert _lower_bound(UNMIXED, 0.0, 8.0) == (UNMIXED, True)
 
 
 def test_bundle_round_trip_is_byte_identical():
