@@ -24,10 +24,9 @@ import numpy as np
 from ._tolerances import TOL
 from ._version import __version__
 from .conductance import (
+    _phi_chain_or_cycle,
     clock_contraction_check,
     lemma1_check,
-    phi_chain,
-    phi_chain_cycle,
     phi_graph,
 )
 from .constructions import (
@@ -150,11 +149,16 @@ def _dump_json(obj) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """text to stdout, or to out_path; a path that cannot be written is an
+    input error that names it."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise LiftmixError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _read(path: str, reader, *args):
@@ -168,7 +172,7 @@ def _read(path: str, reader, *args):
         raise LiftmixError(f"cannot read JSON from {path}: {exc}") from exc
     try:
         return reader(obj, *args)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise LiftmixError(f"malformed input in {path}: {type(exc).__name__}: {exc}") from exc
     except LiftmixError as exc:
         raise type(exc)(f"malformed input in {path}: {exc}") from exc
@@ -485,7 +489,7 @@ def _suite_example3(seed: int):
     pi_hat = stationary(L.A)
     dev, _ = check_flow_match(L, pi_hat, ref, 0.0)
     checks.append(_check("example3/flow-deviation", dev, tols["flow_tv"]))
-    phi_ref, _ = phi_chain(ref, pi)
+    phi_ref, _ = _phi_chain_or_cycle(ref, pi)
     bound_ref = 1.0 / (4.0 * phi_ref)
     checks.append(_check("example3/flow-bound-value", bound_ref, [5.0, 5.15],
                          5.0 <= bound_ref <= 5.15))
@@ -593,16 +597,19 @@ def run_suite(name: str, seed: int = 0) -> tuple[dict, bool]:
 
 
 def _write_csv(report: dict, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "measured", "bound", "pass"])
-        for row in report["checks"]:
-            writer.writerow([
-                row["check"],
-                _plain(row["measured"]),
-                _plain(row["bound"]),
-                str(row["pass"]).lower(),
-            ])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["check", "measured", "bound", "pass"])
+            for row in report["checks"]:
+                writer.writerow([
+                    row["check"],
+                    _plain(row["measured"]),
+                    _plain(row["bound"]),
+                    str(row["pass"]).lower(),
+                ])
+    except OSError as exc:
+        raise LiftmixError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +632,7 @@ def _cmd_conductance(args) -> int:
     if args.mode_command == "chain":
         P = _read(args.chain, matrix_from_json)
         pi = _read_distribution(args.pi, P.n)
-        finder = phi_chain_cycle if args.cycle else phi_chain
-        phi, cut = finder(P, pi)
+        phi, cut = _phi_chain_or_cycle(P, pi)
         report = {
             "phi": phi,
             "argmin_cut": {"members": list(cut.members()), "weight": cut.weight},
@@ -722,12 +728,7 @@ def _cmd_lift_analyze(args) -> int:
     L = _read(args.lift, lift_from_json)
     pi = _read_distribution(args.pi, L.map.base_n)
     ref = _read(args.ref_chain, matrix_from_json, L.base) if args.ref_chain else None
-    scenario = args.scenario
-    if args.delta is not None:
-        if ":" in scenario:
-            raise BadScenario(f"scenario {scenario!r} already sets delta; drop --delta")
-        scenario = f"{scenario}:{args.delta}"
-    spec = parse_scenario(scenario, reference_chain=ref)
+    spec = parse_scenario(args.scenario, reference_chain=ref)
     report = scenario_report(L, spec, pi, eps=args.eps, t_max=args.t_max)
     _emit(_dump_json(report), args.out)
     return 0
@@ -773,8 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc_chain.add_argument("--chain", required=True, help="matrix JSON file")
     pc_chain.add_argument("--pi", required=True,
                           help="'uniform', 'e:K', or a distribution JSON file")
-    pc_chain.add_argument("--cycle", action="store_true",
-                          help="restrict to contiguous cuts of a cycle chain")
     pc_chain.add_argument("--out")
     pc_chain.set_defaults(func=_cmd_conductance)
     pc_graph = pc_sub.add_parser("graph", help="best conductance over local chains")
@@ -819,7 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl_an.add_argument("--scenario", required=True,
                        help="five flags, e.g. SIMRE or sImrE or Sie-style SiMre:0.01")
     pl_an.add_argument("--ref-chain")
-    pl_an.add_argument("--delta", type=float)
     pl_an.add_argument("--eps", type=float, default=0.25)
     pl_an.add_argument("--t-max", type=int)
     pl_an.add_argument("--out")

@@ -158,13 +158,19 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
 
 
 def _phi_chain_or_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
-    """phi_chain, or phi_chain_cycle's contiguous windows past the cut guard;
-    a chain too large to enumerate and not cycle-supported raises
-    DimensionMismatch."""
+    """The one dispatch for a chain's conductance: phi_chain, or
+    phi_chain_cycle's contiguous windows past the cut guard; a chain too
+    large to enumerate and not cycle-supported raises DimensionMismatch."""
     try:
         return phi_chain(P, pi)
-    except TooManyNodes:
-        return phi_chain_cycle(P, pi)
+    except TooManyNodes as guard:
+        try:
+            return phi_chain_cycle(P, pi)
+        except DimensionMismatch:
+            raise DimensionMismatch(
+                f"{guard}, and the chain's off-diagonal support is not on "
+                "cycle arcs, so contiguous cuts cannot stand in"
+            ) from None
 
 
 def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
@@ -288,7 +294,7 @@ def diameter_conductance_check(
     """
     if D < 2:
         raise BadSize("diameter must be at least 2")
-    lhs, _ = phi_chain(P, pi)
+    lhs, _ = _phi_chain_or_cycle(P, pi)
     positive = pi.weights[pi.weights > 0.0]
     pi_min = float(positive.min())
     rhs = 4.0 * math.log(1.0 / pi_min) / (D - 1)

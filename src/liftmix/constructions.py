@@ -249,7 +249,7 @@ def spanning_tree_correction(
     where y = target - P pi.
 
     The tree is rooted at node 0 over arcs carrying the largest possible
-    minimum dynamics weight (binary search over the entry set); subtree
+    minimum dynamics weight (one widest-path sweep from the root); subtree
     demands are accumulated leaves-first, each met by the parent arc and
     compensated on the parent's diagonal, so columns sum to zero.  The
     combined chain P + P' must stay entrywise in [0, 1].
@@ -265,28 +265,19 @@ def spanning_tree_correction(
     if n == 1:
         return np.zeros((1, 1))
 
-    # raises NoSpanningTree unless the positive arcs span, so the search
-    # below always has a tree at its lowest level
-    rooted_spanning_tree(g, lambda child, parent: P.entries[child, parent] > 0, 0)
-    arc_weights = sorted({float(P.entries[j, i]) for (i, j) in g.arcs if P.entries[j, i] > 0})
-
-    def has_tree(beta: float) -> bool:
-        try:
-            rooted_spanning_tree(g, lambda child, parent: P.entries[child, parent] >= beta, 0)
-            return True
-        except LiftmixError:
-            return False
-
-    lo, hi = 0, len(arc_weights) - 1
-    while lo < hi:  # largest beta keeping a rooted spanning tree
-        mid = (lo + hi + 1) // 2
-        if has_tree(arc_weights[mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    beta = arc_weights[lo]
+    # widest paths from the root over arcs p -> u of width P[u, p]: beta is
+    # the largest weight whose arcs still span, 0 when positive arcs do not
+    W = np.where(g.adjacency(), P.entries.T, 0.0)
+    width, settled = np.zeros(n), np.zeros(n, dtype=bool)
+    width[0] = np.inf
+    for _ in range(n):
+        u = int(np.argmax(np.where(settled, -1.0, width)))
+        settled[u] = True
+        width = np.maximum(width, np.minimum(width[u], W[u]))
+    beta = width[1:].min()
+    # raises NoSpanningTree unless the positive arcs span
     parent, leaves_first = rooted_spanning_tree(
-        g, lambda child, parent_: P.entries[child, parent_] >= beta, 0
+        g, lambda child, p: P.entries[child, p] > 0 and P.entries[child, p] >= beta, 0
     )
 
     corr = np.zeros((n, n))

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._tolerances import TOL
 from ._version import __version__
-from .conductance import _members_of, _phi_chain_or_cycle, phi_chain, phi_graph
+from .conductance import _members_of, _phi_chain_or_cycle, phi_graph
 from .errors import (
     BadChoiceMap,
     BadScenario,
@@ -612,13 +612,39 @@ def _lower_bound(tau: float, phi: float, factor: float) -> tuple[float, bool]:
     return value, bool(consistent)
 
 
-def _induced_phi(L: Lift, pi_hat: Distribution):
-    notes = [
-        "base graph exceeds the conductance-program guard; the bound uses "
-        "the induced chain's conductance instead"
-    ]
+# phi_graph reaches the 24-node cut guard, but at seconds to minutes a call;
+# reports run it only up to the largest base the benchmark times.
+_REPORT_GRAPH_MAX_NODES = 14
+
+_GUARD_NOTE = (
+    "base graph exceeds the conductance-program guard; the bound uses the "
+    "{} chain's conductance instead"
+)
+
+
+def _scenario_phi(
+    L: Lift,
+    ref: StochasticMatrix | None,
+    pi: Distribution,
+    pi_hat: Callable[[], Distribution],
+    prefer_graph: bool,
+):
+    """(phi, source, notes) feeding a scenario bound, from the first source
+    that applies: the graph conductance program when prefer_graph is set
+    (the bounds about the graph itself) or there is no reference chain, on
+    bases of at most _REPORT_GRAPH_MAX_NODES; else the reference chain's
+    conductance; else that of the chain the steady state pi_hat() induces,
+    or None when that chain is too large to enumerate and not cycle-
+    supported."""
+    if (prefer_graph or ref is None) and L.base.n <= _REPORT_GRAPH_MAX_NODES:
+        phi, _ = phi_graph(L.base, pi)
+        return phi, "graph", []
+    if ref is not None:
+        phi, _ = _phi_chain_or_cycle(ref, pi)
+        return phi, "reference-chain", [_GUARD_NOTE.format("reference")] if prefer_graph else []
+    notes = [_GUARD_NOTE.format("induced")]
     try:
-        phi, _ = _induced_conductance(L, pi_hat)
+        phi, _ = _induced_conductance(L, pi_hat())
     except DimensionMismatch:
         notes.append(
             "induced chain too large to enumerate and not cycle-"
@@ -626,40 +652,6 @@ def _induced_phi(L: Lift, pi_hat: Distribution):
         )
         return None, "unavailable", notes
     return phi, "induced-chain", notes
-
-
-# phi_graph reaches the 24-node cut guard, but at seconds to minutes a call;
-# reports run it only up to the largest base the benchmark times.
-_REPORT_GRAPH_MAX_NODES = 14
-
-
-def _scenario_phi(
-    L: Lift,
-    spec: ScenarioSpec,
-    pi: Distribution,
-    pi_hat: Callable[[], Distribution],
-    prefer_graph: bool,
-):
-    """Conductance feeding a scenario bound.
-
-    Default dispatch uses the reference chain's conductance when one is
-    supplied and the graph conductance program otherwise; prefer_graph
-    flips the priority for the bounds about the graph itself.  Past
-    _REPORT_GRAPH_MAX_NODES the reference, then the induced chain of the
-    steady state pi_hat() stands in.
-    """
-    ref = spec.reference_chain
-    if (prefer_graph or ref is None) and L.base.n <= _REPORT_GRAPH_MAX_NODES:
-        phi, _ = phi_graph(L.base, pi)
-        return phi, "graph", []
-    if ref is None:
-        return _induced_phi(L, pi_hat())
-    phi, _ = phi_chain(ref, pi)
-    notes = [
-        "base graph exceeds the conductance-program guard; the "
-        "bound uses the reference chain's conductance instead"
-    ] if prefer_graph else []
-    return phi, "reference-chain", notes
 
 
 def scenario_report(
@@ -723,7 +715,7 @@ def scenario_report(
         }
 
     # without a reference chain both lower bounds read one graph program
-    scenario_phi = functools.cache(functools.partial(_scenario_phi, L, spec, pi, pi_hat))
+    scenario_phi = functools.cache(functools.partial(_scenario_phi, L, ref, pi, pi_hat))
     bounds: list[dict] = []
     if spec.init == "s":
         phi, source, phi_notes = scenario_phi(ref is None)

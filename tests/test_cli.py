@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from liftmix import (
-    barbell, complete, cycle, four_cycle_lift, graph_to_json, lift_to_json, path,
+    StochasticMatrix, barbell, clock_lift, complete, cycle, four_cycle_lift, graph_to_json,
+    lazy_walk, lift_to_json, metropolis_chain, node_clock_lift, path, periodic_clock_lift,
+    periodic_node_clock_lift, phi_chain_cycle, point_distribution, stochastic_bridge,
+    uniform_distribution,
 )
 from liftmix.cli import SUITE_NAMES, _dump_json, main, run_suite
 
@@ -203,6 +206,7 @@ def test_conductance_graph_k4(tmp_path, capsys):
 
 
 def test_conductance_chain_with_cycle_flag(tmp_path, capsys):
+    # the dispatch picks the cut scan, so --cycle is a usage error
     lazy = {
         "n": 4,
         "rows": [
@@ -219,9 +223,30 @@ def test_conductance_chain_with_cycle_flag(tmp_path, capsys):
     full = json.loads(capsys.readouterr().out)
     assert full["phi"] == pytest.approx(0.25)
     assert full["argmin_cut"]["members"] == [0, 1]
-    assert main(args + ["--cycle"]) == 0
-    arc = json.loads(capsys.readouterr().out)
-    assert arc["phi"] == pytest.approx(full["phi"])
+    assert main(args + ["--cycle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --cycle" in captured.err
+
+
+def test_conductance_chain_past_the_cut_guard(tmp_path, capsys):
+    # a cycle-supported chain past 24 nodes gets phi_chain_cycle's windows;
+    # any other is refused, naming both the guard and the cycle support
+    lazy, g = lazy_walk(cycle(26)), barbell(13)
+    off_cycle = StochasticMatrix(
+        0.5 * (np.eye(26) + metropolis_chain(g, uniform_distribution(26)).entries), locality=g
+    )
+    args = ["conductance", "chain", "--pi", "uniform", "--chain", str(tmp_path / "chain.json")]
+    (tmp_path / "chain.json").write_text(json.dumps(lazy.to_json()))
+    assert main(args) == 0
+    phi, cut = phi_chain_cycle(lazy, uniform_distribution(26))
+    assert json.loads(capsys.readouterr().out) == {
+        "phi": phi, "argmin_cut": {"members": list(cut.members()), "weight": cut.weight},
+    }
+    (tmp_path / "chain.json").write_text(json.dumps(off_cycle.to_json()))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "guarded to n <= 24, got 26" in captured.err and "cycle arcs" in captured.err
 
 
 def test_bridge_command_shapes(tmp_path, capsys):
@@ -286,7 +311,7 @@ def test_lift_build_and_analyze_round_trip(tmp_path, capsys):
 
 
 def test_lift_analyze_refuses_a_second_delta(tmp_path, capsys):
-    # --delta fills in a scenario without one, and never overrides ":delta"
+    # delta is set only by the scenario's ":delta"; --delta is a usage error
     bundle, ref = tmp_path / "lift.json", tmp_path / "ref.json"
     assert main(["lift", "build", "--construction", "four-cycle", "--delta", "0.05",
                  "--gamma", "0.01", "--out", str(bundle), "--ref-out", str(ref)]) == 0
@@ -294,13 +319,11 @@ def test_lift_analyze_refuses_a_second_delta(tmp_path, capsys):
                "--ref-chain", str(ref), "--scenario"]
     capsys.readouterr()
     assert main(analyze + ["SiMre:0.01"]) == 0
-    suffixed = capsys.readouterr().out
-    assert main(analyze + ["SiMre", "--delta", "0.01"]) == 0
-    assert capsys.readouterr().out == suffixed
-    assert main(analyze + ["SiMre:0.01", "--delta", "0.5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "--delta" in captured.err
+    assert json.loads(capsys.readouterr().out)["verdicts"]["flow_match"]["delta"] == 0.01
+    for scenario in ("SiMre", "SiMre:0.01"):
+        assert main(analyze + [scenario, "--delta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --delta" in captured.err
 
 
 def test_lift_analyze_reads_sparse_and_dense_bundles_alike(tmp_path, capsys):
@@ -373,6 +396,16 @@ _ANALYZE = ["lift", "analyze", "--lift", "F", "--pi", "uniform", "--scenario", "
     (_four_cycle_bundle("A"), _ANALYZE),
     (_four_cycle_bundle("F"), _ANALYZE),
     ({"weights": ["0.25"] * 4}, ["conductance", "graph", "--graph", "G", "--pi", "F"]),
+    # integers past float range, and a size past C long
+    ({"weights": [10**400, 0, 0, 0]}, ["conductance", "graph", "--graph", "G", "--pi", "F"]),
+    ({"weights": [10**400, 0, 0, 0]}, ["bridge", "--graph", "G", "--src", "e:0",
+                                       "--dst", "F"]),
+    ({"n": 2, "rows": [[10**400, 0], [0, 1]]}, ["conductance", "chain", "--chain", "F",
+                                                 "--pi", "uniform"]),
+    ({"n": 2, "row": [0, 1], "col": [0, 1], "value": [10**400, 1]},
+     ["conductance", "chain", "--chain", "F", "--pi", "uniform"]),
+    ({"n": 10**30, "row": [0], "col": [0], "value": [1.0]},
+     ["conductance", "chain", "--chain", "F", "--pi", "uniform"]),
 ])
 def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, command):
     # a file of the wrong shape exits 2 with one error line naming it, not a traceback
@@ -385,6 +418,54 @@ def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, comma
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(bad) in lines[0]
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, option):
+    target = str(tmp_path / "missing" / "report")
+    assert main(["verify", "--suite", "clock-contraction", option, target]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write") and target in lines[0]
+
+
+def test_lift_build_chain_constructions_from_bridge_output(tmp_path):
+    # the clock lifts read one bridge's steps, the node-clock lifts every
+    # source's bridge from --chains; each bundle is the library's
+    g, pi = cycle(5), uniform_distribution(5)
+    gfile = write_graph(tmp_path, g)
+    one, every = str(tmp_path / "one.json"), str(tmp_path / "every.json")
+    assert main(["bridge", "--graph", gfile, "--src", "e:0", "--dst", "uniform",
+                 "--out", one]) == 0
+    assert main(["bridge", "--graph", gfile, "--all-sources", "--dst", "uniform",
+                 "--out", every]) == 0
+    chain = stochastic_bridge(g, point_distribution(5, 0), pi)
+    per_node = [stochastic_bridge(g, point_distribution(5, i), pi) for i in range(5)]
+    for construction, option, expected in (
+        ("clock", ["--chain", one], clock_lift(g, chain)),
+        ("periodic-clock", ["--chain", one], periodic_clock_lift(g, chain)),
+        ("node-clock", ["--chains", every], node_clock_lift(g, per_node, pi)),
+        ("periodic-node-clock", ["--chains", every], periodic_node_clock_lift(g, per_node, pi)),
+    ):
+        out = tmp_path / f"{construction}.json"
+        assert main(["lift", "build", "--construction", construction, "--graph", gfile,
+                     *option, "--out", str(out)]) == 0
+        assert out.read_text() == _dump_json(lift_to_json(expected))
+
+
+@pytest.mark.parametrize("construction, given, option", [
+    ("diaconis", [], "--nodes"),
+    ("four-cycle", [], "--delta"),
+    ("clock", [], "--graph"),
+    ("periodic-clock", ["--graph", "G"], "--chain"),
+])
+def test_lift_build_names_the_option_it_needs(tmp_path, capsys, construction, given, option):
+    files = {"G": write_graph(tmp_path, cycle(4))}
+    assert main(["lift", "build", "--construction", construction,
+                 *[files.get(arg, arg) for arg in given],
+                 "--out", str(tmp_path / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --construction {construction} needs {option}\n"
 
 
 def test_lift_analyze_rejects_negative_window(tmp_path, capsys):

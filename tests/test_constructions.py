@@ -44,6 +44,7 @@ from liftmix import (
     periodic_node_clock_lift,
     phi_chain,
     point_distribution,
+    rooted_spanning_tree,
     shortest_path,
     si_replicated_lift,
     spanning_tree_correction,
@@ -544,6 +545,29 @@ def test_tree_correction_random_property():
             assert (i, j) in g.arcs
         combined = P.entries + corr
         assert combined.min() >= -1e-12 and combined.max() <= 1 + 1e-12
+
+
+def test_tree_correction_uses_the_widest_spanning_tree():
+    # the tree's narrowest arc P[child, parent] is the largest beta whose
+    # arcs P[u, p] >= beta still reach every node from the root
+    rng = rng_from_seed(1)
+    for _ in range(40):
+        g = random_connected_graph(rng, n_max=8)
+        P = random_local_chain(rng, g)
+        w = random_distribution(rng, g.n)
+        z = rng.normal(size=g.n)
+        z -= z.mean()
+        corr = spanning_tree_correction(g, P, w, P.entries @ w.weights + 1e-4 * z)
+        tree = np.argwhere((corr != 0) & ~np.eye(g.n, dtype=bool))  # (child, parent)
+        assert len(tree) == g.n - 1
+        spanning = []
+        for beta in {float(P.entries[j, i]) for i, j in g.arcs}:
+            try:
+                rooted_spanning_tree(g, lambda child, p: P.entries[child, p] >= beta, 0)
+                spanning.append(beta)
+            except NoSpanningTree:
+                pass
+        assert min(P.entries[child, p] for child, p in tree) == max(spanning)
 
 
 def test_tree_correction_no_tree_over_dead_dynamics():

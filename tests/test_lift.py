@@ -66,6 +66,7 @@ from liftmix import (
     path,
     periodic_clock_lift,
     phi_chain,
+    phi_chain_cycle,
     phi_graph,
     point_distribution,
     scenario_report,
@@ -191,7 +192,10 @@ def test_induced_phi_is_unavailable_off_the_cycle_past_the_guard():
         locality=g,
     )
     L = si_replicated_lift(P)
-    phi, source, notes = lift_module._induced_phi(L, uniform_distribution(L.map.lifted_n))
+    pi_hat = uniform_distribution(L.map.lifted_n)
+    phi, source, notes = lift_module._scenario_phi(
+        L, None, uniform_distribution(g.n), lambda: pi_hat, False
+    )
     assert (phi, source) == (None, "unavailable")
     assert "not cycle-supported" in notes[-1]
 
@@ -1399,6 +1403,40 @@ def test_scenario_phi_reference_chain_past_the_report_guard():
         assert by_name[name]["phi"] == pytest.approx(1 / 16, abs=1e-9)
     guard_notes = [note for note in report["notes"] if "guard" in note]
     assert len(guard_notes) == 1 and "reference chain" in guard_notes[0]
+
+
+def test_scenario_phi_reference_chain_past_the_cut_guard():
+    # a cycle-supported reference chain past 24 nodes feeds the bound from
+    # phi_chain_cycle's contiguous windows
+    ref, pi = lazy_walk(cycle(26)), uniform_distribution(26)
+    report = scenario_report(diaconis_cycle_lift(26), parse_scenario("sIMRE", ref), pi)
+    lower = bounds_by_name(report)["one-over-4-phi"]
+    assert lower["phi_source"] == "reference-chain"
+    assert lower["phi"] == phi_chain_cycle(ref, pi)[0]
+
+
+def test_scenario_report_notes_a_reducible_lift_under_flow_matching():
+    # the flows mixer is reducible, so its flow verdict holds for one seed only
+    g, pi = cycle(6), uniform_distribution(6)
+    ref = lazy_walk(g)
+    for variant, noted in (("flows", True), ("irreducible", False)):
+        L = diameter_mixer(g, pi, variant, reference=ref)
+        report = scenario_report(L, parse_scenario("SIMRe", ref), pi)
+        assert report["verdicts"]["flow_match"] is not None
+        assert any(note.startswith("lift is reducible") for note in report["notes"]) is noted
+
+
+def test_scenario_report_omits_the_diameter_bound_under_exact_flows():
+    # S I r e claims no construction when flows must match exactly; a
+    # positive deviation budget brings the diameter-plus-one bound back
+    g, pi = cycle(6), uniform_distribution(6)
+    ref = lazy_walk(g)
+    L = diameter_mixer(g, pi, "flows", reference=ref)
+    for scenario, omitted in (("SIMre", True), ("SIMre:0", True), ("SIMre:0.1", False)):
+        report = scenario_report(L, parse_scenario(scenario, ref), pi)
+        assert ("diameter-plus-one" not in bounds_by_name(report)) is omitted
+        assert any("diameter upper bound is omitted" in note
+                   for note in report["notes"]) is omitted
 
 
 def test_scenario_report_runs_graph_program_once(monkeypatch):

@@ -37,6 +37,10 @@
 #   - diaconis bundles for N = 32 and 64 with lift analyze sIMRE, and sIMRE
 #     with --t-max 3000 on N = 16: the periodic lifts at example1's sizes
 #     and far past the default window.
+#   - conductance chain on the lazy walk of the 26-node cycle, and lift
+#     analyze sIMRE on the N = 26 diaconis bundle with that walk as the
+#     reference chain: chains past the 24-node cut guard, whose conductance
+#     comes from contiguous windows.
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
 # this script, not by liftmix, so two trees read the same files.  Compare
@@ -73,11 +77,12 @@ for name, (n, edges) in graphs.items():
 with open(f"{out}/cycle-16.json", "w") as fh:
     json.dump({"n": 16, "edges": [[i, (i + 1) % 16] for i in range(16)],
                "directed": False}, fh)
-lazy = 0.5 * np.eye(8)
-for i in range(8):
-    lazy[(i + 1) % 8, i] = lazy[(i - 1) % 8, i] = 0.25
-with open(f"{out}/cycle-8.lazy.json", "w") as fh:
-    json.dump({"n": 8, "rows": lazy.tolist()}, fh)
+for n in (8, 26):
+    lazy = 0.5 * np.eye(n)
+    for i in range(n):
+        lazy[(i + 1) % n, i] = lazy[(i - 1) % n, i] = 0.25
+    with open(f"{out}/cycle-{n}.lazy.json", "w") as fh:
+        json.dump({"n": n, "rows": lazy.tolist()}, fh)
 rng = np.random.default_rng(20171)
 for n in (17, 20, 24):
     # a ring plus each chord with probability 0.3, as a symmetric 0/1 mask
@@ -233,3 +238,11 @@ for n in 17 20 24; do
 done
 run conductance-graph-chain-17-support-uniform conductance graph \
     --graph "$IN/chain-17.support.json" --pi uniform
+
+run conductance-chain-cycle-26-lazy conductance chain \
+    --chain "$IN/cycle-26.lazy.json" --pi uniform
+run build-diaconis-26 lift build --construction diaconis --nodes 26 \
+    --out "$OUT/build-diaconis-26.bundle.json"
+run analyze-sIMRE-diaconis-26-lazy-reference lift analyze \
+    --lift "$OUT/build-diaconis-26.bundle.json" --pi uniform --scenario sIMRE \
+    --ref-chain "$IN/cycle-26.lazy.json"
