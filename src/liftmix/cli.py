@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -30,6 +31,8 @@ from .conductance import (
     phi_graph,
 )
 from .constructions import (
+    _node_clock,
+    _point_bridges,
     clock_lift,
     diaconis_cycle_lift,
     diameter_mixer,
@@ -148,17 +151,23 @@ def _dump_json(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """text to stdout, or to out_path; a path that cannot be written is an
-    input error that names it."""
-    if out_path is None:
-        sys.stdout.write(text)
-        return
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Each (text, path) in turn to its path, or to stdout for None.  Every
+    path is opened (for appending, so nothing is truncated) before any text
+    is written: a path that cannot be written is an input error that names
+    it, and nothing is emitted before it."""
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        for _, path in outputs:
+            if path is not None:
+                open(path, "a").close()
+        for text, path in outputs:
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise LiftmixError(f"cannot write {out_path}: {exc}") from exc
+        raise LiftmixError(f"cannot write {path}: {exc}") from exc
 
 
 def _read(path: str, reader, *args):
@@ -191,10 +200,6 @@ def _read_distribution(spec: str, n: int) -> Distribution:
     if d.n != n:
         raise BadSize(f"distribution has size {d.n}, expected {n}")
     return d
-
-
-def _chain_steps_json(chain: TimeVaryingChain) -> list:
-    return [step.entries.tolist() for step in chain.steps]
 
 
 def _chain_from_steps(steps: list, g: Graph) -> TimeVaryingChain:
@@ -538,17 +543,15 @@ def _suite_bridge_exactness(seed: int):
     for _ in range(graphs):
         g = random_connected_graph(rng, n_max=10)
         pi = random_distribution(rng, g.n)
+        steps = _point_bridges(g, pi)  # steps[i, t]: step t+1 of the bridge from i
+        bridges += g.n
+        worst_colsum = max(worst_colsum, float(np.abs(steps.sum(axis=2) - 1.0).max()))
+        off = steps > clamp
+        off[..., np.arange(g.n), np.arange(g.n)] = False
+        locality_violations += int((off & ~g.adjacency().T).sum())
         for i in range(g.n):
-            chain = stochastic_bridge(g, point_distribution(g.n, i), pi)
-            bridges += 1
             x = np.eye(g.n)[i]
-            for step in chain.steps:
-                E = step.entries
-                worst_colsum = max(worst_colsum,
-                                   float(np.abs(E.sum(axis=0) - 1.0).max()))
-                off = E > clamp
-                np.fill_diagonal(off, False)
-                locality_violations += int((off & ~g.adjacency().T).sum())
+            for E in steps[i]:
                 x = E @ x
             worst_tv = max(worst_tv, 0.5 * float(np.abs(x - pi.weights).sum()))
     checks = [
@@ -596,20 +599,19 @@ def run_suite(name: str, seed: int = 0) -> tuple[dict, bool]:
     return report, passed
 
 
-def _write_csv(report: dict, path: str) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "measured", "bound", "pass"])
-            for row in report["checks"]:
-                writer.writerow([
-                    row["check"],
-                    _plain(row["measured"]),
-                    _plain(row["bound"]),
-                    str(row["pass"]).lower(),
-                ])
-    except OSError as exc:
-        raise LiftmixError(f"cannot write {path}: {exc}") from exc
+def _csv_text(report: dict) -> str:
+    """The (check, measured, bound, pass) table, in csv's own line ends."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["check", "measured", "bound", "pass"])
+    for row in report["checks"]:
+        writer.writerow([
+            row["check"],
+            _plain(row["measured"]),
+            _plain(row["bound"]),
+            str(row["pass"]).lower(),
+        ])
+    return text.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +626,7 @@ def _cmd_graph_stats(args) -> int:
         "connected": is_connected(g),
         "diameter": diameter(g) if is_connected(g) else None,
     }
-    _emit(_dump_json(report), args.out)
+    _emit((_dump_json(report), args.out))
     return 0
 
 
@@ -645,7 +647,7 @@ def _cmd_conductance(args) -> int:
             "phi": phi,
             "argmax_chain": best.to_json(),
         }
-    _emit(_dump_json(report), args.out)
+    _emit((_dump_json(report), args.out))
     return 0
 
 
@@ -653,24 +655,18 @@ def _cmd_bridge(args) -> int:
     g = _read(args.graph, graph_from_json)
     dst = _read_distribution(args.dst, g.n)
     if args.all_sources:
-        chains = [
-            stochastic_bridge(g, point_distribution(g.n, i), dst)
-            for i in range(g.n)
-        ]
-        report = {
-            "n": g.n,
-            "T": chains[0].T,
-            "per_node": [_chain_steps_json(c) for c in chains],
-        }
+        steps = _point_bridges(g, dst)
+        report = {"n": g.n, "T": steps.shape[1], "per_node": steps.tolist()}
     else:
         src = _read_distribution(args.src, g.n)
         chain = stochastic_bridge(g, src, dst)
-        report = {"n": g.n, "T": chain.T, "steps": _chain_steps_json(chain)}
-    _emit(_dump_json(report), args.out)
+        report = {"n": g.n, "T": chain.T, "steps": [P.entries.tolist() for P in chain.steps]}
+    _emit((_dump_json(report), args.out))
     return 0
 
 
-def _build_lift(args) -> tuple[Lift, dict]:
+def _build_lift(args, outputs: list) -> tuple[Lift, dict]:
+    """The lift and its extra metadata; a --ref-out text joins outputs."""
     kind = args.construction
     extra_meta: dict = {}
     if kind == "diaconis":
@@ -683,7 +679,7 @@ def _build_lift(args) -> tuple[Lift, dict]:
         L, ref, phi, epsilon = four_cycle_lift(args.delta, args.gamma)
         extra_meta = {"phi": phi, "epsilon": epsilon}
         if args.ref_out:
-            _emit(_dump_json(ref.to_json()), args.ref_out)
+            outputs.append((_dump_json(ref.to_json()), args.ref_out))
         return L, extra_meta
 
     if args.graph is None:
@@ -698,15 +694,11 @@ def _build_lift(args) -> tuple[Lift, dict]:
 
     pi = _read_distribution(args.pi or "uniform", g.n)
     if kind in ("node-clock", "periodic-node-clock"):
-        if args.chains is not None:
-            per_node = _read(args.chains, lambda blob: [
-                _chain_from_steps(s, g) for s in blob["per_node"]
-            ])
-        else:
-            per_node = [
-                stochastic_bridge(g, point_distribution(g.n, i), pi)
-                for i in range(g.n)
-            ]
+        if args.chains is None:  # the bridge e_v0 -> pi of every start v0
+            return _node_clock(g, _point_bridges(g, pi), pi, kind != "node-clock"), extra_meta
+        per_node = _read(args.chains, lambda blob: [
+            _chain_from_steps(s, g) for s in blob["per_node"]
+        ])
         builder = node_clock_lift if kind == "node-clock" else periodic_node_clock_lift
         return builder(g, per_node, pi), extra_meta
     if kind == "diameter":
@@ -717,10 +709,11 @@ def _build_lift(args) -> tuple[Lift, dict]:
 
 
 def _cmd_lift_build(args) -> int:
-    L, extra_meta = _build_lift(args)
+    outputs: list = []
+    L, extra_meta = _build_lift(args, outputs)
     bundle = lift_to_json(L)
     bundle["metadata"].update(extra_meta)
-    _emit(_dump_json(bundle), args.out)
+    _emit(*outputs, (_dump_json(bundle), args.out))
     return 0
 
 
@@ -730,15 +723,14 @@ def _cmd_lift_analyze(args) -> int:
     ref = _read(args.ref_chain, matrix_from_json, L.base) if args.ref_chain else None
     spec = parse_scenario(args.scenario, reference_chain=ref)
     report = scenario_report(L, spec, pi, eps=args.eps, t_max=args.t_max)
-    _emit(_dump_json(report), args.out)
+    _emit((_dump_json(report), args.out))
     return 0
 
 
 def _cmd_verify(args) -> int:
     report, passed = run_suite(args.suite, args.seed)
-    _emit(_dump_json(report), args.out)
-    if args.csv:
-        _write_csv(report, args.csv)
+    csv_out = [(_csv_text(report), args.csv)] if args.csv else []
+    _emit((_dump_json(report), args.out), *csv_out)
     if not passed:
         for row in report["checks"]:
             if not row["pass"]:

@@ -26,7 +26,7 @@ from .errors import (
     TooManyNodes,
 )
 from .graph_core import Cut, Graph, _by_slabs, _cut_chunks, _screened_chunks, cycle
-from .markov import Distribution, StochasticMatrix, check_stationary
+from .markov import Distribution, StochasticMatrix, _check_local, check_stationary
 
 # Most violated cuts that each chunk adds to phi_graph's LP per round.
 _CUTS_PER_ROUND = 32
@@ -129,7 +129,7 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         return phi_chain(P, pi)
     check_stationary(P, pi, TOL["stationary_residual"])
     try:
-        P._check_locality(cycle(n))
+        _check_local(*P._triplets(), n, cycle(n))
     except LocalityViolation:
         raise DimensionMismatch(
             "phi_chain_cycle needs off-diagonal support on cycle arcs only"

@@ -11,7 +11,7 @@ and v is the projected position.  `_layered` lays out every such lift.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, eye_array
+from scipy.sparse import csr_array
 
 from ._tolerances import TOL
 from .errors import (
@@ -40,8 +40,8 @@ from .markov import (
     StochasticMatrix,
     TimeVaryingChain,
     check_stationary,
+    _stochastic_stack,
     metropolis_chain,
-    point_distribution,
     _support_graph,
 )
 
@@ -74,6 +74,34 @@ def _make_lift(base: Graph, proj, A, F: np.ndarray | None, metadata: dict) -> Li
     return Lift(base=base, map=m, A=StochasticMatrix(A), F=init, metadata=metadata)
 
 
+def _route(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Raw steps of the bridges from each row of src (k source laws) to dst,
+    as a (k, D, n, n) array.
+
+    The commodities (s, i, u) of mass src[s, i] * dst[u] move together, in
+    lexicographic order: each waits at i until exactly d(i, u) steps remain,
+    then hops by `_next_hops` toward u.  Step t of source s is the identity
+    with each occupied column replaced by its flow over its occupancy;
+    bincount adds in commodity order, as a commodity-by-commodity loop does.
+    """
+    dist = distance_matrix(g)  # raises DisconnectedGraph
+    (k, n), D = src.shape, int(dist.max())
+    s, i = np.nonzero(src > 0)
+    u = np.flatnonzero(dst > 0)
+    s, i, u = np.repeat(s, len(u)), np.repeat(i, len(u)), np.tile(u, len(s))
+    mass, wait = src[s, i] * dst[u], D - dist[i, u]
+    hop = _next_hops(g.adjacency(), dist)
+    occupancy, flow = np.zeros((k, D, 1, n)), np.zeros((k, D, n, n))  # C-ordered
+    pos = i
+    for t in range(D):
+        nxt = np.where(t >= wait, hop[pos, u], pos)
+        occupancy[:, t, 0] = np.bincount(s * n + pos, mass, k * n).reshape(k, n)
+        flow[:, t] = np.bincount((s * n + nxt) * n + pos, mass, k * n * n).reshape(k, n, n)
+        pos = nxt
+    populated = occupancy > 0
+    return np.where(populated, flow / np.where(populated, occupancy, 1.0), np.eye(n))
+
+
 def stochastic_bridge(
     g: Graph, p_src: Distribution, p_dst: Distribution
 ) -> TimeVaryingChain:
@@ -88,67 +116,53 @@ def stochastic_bridge(
     """
     if p_src.n != g.n or p_dst.n != g.n:
         raise LengthMismatch("endpoint distributions must live on the graph")
-    dist = distance_matrix(g)  # raises DisconnectedGraph
-    D = int(dist.max())
-    n = g.n
-    if D == 0:
-        return TimeVaryingChain([])
-    flow = np.zeros((D, n, n))  # flow[t, w, v]: mass moving v -> w in step t+1
-    occupancy = np.zeros((D, n))  # mass at each node before step t+1
-    hop = _next_hops(g.adjacency(), dist)
-    for i in np.nonzero(p_src.weights > 0)[0]:
-        for u in np.nonzero(p_dst.weights > 0)[0]:
-            mass = p_src.weights[i] * p_dst.weights[u]
-            wait = D - int(dist[i, u])
-            pos = int(i)
-            for t in range(D):
-                nxt = pos
-                if t >= wait:
-                    nxt = int(hop[pos, u])
-                occupancy[t, pos] += mass
-                flow[t, nxt, pos] += mass
-                pos = nxt
-    steps = []
-    for t in range(D):
-        P = np.eye(n)
-        populated = occupancy[t] > 0
-        P[:, populated] = flow[t][:, populated] / occupancy[t][populated][None, :]
-        steps.append(StochasticMatrix(P, locality=g))
-    return TimeVaryingChain(steps)
+    raw = _route(g, p_src.weights[None], p_dst.weights)[0]
+    return TimeVaryingChain([StochasticMatrix(P, locality=g) for P in raw])
 
 
-def _layered(steps, periodic: bool, hold=None, restart=None) -> csr_array:
+def _point_bridges(g: Graph, pi: Distribution) -> np.ndarray:
+    """The steps of every start node's bridge e_i -> pi as one read-only
+    (n, D, n, n) array, routed in one pass and validated once as a family;
+    slice [i, t] is stochastic_bridge(g, e_i, pi).steps[t].entries, bit for
+    bit."""
+    if pi.n != g.n:
+        raise LengthMismatch("endpoint distributions must live on the graph")
+    return _stochastic_stack(_route(g, np.eye(g.n), pi.weights), g)
+
+
+def _layered(m: int, steps, periodic: bool, hold=None, restart=None) -> csr_array:
     """Time-layered dynamics, as CSR: layer t-1 feeds layer t through steps[t-1].
 
-    When periodic, the last step wraps back to layer 0 (len(steps)
-    layers); otherwise a top layer len(steps) holds its state through
-    `hold`, the identity by default, and feeds layer 0 through `restart`.
+    Every block is the (row, col, value) triplets of an m x m matrix.  When
+    periodic, the last step wraps back to layer 0 (len(steps) layers);
+    otherwise a top layer len(steps) holds its state through `hold`, the
+    identity by default, and feeds layer 0 through `restart`.
     """
-    m = steps[0].shape[0]
     layers = len(steps) if periodic else len(steps) + 1
     placed = [(t % layers, t - 1, P) for t, P in enumerate(steps, start=1)]
     if not periodic:
-        placed.append((layers - 1, layers - 1, eye_array(m) if hold is None else hold))
+        eye = np.arange(m)
+        placed.append((layers - 1, layers - 1, (eye, eye, np.ones(m)) if hold is None else hold))
     if restart is not None:
         placed.append((0, layers - 1, restart))
-    blocks = [(i, j, coo_array(P)) for i, j, P in placed]
-    row = np.concatenate([P.row + i * m for i, _, P in blocks])
-    col = np.concatenate([P.col + j * m for _, j, P in blocks])
-    value = np.concatenate([P.data for _, _, P in blocks])
+    row = np.concatenate([r + i * m for i, _, (r, _, _) in placed])
+    col = np.concatenate([c + j * m for _, j, (_, c, _) in placed])
+    value = np.concatenate([v for _, _, (_, _, v) in placed])
     return csr_array((value, (row, col)), shape=(layers * m, layers * m))
 
 
-def _block_diagonal(blocks) -> coo_array:
-    """The block-diagonal matrix of k square m x m blocks, as COO."""
+def _block_diagonal(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of the block-diagonal matrix of k square m x m blocks."""
     k, r, c = np.nonzero(stack := np.asarray(blocks))
     m = stack.shape[1]
-    return coo_array((stack[k, r, c], (k * m + r, k * m + c)), shape=(len(stack) * m,) * 2)
+    return k * m + r, k * m + c, stack[k, r, c]
 
 
-def _restart(n: int) -> coo_array:
-    """Node-clock map (v0, v) -> (v, v): a walk at v restarts from start v."""
+def _restart(n: int, weight: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of the node-clock map (v0, v) -> (v, v), scaled by weight: a
+    walk at v restarts from start v."""
     cols = np.arange(n * n)
-    return coo_array((np.ones(n * n), (cols % n * (n + 1), cols)), shape=(n * n, n * n))
+    return cols % n * (n + 1), cols, np.full(n * n, weight)
 
 
 def _clock(g: Graph, chain: TimeVaryingChain, periodic: bool, name: str) -> Lift:
@@ -156,7 +170,7 @@ def _clock(g: Graph, chain: TimeVaryingChain, periodic: bool, name: str) -> Lift
         raise EmptyChain(f"{name.replace('-', ' ')} lift needs at least one step")
     if chain.n != g.n:
         raise LengthMismatch(f"chain is on {chain.n} nodes, graph has {g.n}")
-    A = _layered([P.entries for P in chain.steps], periodic)
+    A = _layered(g.n, [_block_diagonal([P.entries]) for P in chain.steps], periodic)
     F = np.eye(A.shape[0], g.n)
     proj = np.tile(np.arange(g.n), A.shape[0] // g.n)
     return _make_lift(g, proj, A, F, {"construction": name, "T": chain.T})
@@ -178,16 +192,8 @@ def periodic_clock_lift(g: Graph, chain: TimeVaryingChain) -> Lift:
     return _clock(g, chain, True, "periodic-clock")
 
 
-def _node_clock_blocks(
-    g: Graph, per_node, pi: Distribution, periodic: bool
-) -> tuple[list, np.ndarray, np.ndarray, int]:
-    """Shared grid for node-clock lifts: states (t, v0, v) at t*n^2+v0*n+v.
-
-    Returns (the sparse block-diagonal bridge steps and layer-T handoff
-    for `_layered`, F, projection, T).  The handoff differs: the plain
-    variant resamples v0 from pi into an extra holding layer T+1, the
-    periodic variant restarts (T, v0, v) at the start state (0, v, v).
-    """
+def _stacked(g: Graph, per_node, pi: Distribution) -> np.ndarray:
+    """One user chain per node, checked and stacked as an (n, T, n, n) array."""
     n = g.n
     chains = list(per_node)
     if len(chains) != n:
@@ -202,14 +208,29 @@ def _node_clock_blocks(
             )
         if T and ch.n != n:
             raise LengthMismatch(f"chain for node {v0} is on {ch.n} nodes, graph has {n}")
+    return np.array([[P.entries for P in ch.steps] for ch in chains]).reshape(n, T, n, n)
+
+
+def _node_clock_blocks(
+    g: Graph, stack: np.ndarray, pi: Distribution, periodic: bool
+) -> tuple[list, np.ndarray, np.ndarray, int]:
+    """Shared grid for node-clock lifts: states (t, v0, v) at t*n^2+v0*n+v.
+
+    stack[v0, t] is step t+1 of start v0's chain.  Returns (the triplets of
+    the block-diagonal steps and layer-T handoff for `_layered`, F,
+    projection, T).  The handoff differs: the plain variant resamples v0
+    from pi into an extra holding layer T+1, the periodic variant restarts
+    (T, v0, v) at the start state (0, v, v).
+    """
+    n, T = g.n, stack.shape[1]
     if T == 0:
         raise EmptyChain("node-clock lift needs at least one step")
-    steps = [_block_diagonal([ch.steps[t].entries for ch in chains]) for t in range(T)]
+    steps = [_block_diagonal(stack[:, t]) for t in range(T)]
     if periodic:
         steps.append(_restart(n))
     else:  # (T, v0, v) -> (T+1, w, v) with probability pi_w
         w, v0, v = np.indices((n, n, n)).reshape(3, -1)
-        steps.append(coo_array((pi.weights[w], (w * n + v, v0 * n + v)), shape=(n * n,) * 2))
+        steps.append((w * n + v, v0 * n + v, pi.weights[w]))
     size = (T + 1 if periodic else T + 2) * n * n
     F = np.zeros((size, n))
     F[np.arange(n) * (n + 1), np.arange(n)] = 1.0
@@ -217,29 +238,24 @@ def _node_clock_blocks(
     return steps, F, proj, T
 
 
+def _node_clock(g: Graph, stack: np.ndarray, pi: Distribution, periodic: bool) -> Lift:
+    steps, F, proj, T = _node_clock_blocks(g, stack, pi, periodic)
+    meta = {"construction": "periodic-node-clock" if periodic else "node-clock", "T": T}
+    return _make_lift(g, proj, _layered(g.n * g.n, steps, periodic), F, meta)
+
+
 def node_clock_lift(g: Graph, per_node, pi: Distribution) -> Lift:
     """Clock lift that also remembers the starting node v0, running one
     kernel sequence per start; after the sequences finish, v0 is resampled
     from pi and the state freezes in a holding layer."""
-    steps, F, proj, T = _node_clock_blocks(g, per_node, pi, periodic=False)
-    return _make_lift(g, proj, _layered(steps, False), F, {"construction": "node-clock", "T": T})
+    return _node_clock(g, _stacked(g, per_node, pi), pi, periodic=False)
 
 
 def periodic_node_clock_lift(g: Graph, per_node, pi: Distribution) -> Lift:
     """Node-clock lift on a time cycle: after its T steps, a walk at
     projected position v restarts the sequence for start node v.  Every
     lifted start reaches the restart set within T+1 steps."""
-    steps, F, proj, T = _node_clock_blocks(g, per_node, pi, periodic=True)
-    return _make_lift(
-        g, proj, _layered(steps, True), F, {"construction": "periodic-node-clock", "T": T}
-    )
-
-
-def _mixer_bridges(g: Graph, pi: Distribution) -> list[TimeVaryingChain]:
-    D = diameter(g)
-    if D == 0:
-        raise BadSize("mixer needs a graph with positive diameter")
-    return [stochastic_bridge(g, point_distribution(g.n, i), pi) for i in range(g.n)]
+    return _node_clock(g, _stacked(g, per_node, pi), pi, periodic=True)
 
 
 def spanning_tree_correction(
@@ -309,16 +325,16 @@ def _solve_top_chain(
     with the held mass must average out to pi, which pins pi_tilde through
     a small linear system.  The top chain is the reference chain plus a
     tree correction making pi_tilde its (1-gamma)-damped fixed point.
+    bridges[i, t] is step t+1 of start i's bridge (`_point_bridges`).
     """
-    n = g.n
-    D = bridges[0].T
+    n, D = g.n, bridges.shape[1]
     B = np.zeros((n, n))
     for i in range(n):
         q = np.zeros(n)
         q[i] = 1.0
         B[:, i] += q
         for t in range(D):
-            q = bridges[i].steps[t].entries @ q
+            q = bridges[i, t] @ q  # a C-ordered slice, summed as its matrix is
             B[:, i] += q
     B /= D + 1
     a = 1.0 / (1.0 + (D + 1) * gamma)
@@ -361,13 +377,14 @@ def diameter_mixer(
         raise BadSize("mixer needs a full-support target")
     if variant not in ("reducible", "flows", "irreducible"):
         raise BadSize(f"unknown mixer variant {variant!r}")
-    bridges = _mixer_bridges(g, pi)
+    if diameter(g) == 0:
+        raise BadSize("mixer needs a graph with positive diameter")
+    bridges = _point_bridges(g, pi)
     n = g.n
-    T = bridges[0].T
-    steps, F, proj, _ = _node_clock_blocks(g, bridges, pi, periodic=False)
+    steps, F, proj, T = _node_clock_blocks(g, bridges, pi, periodic=False)
     meta = {"construction": "diameter-mixer", "variant": variant, "T": T}
     if variant == "reducible":
-        return _make_lift(g, proj, _layered(steps, False), F, meta)
+        return _make_lift(g, proj, _layered(n * n, steps, False), F, meta)
 
     if not 0 < gamma < 1:
         raise BadGamma(f"restart probability gamma must lie in (0,1), got {gamma}")
@@ -376,7 +393,7 @@ def diameter_mixer(
     check_stationary(reference, pi, TOL["stationary_residual"])
 
     if variant == "flows":
-        A = _layered(steps, False, hold=_block_diagonal([reference.entries] * n))
+        A = _layered(n * n, steps, False, hold=_block_diagonal([reference.entries] * n))
         return _make_lift(g, proj, A, F, meta)
 
     last_error: LiftmixError | None = None
@@ -387,8 +404,9 @@ def diameter_mixer(
             last_error = err
             gamma /= 2.0
             continue
-        A = _layered(steps, False, hold=_block_diagonal([(1.0 - gamma) * held.entries] * n),
-                     restart=gamma * _restart(n))
+        A = _layered(n * n, steps, False,
+                     hold=_block_diagonal([(1.0 - gamma) * held.entries] * n),
+                     restart=_restart(n, gamma))
         # keep the strong component of the start states (0, v, v), which
         # the restarts make mutually reachable; the rest is never reached
         # from a start or never returns to one

@@ -97,15 +97,11 @@ class StochasticMatrix:
     """Column-stochastic matrix with an optional locality graph.
 
     Kept in the form it is built from, dense or scipy sparse; the other form
-    is derived once, on first read (entries, _csr).  On the nonzero
-    triplets, entries are clamped to [0, 1] from within entry_clamp; each
-    raw column sum, added in row order as a dense one is, must be within
-    column_sum of 1 (then the column is renormalized exactly).  When a
-    locality graph is set, off-diagonal support > entry_clamp must sit on
-    its arcs.  Its classes,
-    then their laws, and the cyclic classes of an irreducible matrix are
-    built once, on first use, and shared read-only (_labels, _ergodic,
-    _cyclic).
+    is derived once, on first read (entries, _csr).  Its nonzero triplets
+    pass `_normalise`, with the locality graph when one is set.  Its
+    classes, then their laws, and the cyclic classes of an irreducible
+    matrix are built once, on first use, and shared read-only (_labels,
+    _ergodic, _cyclic).
     """
 
     n: int
@@ -120,16 +116,7 @@ class StochasticMatrix:
         object.__setattr__(self, "n", M.shape[0])
         self.__dict__["_csr" if sparse else "entries"] = M
         row, col, value = self._triplets()  # a sparse input's value is M.data itself
-        if (value < -TOL["entry_clamp"]).any() or (value > 1 + TOL["entry_clamp"]).any():
-            raise BadColumnSum("matrix entries outside [0,1] beyond clamp tolerance")
-        np.clip(value, 0.0, 1.0, out=value)
-        sums = np.bincount(col, weights=value, minlength=self.n)
-        bad = ~(np.abs(sums - 1.0) <= TOL["column_sum"])  # NaN-safe
-        if bad.any():
-            j = int(np.nonzero(bad)[0][0])
-            raise BadColumnSum(f"column {j} sums to {sums[j]}")
-        value /= sums[col]
-        self._check_locality(locality, (row, col, value))
+        _normalise(0, row, col, value, 1, self.n, locality)
         if sparse:
             M.eliminate_zeros()  # the clamped entries leave the support
         else:
@@ -137,20 +124,6 @@ class StochasticMatrix:
             M[row, col] = value
         self.__dict__["_csr" if sparse else "entries"] = _read_only(M)
         object.__setattr__(self, "locality", locality)
-
-    def _check_locality(self, g: Graph | None, triplets=None) -> None:
-        """The one locality check: off-diagonal support > entry_clamp must sit on
-        g's arcs; none for g None."""
-        if g is None:
-            return
-        if g.n != self.n:
-            raise DimensionMismatch(f"matrix is {self.n}x{self.n} but graph has {g.n} nodes")
-        j, i, value = self._triplets() if triplets is None else triplets
-        illegal = (value > TOL["entry_clamp"]) & (j != i) & ~g._adjacency[i, j]  # needs arc (i, j)
-        if illegal.any():
-            k = int(np.argmax(illegal))
-            raise LocalityViolation(
-                f"entry ({j[k]},{i[k]}) = {value[k]} has no arc ({i[k]},{j[k]})")
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -235,6 +208,52 @@ class StochasticMatrix:
     def _sparse_json(self) -> dict:
         """The nonzero entries as triplets in row-major order."""
         return {"n": self.n, **_triplet_json(*self._triplets())}
+
+
+def _normalise(matrix, row, col, value, k: int, n: int, locality: Graph | None) -> None:
+    """The one rule of column-stochastic matrices, in place on the row-major
+    nonzero triplets of k n x n matrices (`matrix`: each entry's, 0 for one):
+    entries are clamped to [0, 1] from within entry_clamp; each raw column
+    sum, added in row order, must be within column_sum of 1, and the column
+    is then renormalized exactly; off-diagonal support > entry_clamp must
+    sit on the locality graph's arcs, when one is given."""
+    if (value < -TOL["entry_clamp"]).any() or (value > 1 + TOL["entry_clamp"]).any():
+        raise BadColumnSum("matrix entries outside [0,1] beyond clamp tolerance")
+    np.clip(value, 0.0, 1.0, out=value)
+    key = matrix * n + col
+    sums = np.bincount(key, weights=value, minlength=k * n)
+    bad = ~(np.abs(sums - 1.0) <= TOL["column_sum"])  # NaN-safe
+    if bad.any():
+        j = int(np.nonzero(bad)[0][0])
+        raise BadColumnSum(f"column {j % n} sums to {sums[j]}")
+    value /= sums[key]
+    if locality is not None:
+        _check_local(row, col, value, n, locality)
+
+
+def _stochastic_stack(stack: np.ndarray, locality: Graph | None) -> np.ndarray:
+    """A stack of n x n matrices under one `_normalise` pass, read-only and
+    C-ordered: each slice holds what StochasticMatrix(slice, locality)
+    would, bit for bit."""
+    n = stack.shape[-1]
+    flat = stack.reshape(-1, n, n)
+    m, row, col = np.nonzero(flat)
+    value = flat[m, row, col]
+    _normalise(m, row, col, value, len(flat), n, locality)
+    out = np.zeros(flat.shape)
+    out[m, row, col] = value
+    return _read_only(out.reshape(stack.shape))
+
+
+def _check_local(j, i, value, n: int, g: Graph) -> None:
+    """The one locality check: each entry (j, i) > entry_clamp off the
+    diagonal needs the arc (i, j) of g."""
+    if g.n != n:
+        raise DimensionMismatch(f"matrix is {n}x{n} but graph has {g.n} nodes")
+    illegal = (value > TOL["entry_clamp"]) & (j != i) & ~g._adjacency[i, j]
+    if illegal.any():
+        e = int(np.argmax(illegal))
+        raise LocalityViolation(f"entry ({j[e]},{i[e]}) = {value[e]} has no arc ({i[e]},{j[e]})")
 
 
 def _support_graph(P: StochasticMatrix) -> Graph:

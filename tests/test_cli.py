@@ -422,10 +422,28 @@ def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, comma
 
 @pytest.mark.parametrize("option", ["--out", "--csv"])
 def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, option):
+    # every output path is opened before anything is written: no report
+    # reaches stdout ahead of the failing path
     target = str(tmp_path / "missing" / "report")
     assert main(["verify", "--suite", "clock-contraction", option, target]) == 2
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write") and target in lines[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("bad", ["--ref-out", "--out"])
+def test_unwritable_lift_build_path_writes_neither_file(tmp_path, capsys, bad):
+    paths = {"--ref-out": tmp_path / "ref.json", "--out": tmp_path / "bundle.json"}
+    paths[bad] = tmp_path / "missing" / "file.json"
+    args = ["lift", "build", "--construction", "four-cycle", "--delta", "0.05",
+            "--gamma", "0.01"]
+    for option, target in paths.items():
+        args += [option, str(target)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(paths[bad]) in captured.err
+    assert all(not p.exists() or p.read_text() == "" for p in paths.values())
 
 
 def test_lift_build_chain_constructions_from_bridge_output(tmp_path):

@@ -27,6 +27,7 @@ from liftmix import (
     diameter_mixer,
     distance_matrix,
     Distribution,
+    graph_from_edges,
     ergodic_flows,
     fiber_uniform_init,
     four_cycle_lift,
@@ -52,7 +53,7 @@ from liftmix import (
     tv_distance,
     uniform_distribution,
 )
-from liftmix.constructions import _solve_top_chain
+from liftmix.constructions import _point_bridges, _solve_top_chain
 from liftmix.graph_core import _strong_components
 from liftmix.randomgen import (
     random_connected_graph,
@@ -151,6 +152,33 @@ def test_bridge_hops_match_memoised_shortest_paths(seed, spread):
     assert len(chain.steps) == len(expect)
     for step, E in zip(chain.steps, expect):
         assert np.array_equal(step.entries, E)
+
+
+def _strongly_connected_digraph(rng, n_max=9):
+    """A directed cycle plus random extra arcs."""
+    n = int(rng.integers(2, n_max + 1))
+    extra = rng.integers(0, n, size=(n, 2)).tolist()
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)] + extra, directed=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_point_bridges_equal_the_public_bridge_bit_for_bit(seed, directed):
+    # the family's one routing pass and one validation give every start
+    # node's public bridge, on undirected and directed graphs, with a target
+    # that has zero entries
+    rng = rng_from_seed(seed)
+    g = _strongly_connected_digraph(rng) if directed else random_connected_graph(rng, n_max=10)
+    w = random_distribution(rng, g.n).weights * (rng.random(g.n) < 0.6)
+    w[int(rng.integers(g.n))] += 0.1
+    pi = Distribution(w / w.sum())
+    family = _point_bridges(g, pi)
+    assert family.flags.c_contiguous and not family.flags.writeable
+    for i in range(g.n):
+        chain = stochastic_bridge(g, point_distribution(g.n, i), pi)
+        assert family.shape == (g.n, chain.T, g.n, g.n)
+        for t, step in enumerate(chain.steps):
+            assert family[i, t].tobytes() == step.entries.tobytes()
 
 
 def test_bridge_size_mismatch():
@@ -253,7 +281,8 @@ def _loop_mixer(g, pi, variant, gamma):
     reference = mixer_default_reference(g, pi)
     held = reference.entries
     if variant == "irreducible":
-        held = (1.0 - gamma) * _solve_top_chain(g, pi, bridges, gamma, reference)[0].entries
+        stack = np.array([[P.entries for P in b.steps] for b in bridges])
+        held = (1.0 - gamma) * _solve_top_chain(g, pi, stack, gamma, reference)[0].entries
     top = (bridges[0].T + 1) * n * n
     for v0 in range(n):
         A[top + v0 * n:top + (v0 + 1) * n, top + v0 * n:top + (v0 + 1) * n] = held

@@ -55,7 +55,7 @@ from liftmix import (
     uniform_distribution,
 )
 from liftmix.graph_core import _strong_components
-from liftmix.markov import _ergodic_limits, _stationary_weights
+from liftmix.markov import _ergodic_limits, _stationary_weights, _stochastic_stack
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -138,6 +138,37 @@ def test_matrix_validation():
         StochasticMatrix(np.ones((2, 3)) / 2)
     with pytest.raises(BadColumnSum):
         StochasticMatrix([[1.2, 0.0], [-0.2, 1.0]])
+
+
+@pytest.mark.parametrize("defect", ["entry-below-clamp", "column-sum-off", "off-graph-entry"])
+def test_stacked_validation_refuses_what_stochastic_matrix_refuses(defect):
+    g = cycle(5)
+    stack = np.array([lazy_walk(g).entries] * 3)
+    bad = stack[1]
+    if defect == "entry-below-clamp":
+        bad[1, 0], bad[0, 0] = -1e-9, bad[0, 0] + bad[1, 0] + 1e-9
+    elif defect == "column-sum-off":
+        bad[:, 2] *= 1 + 1e-5
+    else:  # mass 0 -> 2 rides no arc of the 5-cycle
+        bad[2, 0], bad[0, 0] = 1e-6, bad[0, 0] - 1e-6
+    with pytest.raises(LiftmixError) as single:
+        StochasticMatrix(bad, locality=g)
+    with pytest.raises(type(single.value)):
+        _stochastic_stack(stack, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_validation_equals_each_stochastic_matrix(seed):
+    # slices that clamp and renormalise: the stack holds each one's entries
+    rng = rng_from_seed(seed)
+    g = random_connected_graph(rng, n_max=8)
+    stack = np.array([random_local_chain(rng, g).entries for _ in range(4)])
+    stack *= 1 + 1e-9 * rng.standard_normal((4, 1, g.n))
+    stack[(stack == 0) & (rng.random(stack.shape) < 0.5)] = -1e-13
+    got = _stochastic_stack(stack.reshape(2, 2, g.n, g.n), g)
+    want = np.array([StochasticMatrix(S, locality=g).entries for S in stack])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_matrix_clamps_its_own_copy():

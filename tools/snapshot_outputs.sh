@@ -11,7 +11,13 @@
 #     graph, each with uniform and a fixed random pi;
 #   - lift analyze reports for SIMRE, sIMRE, SiMRE and sImRE on every
 #     mixer bundle;
-#   - conductance graph and bridge --all-sources outputs on the same graphs;
+#   - conductance graph and bridge --all-sources outputs on the same graphs,
+#     and one bridge per graph from its random pi to uniform (a spread
+#     source, so several commodities leave each node);
+#   - on a 7-node directed, strongly connected graph (a directed cycle plus
+#     extra arcs), with uniform and a fixed random pi: bridge --all-sources,
+#     bridge --src e:0, a bridge from its random pi to uniform, and lift
+#     build for node-clock and the reducible diameter mixer;
 #   - lift analyze reports that read a steady state: SIMRe on the cycle-8
 #     flows and irreducible mixers (uniform pi) against the cycle-8 lazy
 #     walk, and sIMRE on the three mixer variants of the 16-node cycle
@@ -74,6 +80,12 @@ for name, (n, edges) in graphs.items():
     w = rng.random(n) + 0.1
     with open(f"{out}/{name}.pi.json", "w") as fh:
         json.dump({"weights": (w / w.sum()).tolist()}, fh)
+with open(f"{out}/directed-7.json", "w") as fh:
+    json.dump({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]
+               + [[0, 3], [2, 0], [3, 6], [5, 2], [6, 4]], "directed": True}, fh)
+w = rng.random(7) + 0.1
+with open(f"{out}/directed-7.pi.json", "w") as fh:
+    json.dump({"weights": (w / w.sum()).tolist()}, fh)
 with open(f"{out}/cycle-16.json", "w") as fh:
     json.dump({"n": 16, "edges": [[i, (i + 1) % 16] for i in range(16)],
                "directed": False}, fh)
@@ -129,6 +141,21 @@ for suite in lemma1 thm1 thm2 thm3 thm4 example1 example2 example3 \
 done
 
 graphs="cycle-6 cycle-7 cycle-8 cycle-9 cycle-10 cycle-11 cycle-12 random-7"
+for g in $graphs directed-7; do
+    run "bridge-spread-$g" bridge --graph "$IN/$g.json" --src "$IN/$g.pi.json" --dst uniform
+done
+for p in uniform random; do
+    pi=uniform
+    [ "$p" = random ] && pi=$IN/directed-7.pi.json
+    tag=directed-7-$p
+    run "bridge-$tag" bridge --graph "$IN/directed-7.json" --dst "$pi" --all-sources
+    run "bridge-src0-$tag" bridge --graph "$IN/directed-7.json" --src e:0 --dst "$pi"
+    run "build-node-clock-$tag" lift build --construction node-clock \
+        --graph "$IN/directed-7.json" --pi "$pi" --out "$OUT/build-node-clock-$tag.bundle.json"
+    run "build-diameter-reducible-$tag" lift build --construction diameter --variant reducible \
+        --graph "$IN/directed-7.json" --pi "$pi" --out "$OUT/build-diameter-reducible-$tag.bundle.json"
+done
+
 for g in $graphs; do
     for p in uniform random; do
         pi=uniform
