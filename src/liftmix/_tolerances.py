@@ -4,7 +4,8 @@ Every check reads its entry of TOL when it runs, and every reported
 `tolerances` block is built from the entries its checks read, so a printed
 tolerance is the number its check uses.  Docstrings elsewhere name an entry
 instead of repeating its value.  This module imports nothing from the
-package: graph_core's cut cap reads it, and markov imports graph_core.
+package, so any module can read it; conductance's one cut cap (`_cut_cap`)
+reads cut_weight, and its cut screen reads `_gamma`.
 """
 
 TOL = {

@@ -1,21 +1,24 @@
-"""Cut and chain conductance, the graph conductance LP, and bound checks.
+"""Cuts, cut and chain conductance, the graph conductance LP, and bound checks.
 
 Conductance of a set X under stationary weights pi is the probability mass
 flowing out of X in one step, normalized by pi(X).  Chain conductance
 minimizes over cuts; graph conductance maximizes chain conductance over all
 chains respecting the graph's locality, solved here as a single linear
 program (the cut minimum linearizes because the pi(X) are constants) whose
-cut rows are generated on demand.
+cut rows are generated on demand.  The cut layer is all here: how a cut
+is encoded (2^16-mask chunks), capped (`_cut_cap`), screened
+(`_screened_chunks`) and evaluated (`_cut_phis`, in `_SLAB_ROWS`-row slabs).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._tolerances import TOL
+from ._tolerances import TOL, _gamma
 from .errors import (
     BadGamma,
     BadSize,
@@ -25,13 +28,19 @@ from .errors import (
     LocalityViolation,
     TooManyNodes,
 )
-from .graph_core import Cut, Graph, _by_slabs, _cut_chunks, _screened_chunks, cycle
-from .markov import Distribution, StochasticMatrix, _check_local, check_stationary
+from .graph_core import Graph, cycle
+from .markov import Distribution, StochasticMatrix, _check_local, check_stationary, ergodic_flows
 
 # Most violated cuts that each chunk adds to phi_graph's LP per round.
 _CUTS_PER_ROUND = 32
+# A cut chunk holds the 2^16 masks that agree above their low 16 bits.
+_CHUNK_BITS = 16
+# Rows per slab of a chunk's matrix products (see `_cut_chunks`).
+_SLAB_ROWS = 4096
 
 __all__ = [
+    "Cut",
+    "enumerate_cuts",
     "phi_cut",
     "phi_chain",
     "phi_chain_cycle",
@@ -40,6 +49,167 @@ __all__ = [
     "diameter_conductance_check",
     "clock_contraction_check",
 ]
+
+
+@dataclass(frozen=True)
+class Cut:
+    """Node subset X encoded as a bit mask, with its stationary weight pi(X)."""
+
+    member_mask: int
+    weight: float
+
+    def members(self) -> list[int]:
+        return [i for i in range(self.member_mask.bit_length()) if self.member_mask >> i & 1]
+
+    def contains(self, i: int) -> bool:
+        return bool(self.member_mask >> i & 1)
+
+
+def _cut_cap() -> float:
+    """The one cut cap, 1/2 + cut_weight, read from TOL when called."""
+    return 0.5 + TOL["cut_weight"]
+
+
+def _by_slabs(product, members: np.ndarray) -> np.ndarray:
+    """product(rows) over consecutive `_SLAB_ROWS`-row slabs of members,
+    concatenated: product's temporaries hold one slab, never the chunk."""
+    return np.concatenate(
+        [product(members[i : i + _SLAB_ROWS]) for i in range(0, len(members), _SLAB_ROWS)]
+    )
+
+
+def _cut_chunks(n: int, w: np.ndarray, _only=None):
+    """Lazy (masks, members, weights) chunks of up to 2^16 ascending masks,
+    covering every cut under `_cut_cap` (both sides when pi(X) = 1/2);
+    weights are BLAS dot products.  The only cut enumerator and the only
+    size guard: over 24 nodes raises TooManyNodes at the call.  `_only`, an
+    iterable of chunk indices (mask >> 16) read on the first chunk, gives
+    just those chunks, in its order.
+
+    Members are unpacked as bool from the masks' little-endian bytes, so a
+    chunk holds 2^16 n bytes of membership.  Its products (here and in
+    `_cut_phis`) run by `_by_slabs` over slabs of `_SLAB_ROWS` rows, never
+    holding more than `_SLAB_ROWS` n floats at a time, not 2^16 n (11.5 MB
+    at n = 22).  The slab is a power of two far above the BLAS kernels' row
+    blocking, so every row meets the kernel it meets in a product of the
+    whole chunk and gets the same bits; slabs of a few rows change them.
+    """
+    if n > 24:
+        raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
+    total = (1 << n) - 1
+    step = 1 << _CHUNK_BITS
+    cap = _cut_cap()
+
+    def chunks():
+        starts = range(1, total, step)
+        if _only is not None:
+            starts = (max(c << _CHUNK_BITS, 1) for c in _only)
+        for start in starts:
+            masks = np.arange(start, min(start + step, total), dtype=np.int64)
+            octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+            members = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+            weights = _by_slabs(lambda m: m @ w, members)
+            keep = weights <= cap
+            if keep.any():
+                yield masks[keep], members[keep], weights[keep]
+
+    return chunks()
+
+
+def enumerate_cuts(g_or_n, pi) -> list[Cut]:
+    """All nonempty proper subsets X with pi(X) <= 1/2, in ascending mask
+    order, with the dedup rule and weights of `_cut_chunks`."""
+    n = g_or_n.n if isinstance(g_or_n, Graph) else int(g_or_n)
+    w = np.asarray(getattr(pi, "weights", pi), dtype=float)
+    return [
+        Cut(member_mask=mask, weight=weight)
+        for masks, _, weights in _cut_chunks(n, w)
+        for mask, weight in zip(masks.tolist(), weights.tolist())
+    ]
+
+
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """s[m] = sum of v[j] over the set bits j of m, for every m < 2^len(v),
+    by doubling."""
+    s = np.zeros(1 << len(v))
+    for j, x in enumerate(v.tolist()):
+        s[1 << j : 2 << j] = s[: 1 << j] + x
+    return s
+
+
+def _screen_cuts(flows: np.ndarray, w: np.ndarray):
+    """Yield (chunk index, weights, phis) of every cut, chunk by chunk in
+    `_cut_chunks` order, position l of chunk c being mask (c << 16) + l.
+
+    The conductances come by subset recursion in O(2^n) additions:
+    adding node b to a set m adds flows[b, b] and the sum over j in m of
+    flows[b, j] + flows[j, b] to its internal flow.  The low 16 nodes'
+    tables are built once; each chunk adds its high nodes' internal flow,
+    weight and cross flows.  No array exceeds 2^16 entries.  Weights and
+    phis differ from `_cut_chunks`' and `_cut_phis`' in their summation
+    order only; phis are inf where the weight is 0.
+    """
+    n = len(w)
+    lo = min(n, _CHUNK_BITS)
+    internal_lo = np.zeros(1 << lo)
+    for b in range(lo):
+        cross = _subset_sums(flows[b, :b] + flows[:b, b])
+        internal_lo[1 << b : 2 << b] = internal_lo[: 1 << b] + flows[b, b] + cross
+    weight_lo = _subset_sums(w[:lo])
+    high_bits = np.arange(n - lo)
+    for c in range(1 << (n - lo)):
+        high = lo + np.flatnonzero((c >> high_bits) & 1)
+        weights = w[high].sum() + weight_lo
+        cross = _subset_sums(flows[:lo, high].sum(axis=1) + flows[high, :lo].sum(axis=0))
+        internal = flows[np.ix_(high, high)].sum() + internal_lo + cross
+        phis = np.full_like(weights, np.inf)
+        np.divide(np.maximum(weights - internal, 0.0), weights, out=phis, where=weights > 0.0)
+        yield c, weights, phis
+
+
+def _screen_bounds(n: int) -> tuple[float, float, float]:
+    """(delta, sure, wide) for `_screened_chunks` on n nodes.
+
+    delta = gamma_k (_tolerances._gamma), k = n^2 + 3n + 4, bounds the
+    distance of both `_screen_cuts`' phis and `_cut_phis`' from the exact
+    conductances of the same flows and weights: an internal flow sums at
+    most n^2 nonnegative terms and a weight at most n, each in any order,
+    the ratio adds a subtraction and a division, and a StochasticMatrix
+    column sums to within gamma_2n of 1.  A cut whose screened weight is at
+    most `sure` passes `_cut_cap`, and one that passes the cap has a
+    screened weight of at most `wide`: the cap moved by the weights' own
+    bound, 4 gamma_n.
+    """
+    cap = _cut_cap()
+    slack = 4.0 * _gamma(n)
+    return _gamma(n * n + 3 * n + 4), cap * (1.0 - slack), cap * (1.0 + slack)
+
+
+def _screened_chunks(flows: np.ndarray, w: np.ndarray):
+    """Ascending indices of the `_cut_chunks` chunks that can hold the cut
+    of least conductance under `_cut_phis`, for the chain with these
+    stationary flows and weights.
+
+    Cuts on at most 16 nodes fill one chunk, which is given unscreened.
+    Otherwise a chunk is given when it holds a cut that may pass the weight
+    cap and whose `_screen_cuts` phi lies within 4 delta of the least one
+    among cuts that surely pass it (`_screen_bounds`): the lowest cut of
+    least `_cut_phis` conductance is then in a given chunk.
+    """
+    n = len(w)
+    if n <= _CHUNK_BITS:
+        yield 0
+        return
+    delta, sure, wide = _screen_bounds(n)
+    least = np.empty(1 << (n - _CHUNK_BITS))
+    least_sure = math.inf
+    for c, weights, phis in _screen_cuts(flows, w):
+        # phis lie in [0, 1] or are inf, so adding 4 past a cap takes a cut
+        # out of the minimum without a masked (branching) reduction
+        least[c] = (phis + 4.0 * (weights > wide)).min()
+        least_sure = min(least_sure, (phis + 4.0 * (weights > sure)).min())
+    limit = min(least_sure + 4.0 * delta, 1.0)
+    yield from np.flatnonzero(least <= limit).tolist()
 
 
 def _members_of(X, n: int) -> np.ndarray:
@@ -66,7 +236,7 @@ def phi_cut(P: StochasticMatrix, pi: Distribution, X) -> float:
     weight = float(w[sel].sum())
     if weight <= 0.0:
         raise EmptyCutWeight("cut carries no stationary mass")
-    flows = P.entries * w[None, :]
+    flows = ergodic_flows(P, pi)
     internal = float(flows[np.ix_(sel, sel)].sum())
     return max(weight - internal, 0.0) / weight
 
@@ -89,20 +259,20 @@ def phi_chain(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
 
     Ties break toward the lowest cut bitmask.  Every cut is screened by
     subset recursion, and `_cut_phis` settles the minimum on the chunks
-    that can hold it (graph_core._screened_chunks), so the result is the
-    one the full scan gives, bit for bit.
+    that can hold it (`_screened_chunks`), so the result is the one the
+    full scan gives, bit for bit.
     """
     if P.n != pi.n:
         raise DimensionMismatch("chain and distribution sizes differ")
     if P.n < 2:
         raise DimensionMismatch("conductance needs at least two nodes")
-    w = pi.weights
-    chunks = _cut_chunks(P.n, w, _screened_chunks(P.entries, w))
+    w, flows = pi.weights, ergodic_flows(P, pi)
+    chunks = _cut_chunks(P.n, w, _screened_chunks(flows, w))
     check_stationary(P, pi, TOL["stationary_residual"])
     best_phi = math.inf
     best_mask = 0
     best_weight = 0.0
-    for masks, _, weights, phis in _cut_phis(chunks, P.entries * w[None, :]):
+    for masks, _, weights, phis in _cut_phis(chunks, flows):
         k = int(np.argmin(phis))
         if phis[k] < best_phi:
             best_phi = float(phis[k])
@@ -134,9 +304,8 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
         raise DimensionMismatch(
             "phi_chain_cycle needs off-diagonal support on cycle arcs only"
         ) from None
-    w = pi.weights
-    flows = P.entries * w[None, :]
-    best, cap = None, 0.5 + TOL["cut_weight"]
+    w, flows = pi.weights, ergodic_flows(P, pi)
+    best, cap = None, _cut_cap()
     for a in range(n):
         weight = 0.0
         for length in range(1, n):

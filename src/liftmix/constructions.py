@@ -463,36 +463,25 @@ def four_cycle_lift(
     phi = (1.5 * gamma) / (1.0 + 2.0 * gamma)
 
     g = cycle(4)
-    A = np.zeros((12, 12))
-    for v in range(4):
-        up, down = (v + 1) % 4, (v - 1) % 4
-        A[4 + up, v] = 0.5
-        A[4 + down, v] = 0.5
-        A[8 + v, 4 + v] = 0.5
-        A[8 + up, 4 + v] = 0.25
-        A[8 + down, 4 + v] = 0.25
-        A[v, 8 + v] = gamma
-    # layer-2 walk: epsilon-weight between {0,1} and {2,3} partners,
-    # (1-epsilon)-weight between {0,3} and {1,2} partners
-    eps_partner = {0: 1, 1: 0, 2: 3, 3: 2}
-    other_partner = {0: 3, 3: 0, 1: 2, 2: 1}
-    for v in range(4):
-        A[8 + eps_partner[v], 8 + v] = (1.0 - gamma) * epsilon
-        A[8 + other_partner[v], 8 + v] = (1.0 - gamma) * (1.0 - epsilon)
+    v = np.arange(4)
+    up, down = (v + 1) % 4, (v - 1) % 4
+    scatter = (np.concatenate([up, down]), np.tile(v, 2), np.full(8, 0.5))
+    spread = (np.concatenate([v, up, down]), np.tile(v, 3), np.repeat([0.5, 0.25, 0.25], 4))
+    # the layer-2 walk and the reference chain weigh the partners v ^ 1
+    # ({0,1}, {2,3}) by epsilon and delta, the partners 3 - v ({0,3}, {1,2})
+    # by the rest
+    walk = (np.concatenate([v ^ 1, 3 - v]), np.tile(v, 2),
+            (1.0 - gamma) * np.repeat([epsilon, 1.0 - epsilon], 4))
+    A = _layered(4, [scatter, spread], False, hold=walk, restart=(v, v, np.full(4, gamma)))
 
-    P = np.full((4, 4), 0.0)
-    np.fill_diagonal(P, phi)
-    for v, w in ((0, 1), (2, 3)):
-        P[w, v] = P[v, w] = (1.0 - phi) * delta
-    for v, w in ((0, 3), (1, 2)):
-        P[w, v] = P[v, w] = (1.0 - phi) * (1.0 - delta)
+    P = np.diag(np.full(4, phi))
+    P[v ^ 1, v] = (1.0 - phi) * delta
+    P[3 - v, v] = (1.0 - phi) * (1.0 - delta)
     reference = StochasticMatrix(P, locality=g)
 
-    F = np.zeros((12, 4))
-    F[:4, :] = np.eye(4)
     proj = list(range(4)) * 3
     L = _make_lift(
-        g, proj, A, F,
+        g, proj, A, np.eye(12, 4),
         {"construction": "four-cycle", "delta": delta, "gamma": gamma},
     )
     return L, reference, phi, epsilon

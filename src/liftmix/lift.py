@@ -87,6 +87,9 @@ __all__ = [
     "lift_from_json",
 ]
 
+# Steps over which check_invariance follows F pi under (S).
+_INVARIANCE_HORIZON = 50
+
 
 @dataclass(frozen=True, eq=False)
 class LiftMap:
@@ -322,25 +325,24 @@ def _stationary_seed(L: Lift, pi: Distribution) -> tuple[Distribution, str]:
 
 
 def check_invariance(
-    L: Lift, pi: Distribution, scenario_init: str, horizon: int = 50
+    L: Lift, pi: Distribution, scenario_init: str
 ) -> tuple[bool, Distribution | None]:
     """Does every admissible start with marginal pi keep marginal pi forever?
 
     Under (s) the admissible set is the whole slice {x : C x = pi}, an
     affine set; it suffices to test one point (the fiber-uniform spread)
     plus every same-fiber difference direction, both in one step.  Under
-    (S) the only admissible start is F pi, tested over a finite horizon.
+    (S) the only admissible start is F pi, tested over `_INVARIANCE_HORIZON`
+    steps.
     Returns (ok, witness): the witness is an initialization whose marginal
     leaves pi.
     """
     if pi.n != L.map.base_n:
         raise DimensionMismatch(f"pi has size {pi.n}, base has {L.map.base_n}")
-    if horizon < 1:
-        raise DimensionMismatch("horizon must be >= 1")
     X = _init_batch(L, scenario_init)
     if X is not None:
         x = X @ pi.weights
-        worst = _window_tv(L.A, x, pi.weights, horizon, L.map.C)
+        worst = _window_tv(L.A, x, pi.weights, _INVARIANCE_HORIZON, L.map.C)
         if (worst[1:] > TOL["invariance_horizon_tv"]).any():
             return False, Distribution(x)
         return True, None

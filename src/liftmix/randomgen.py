@@ -21,6 +21,9 @@ __all__ = [
     "random_zero_sum",
 ]
 
+# Added to every uniform draw of random_distribution before normalizing.
+_FLOOR = 0.05
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
@@ -45,12 +48,10 @@ def random_connected_graph(
     return graph_from_edges(n, edges)
 
 
-def random_distribution(
-    rng: np.random.Generator, n: int, floor: float = 0.05
-) -> Distribution:
-    """Full-support distribution; floor keeps every entry bounded away
+def random_distribution(rng: np.random.Generator, n: int) -> Distribution:
+    """Full-support distribution; `_FLOOR` keeps every entry bounded away
     from zero relative to uniform."""
-    w = rng.random(n) + floor
+    w = rng.random(n) + _FLOOR
     return Distribution(w / w.sum())
 
 
@@ -90,7 +91,7 @@ def random_local_chain(rng: np.random.Generator, g: Graph) -> StochasticMatrix:
     return StochasticMatrix(P, locality=g)
 
 
-def random_zero_sum(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    """Signed vector with entries of size about `scale`, summing to zero."""
-    q = rng.standard_normal(n) * scale
+def random_zero_sum(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Signed vector with entries of size about 1, summing to zero."""
+    q = rng.standard_normal(n)
     return q - q.mean()

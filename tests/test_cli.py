@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from liftmix import (
-    StochasticMatrix, barbell, clock_lift, complete, cycle, four_cycle_lift, graph_to_json,
+    Distribution, StochasticMatrix, barbell, clock_lift, complete, cycle, four_cycle_lift, graph_to_json,
     lazy_walk, lift_to_json, metropolis_chain, node_clock_lift, path, periodic_clock_lift,
     periodic_node_clock_lift, phi_chain_cycle, point_distribution, stochastic_bridge,
     uniform_distribution,
@@ -468,6 +468,24 @@ def test_lift_build_chain_constructions_from_bridge_output(tmp_path):
         assert main(["lift", "build", "--construction", construction, "--graph", gfile,
                      *option, "--out", str(out)]) == 0
         assert out.read_text() == _dump_json(lift_to_json(expected))
+
+
+@pytest.mark.parametrize("construction, build", [
+    ("node-clock", node_clock_lift),
+    ("periodic-node-clock", periodic_node_clock_lift),
+])
+def test_lift_build_node_clock_without_chains_rides_every_bridge_to_pi(tmp_path, construction,
+                                                                      build):
+    # without --chains every start v0 rides the bridge e_v0 -> pi
+    g, weights = barbell(3), [0.1, 0.2, 0.3, 0.15, 0.15, 0.1]
+    pi_file = tmp_path / "pi.json"
+    pi_file.write_text(json.dumps({"weights": weights}))
+    pi = Distribution(weights)
+    per_node = [stochastic_bridge(g, point_distribution(6, i), pi) for i in range(6)]
+    out = tmp_path / f"{construction}.json"
+    assert main(["lift", "build", "--construction", construction, "--graph",
+                 write_graph(tmp_path, g), "--pi", str(pi_file), "--out", str(out)]) == 0
+    assert out.read_text() == _dump_json(lift_to_json(build(g, per_node, pi)))
 
 
 @pytest.mark.parametrize("construction, given, option", [

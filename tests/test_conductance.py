@@ -43,9 +43,8 @@ from liftmix import (
     stationary,
     uniform_distribution,
 )
-from liftmix import graph_core
-from liftmix.conductance import _cut_phis
-from liftmix.graph_core import _cut_chunks, _screen_bounds, _screen_cuts
+from liftmix import conductance
+from liftmix.conductance import _cut_chunks, _cut_phis, _screen_bounds, _screen_cuts
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -396,7 +395,7 @@ def test_slabbed_cut_products_match_whole_chunk_products(kind, n, seed, slab_row
     chunks = 1 << max(n - 16, 0)
     only = sorted({0, seed % chunks, chunks - 1})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_core, "_SLAB_ROWS", slab_rows)
+        mp.setattr(conductance, "_SLAB_ROWS", slab_rows)
         got = list(_cut_phis(_cut_chunks(n, w, only), flows))
     want = list(one_shot_cut_phis(n, w, flows, only))
     assert len(got) == len(want)
@@ -425,7 +424,7 @@ def test_phi_chain_guards_raise_in_order_before_any_scan(monkeypatch):
         screened.append(len(w))
         return _screen_cuts(flows, w)
 
-    monkeypatch.setattr(graph_core, "_screen_cuts", spy)
+    monkeypatch.setattr(conductance, "_screen_cuts", spy)
     off = Distribution(np.arange(1.0, 26.0) / 325.0)  # no lazy cycle walk keeps it
     with pytest.raises(DimensionMismatch, match="sizes differ"):
         phi_chain(StochasticMatrix(np.eye(26)), off)

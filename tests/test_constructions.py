@@ -522,6 +522,25 @@ def test_mixer_input_guards():
         diameter_mixer(g, uniform_distribution(4), variant="bogus")
 
 
+def test_mixer_refuses_a_one_node_graph():
+    with pytest.raises(BadSize, match="mixer needs a graph with positive diameter"):
+        diameter_mixer(graph_from_edges(1, []), uniform_distribution(1))
+
+
+@pytest.mark.parametrize("build", [node_clock_lift, periodic_node_clock_lift])
+def test_node_clock_lifts_refuse_mismatched_chains(build):
+    g, pi = path(3), uniform_distribution(3)
+    one, two = TimeVaryingChain([lazy_walk(g)]), TimeVaryingChain([lazy_walk(g)] * 2)
+    with pytest.raises(LengthMismatch, match="need one chain per node: got 2 for 3"):
+        build(g, [one] * 2, pi)
+    with pytest.raises(LengthMismatch, match="target distribution must live on the graph"):
+        build(g, [one] * 3, uniform_distribution(4))
+    with pytest.raises(LengthMismatch, match="chain for node 1 has length 2, expected 1"):
+        build(g, [one, two, one], pi)
+    with pytest.raises(EmptyChain, match="node-clock lift needs at least one step"):
+        build(g, [TimeVaryingChain([])] * 3, pi)
+
+
 # ------------------------------------------------ spanning tree correction
 
 def test_tree_correction_zero_demand_gives_zero():

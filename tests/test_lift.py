@@ -245,14 +245,61 @@ def test_conditional_unlift_of_replicated_lift_is_base_chain():
 
 
 def test_conditional_unlift_zero_fiber_convention():
-    # the lift that never leaves copy 0 still unlifts cleanly when copy 1
-    # holds no mass: empty fibers get the uniform spread convention
+    # copy 1 holds no mass, yet no fiber is massless: fiber(v) = {v, 4 + v}
+    # holds 0.25 through copy 0, so the lift unlifts to P; the massless-fiber
+    # branch is covered by the direction-lift test below
     P = StochasticMatrix(simple_walk_entries(4), locality=cycle(4))
     L = si_replicated_lift(P, copies=2)
     x = np.zeros(8)
     x[:4] = 0.25
     back = conditional_unlift(L, Distribution(x))
     assert np.allclose(back.entries, P.entries, atol=1e-12)
+
+
+def test_conditional_unlift_gives_a_massless_fiber_the_mean_of_its_columns():
+    # the direction lift's two copies of a node step opposite ways, so a
+    # fiber's columns of C A differ; fiber(0) = {0, N} holds no mass, and its
+    # column of P^(x) is the mean of its columns, while a fiber with mass
+    # weighs its columns by x
+    N = 6
+    L = diaconis_cycle_lift(N)
+    CA = L.map.C @ L.A.entries
+    assert not np.array_equal(CA[:, 0], CA[:, N])
+    x = rng_from_seed(31).random(2 * N)
+    x[[0, N]] = 0.0
+    x /= x.sum()
+    back = conditional_unlift(L, Distribution(x)).entries
+    assert np.allclose(back[:, 0], 0.5 * (CA[:, 0] + CA[:, N]), atol=1e-15)
+    for j in range(1, N):
+        held = (x[j] * CA[:, j] + x[N + j] * CA[:, N + j]) / (x[j] + x[N + j])
+        assert np.allclose(back[:, j], held, atol=1e-15)
+
+
+def test_lift_and_map_constructors_refuse_inconsistent_parts():
+    with pytest.raises(DimensionMismatch, match="base needs at least one node"):
+        LiftMap(0, ())
+    m = LiftMap(2, (0, 1, 0, 1))
+    F = np.eye(4, 2)
+    F[0, 0], F[2, 0] = 1.5, -0.5
+    with pytest.raises(DimensionMismatch, match="init map has negative entries"):
+        InitMap(m, F)
+    with pytest.raises(DimensionMismatch, match="init map expects base size 2, got 3"):
+        InitMap(m, np.eye(4, 2)).apply(uniform_distribution(3))
+    A = StochasticMatrix(np.eye(4))
+    with pytest.raises(DimensionMismatch, match="projection targets 2 nodes, base has 3"):
+        Lift(base=path(3), map=m, A=A)
+    with pytest.raises(DimensionMismatch, match="dynamics on 3 nodes, projection covers 4"):
+        Lift(base=path(2), map=m, A=StochasticMatrix(np.eye(3)))
+    other = np.zeros((4, 2))
+    other[0, 0] = other[2, 1] = 1.0
+    with pytest.raises(DimensionMismatch, match="init map built for a different projection"):
+        Lift(base=path(2), map=m, A=A, F=InitMap(LiftMap(2, (0, 0, 1, 1)), other))
+
+
+def test_lift_from_json_refuses_a_projection_that_is_not_a_list():
+    bundle = lift_to_json(four_cycle_lift(0.05, 0.01)[0])
+    with pytest.raises(BadSize, match="lift projection must be a list of integers"):
+        lift_from_json(dict(bundle, projection="012301230123"))
 
 
 def test_induced_chain_of_replicated_lift():

@@ -37,6 +37,9 @@
 #   - lift build for clock and periodic-clock on every graph and pi above,
 #     each from that tree's own `bridge --src e:0` output, for diaconis
 #     (N = 8, 16) and for four-cycle (delta 0.05, gamma 0.01);
+#   - lift build four-cycle at delta 0.2, gamma 0.3 with --ref-out, and
+#     lift analyze SIMRE, sIMRE and SimrE on it, plus SiMre against the
+#     reference chain it wrote;
 #   - lift analyze SIMRE and sIMRE on those bundles and on every node-clock
 #     and periodic-node-clock bundle (diaconis has no init map, so its
 #     SIMRE exits 2);
@@ -249,6 +252,17 @@ for b in diaconis-8 diaconis-16 four-cycle; do
             --pi uniform --scenario "$s"
     done
 done
+
+run build-four-cycle-0.2-0.3 lift build --construction four-cycle --delta 0.2 --gamma 0.3 \
+    --out "$OUT/build-four-cycle-0.2-0.3.bundle.json" \
+    --ref-out "$OUT/build-four-cycle-0.2-0.3.ref.json"
+for s in SIMRE sIMRE SimrE; do
+    run "analyze-$s-four-cycle-0.2-0.3" lift analyze \
+        --lift "$OUT/build-four-cycle-0.2-0.3.bundle.json" --pi uniform --scenario "$s"
+done
+run analyze-SiMre-four-cycle-0.2-0.3-reference lift analyze \
+    --lift "$OUT/build-four-cycle-0.2-0.3.bundle.json" --pi uniform --scenario SiMre \
+    --ref-chain "$OUT/build-four-cycle-0.2-0.3.ref.json"
 
 for N in 32 64; do
     run "analyze-sIMRE-diaconis-$N" lift analyze --lift "$OUT/build-diaconis-$N.bundle.json" \
