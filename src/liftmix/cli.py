@@ -16,7 +16,10 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
+from contextlib import ExitStack
 from functools import cache
 from itertools import chain
 
@@ -153,19 +156,26 @@ def _dump_json(obj) -> str:
 
 def _emit(*outputs: tuple[str, str | None]) -> None:
     """Each (text, path) in turn to its path, or to stdout for None.  Every
-    path is opened (for appending, so nothing is truncated) before any text
-    is written: a path that cannot be written is an input error that names
-    it, and nothing is emitted before it."""
+    path is opened, without truncation, before any text is written: a path
+    that cannot be written is an input error that names it, and nothing is
+    emitted before it.  A regular file is overwritten from its start and
+    cut to the new length, in place: after a truncate to zero (or a rename
+    over it) ext4's auto_da_alloc flushes the file on close, tens of ms."""
     try:
-        for _, path in outputs:
-            if path is not None:
-                open(path, "a").close()
-        for text, path in outputs:
-            if path is None:
-                sys.stdout.write(text)
-                continue
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
+        with ExitStack() as stack:
+            handles = []
+            for _, path in outputs:
+                handles.append(None if path is None else stack.enter_context(open(
+                    path, "w", newline="",
+                    opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))))
+            for (text, path), fh in zip(outputs, handles):
+                if fh is None:
+                    sys.stdout.write(text)
+                    continue
+                with fh:
+                    fh.write(text)
+                    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                        fh.truncate()
     except OSError as exc:
         raise LiftmixError(f"cannot write {path}: {exc}") from exc
 

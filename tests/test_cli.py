@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftmix
 from liftmix import (
     Distribution, StochasticMatrix, barbell, clock_lift, complete, cycle, four_cycle_lift, graph_to_json,
     lazy_walk, lift_to_json, metropolis_chain, node_clock_lift, path, periodic_clock_lift,
@@ -444,6 +449,61 @@ def test_unwritable_lift_build_path_writes_neither_file(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == "" and str(paths[bad]) in captured.err
     assert all(not p.exists() or p.read_text() == "" for p in paths.values())
+
+
+def _cli(*args):
+    """liftmix's CLI in a fresh interpreter, with output captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(liftmix.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def test_failed_out_keeps_an_existing_ref_out_and_closes_it(tmp_path):
+    # --ref-out opens, --out fails: one error line naming --out, the old
+    # reference bytes untouched, and no handle left for the collector
+    ref = tmp_path / "ref.json"
+    ref.write_bytes(b"old reference\n")
+    bad = str(tmp_path / "missing" / "bundle.json")
+    run = _cli("-W", "error::ResourceWarning", "-m", "liftmix.cli", "lift", "build",
+               "--construction", "four-cycle", "--delta", "0.05", "--gamma", "0.01",
+               "--ref-out", str(ref), "--out", bad)
+    assert run.returncode == 2 and run.stdout == b""
+    lines = run.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {bad}:")
+    assert ref.read_bytes() == b"old reference\n"
+
+
+def test_rewritten_output_holds_only_the_new_bytes_in_the_same_file(tmp_path):
+    # a shorter bundle over a longer one leaves no tail, and is written in
+    # place: the inode stays (a temp file renamed over it would change it)
+    def build(n, target):
+        g = write_graph(tmp_path, cycle(n), f"c{n}.json")
+        return main(["lift", "build", "--construction", "diameter", "--graph", g,
+                     "--pi", "uniform", "--out", str(target)])
+
+    out, fresh = tmp_path / "bundle.json", tmp_path / "fresh.json"
+    assert build(8, out) == 0
+    before = out.stat()
+    assert build(6, out) == 0 and build(6, fresh) == 0
+    assert out.read_bytes() == fresh.read_bytes() and fresh.stat().st_size < before.st_size
+    assert out.stat().st_ino == before.st_ino
+
+
+def test_same_path_for_out_and_ref_out_holds_the_bundle(tmp_path):
+    target = tmp_path / "both.json"
+    assert main(["lift", "build", "--construction", "four-cycle", "--delta", "0.05",
+                 "--gamma", "0.01", "--out", str(target), "--ref-out", str(target)]) == 0
+    assert json.loads(target.read_text())["metadata"]["construction"] == "four-cycle"
+
+
+def test_output_to_a_device_or_pipe_is_written_without_truncation(capsys):
+    # only a regular file is cut to length: a device or a pipe takes the
+    # text as it is, and truncating it would fail
+    assert main(["verify", "--suite", "clock-contraction", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+    args = ["-m", "liftmix.cli", "verify", "--suite", "clock-contraction"]
+    piped, plain = _cli(*args, "--out", "/dev/stdout"), _cli(*args)
+    assert piped.returncode == plain.returncode == 0
+    assert piped.stdout == plain.stdout and plain.stdout.startswith(b"{")
 
 
 def test_lift_build_chain_constructions_from_bridge_output(tmp_path):
