@@ -675,22 +675,35 @@ def _cmd_bridge(args) -> int:
     return 0
 
 
-def _build_lift(args, outputs: list) -> tuple[Lift, dict]:
-    """The lift and its extra metadata; a --ref-out text joins outputs."""
+# every construction, with the options without a default that it reads; any
+# other one given is refused, never silently ignored
+_BUILD_OPTIONS = ("graph", "pi", "chain", "chains", "delta", "nodes", "ref_chain", "ref_out")
+_BUILD_READS = {
+    "clock": ("graph", "chain"), "periodic-clock": ("graph", "chain"),
+    "node-clock": ("graph", "pi", "chains"), "periodic-node-clock": ("graph", "pi", "chains"),
+    "diameter": ("graph", "pi", "ref_chain"), "diaconis": ("nodes",),
+    "four-cycle": ("delta", "ref_out"),
+}
+
+
+def _build_lift(args, outputs: list) -> Lift:
+    """The lift; a --ref-out text joins outputs."""
     kind = args.construction
-    extra_meta: dict = {}
+    unread = [o for o in _BUILD_OPTIONS if getattr(args, o) is not None
+              and o not in _BUILD_READS[kind]]
+    if unread:
+        raise BadSize(f"--construction {kind} does not read --{unread[0].replace('_', '-')}")
     if kind == "diaconis":
         if args.nodes is None:
             raise BadSize("--construction diaconis needs --nodes")
-        return diaconis_cycle_lift(args.nodes), extra_meta
+        return diaconis_cycle_lift(args.nodes)
     if kind == "four-cycle":
         if args.delta is None:
             raise BadSize("--construction four-cycle needs --delta")
-        L, ref, phi, epsilon = four_cycle_lift(args.delta, args.gamma)
-        extra_meta = {"phi": phi, "epsilon": epsilon}
+        L, ref, _, _ = four_cycle_lift(args.delta, args.gamma)
         if args.ref_out:
             outputs.append((_dump_json(ref.to_json()), args.ref_out))
-        return L, extra_meta
+        return L
 
     if args.graph is None:
         raise BadSize(f"--construction {kind} needs --graph")
@@ -700,30 +713,25 @@ def _build_lift(args, outputs: list) -> tuple[Lift, dict]:
             raise BadSize(f"--construction {kind} needs --chain")
         chain = _read(args.chain, lambda blob: _chain_from_steps(blob["steps"], g))
         builder = clock_lift if kind == "clock" else periodic_clock_lift
-        return builder(g, chain), extra_meta
+        return builder(g, chain)
 
     pi = _read_distribution(args.pi or "uniform", g.n)
     if kind in ("node-clock", "periodic-node-clock"):
         if args.chains is None:  # the bridge e_v0 -> pi of every start v0
-            return _node_clock(g, _point_bridges(g, pi), pi, kind != "node-clock"), extra_meta
+            return _node_clock(g, _point_bridges(g, pi), pi, kind != "node-clock")
         per_node = _read(args.chains, lambda blob: [
             _chain_from_steps(s, g) for s in blob["per_node"]
         ])
         builder = node_clock_lift if kind == "node-clock" else periodic_node_clock_lift
-        return builder(g, per_node, pi), extra_meta
-    if kind == "diameter":
-        ref = _read(args.ref_chain, matrix_from_json, g) if args.ref_chain else None
-        return diameter_mixer(g, pi, args.variant, gamma=args.gamma,
-                              reference=ref), extra_meta
-    raise BadSize(f"unknown construction {kind!r}")
+        return builder(g, per_node, pi)
+    ref = _read(args.ref_chain, matrix_from_json, g) if args.ref_chain else None
+    return diameter_mixer(g, pi, args.variant, gamma=args.gamma, reference=ref)
 
 
 def _cmd_lift_build(args) -> int:
     outputs: list = []
-    L, extra_meta = _build_lift(args, outputs)
-    bundle = lift_to_json(L)
-    bundle["metadata"].update(extra_meta)
-    _emit(*outputs, (_dump_json(bundle), args.out))
+    L = _build_lift(args, outputs)
+    _emit(*outputs, (_dump_json(lift_to_json(L)), args.out))
     return 0
 
 
@@ -797,10 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("lift", help="build and analyze lifts")
     pl_sub = pl.add_subparsers(dest="lift_command", required=True)
     pl_build = pl_sub.add_parser("build", help="construct a lift bundle")
-    pl_build.add_argument("--construction", required=True, choices=[
-        "clock", "periodic-clock", "node-clock", "periodic-node-clock",
-        "diameter", "diaconis", "four-cycle",
-    ])
+    pl_build.add_argument("--construction", required=True, choices=list(_BUILD_READS))
     pl_build.add_argument("--graph")
     pl_build.add_argument("--pi")
     pl_build.add_argument("--chain", help="chain JSON ({'steps': [...]})")

@@ -414,7 +414,7 @@ def diameter_mixer(
         keep = np.flatnonzero(labels == labels[0])
         meta = dict(meta, gamma=gamma)
         return _make_lift(g, proj[keep], A[keep][:, keep], F[keep], meta)
-    raise last_error if last_error is not None else GammaTooLarge("gamma retry failed")
+    raise last_error
 
 
 def diaconis_cycle_lift(N: int) -> Lift:
@@ -482,7 +482,8 @@ def four_cycle_lift(
     proj = list(range(4)) * 3
     L = _make_lift(
         g, proj, A, np.eye(12, 4),
-        {"construction": "four-cycle", "delta": delta, "gamma": gamma},
+        {"construction": "four-cycle", "delta": delta, "gamma": gamma,
+         "phi": phi, "epsilon": epsilon},
     )
     return L, reference, phi, epsilon
 

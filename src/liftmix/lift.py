@@ -93,7 +93,8 @@ _INVARIANCE_HORIZON = 50
 
 @dataclass(frozen=True, eq=False)
 class LiftMap:
-    """Surjective projection c from lifted nodes onto base nodes 0..base_n-1."""
+    """Surjective projection c from lifted nodes onto base nodes 0..base_n-1,
+    also kept as one read-only int array, _proj, with its fiber sizes, _sizes."""
 
     base_n: int
     projection: tuple[int, ...]
@@ -105,21 +106,22 @@ class LiftMap:
         object.__setattr__(self, "projection", tuple(map(int, self.projection)))
         if self.base_n < 1:
             raise DimensionMismatch("base needs at least one node")
-        fibers: list[list[int]] = [[] for _ in range(self.base_n)]
-        for k, c in enumerate(self.projection):
-            if not 0 <= c < self.base_n:
-                raise DimensionMismatch(
-                    f"projection value {c} outside base range [0, {self.base_n})"
-                )
-            fibers[c].append(k)
-        empty = [j for j, f in enumerate(fibers) if not f]
+        # int64, or object for ints past it, until the range is checked
+        proj = np.array(self.projection)
+        outside = (proj < 0) | (proj >= self.base_n)
+        if outside.any():
+            c = self.projection[outside.argmax()]
+            raise DimensionMismatch(f"projection value {c} outside base range [0, {self.base_n})")
+        proj = proj.astype(np.intp)
+        sizes = np.bincount(proj, minlength=self.base_n)
+        empty = np.flatnonzero(sizes == 0).tolist()
         if empty:
             raise DimensionMismatch(f"projection misses base nodes {empty}")
-        object.__setattr__(self, "_fibers", tuple(tuple(f) for f in fibers))
-        C = np.zeros((self.base_n, len(self.projection)))
-        C[np.array(self.projection), np.arange(len(self.projection))] = 1.0
-        C.setflags(write=False)
-        object.__setattr__(self, "_C", C)
+        C = np.zeros((self.base_n, len(proj)))
+        C[proj, np.arange(len(proj))] = 1.0
+        for name, value in (("_proj", proj), ("_sizes", sizes), ("_C", C)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def lifted_n(self) -> int:
@@ -127,10 +129,12 @@ class LiftMap:
 
     @property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
-        return self._fibers
+        """Each base node's lifted nodes, in lifted order."""
+        parts = np.split(np.argsort(self._proj, kind="stable"), np.cumsum(self._sizes)[:-1])
+        return tuple(map(tuple, map(np.ndarray.tolist, parts)))
 
     def fiber(self, j: int) -> tuple[int, ...]:
-        return self._fibers[j]
+        return self.fibers[j]
 
     @property
     def C(self) -> np.ndarray:
@@ -164,7 +168,7 @@ class InitMap:
             j = int(np.abs(sums - 1.0).argmax())
             raise DimensionMismatch(f"init map column {j} sums to {sums[j]}")
         F /= sums[None, :]
-        proj = np.array(self.map.projection)
+        proj = self.map._proj
         outside = (F > TOL["entry_clamp"]) & (proj[:, None] != np.arange(self.map.base_n)[None, :])
         if outside.any():
             k, j = np.argwhere(outside)[0]
@@ -217,8 +221,7 @@ def validate_lift(L: Lift) -> None:
             f"dynamics on {L.A.n} nodes, projection covers {L.map.lifted_n}"
         )
     j, i, value = L.A._triplets()
-    proj = np.asarray(L.map.projection)
-    cj, ci = proj[j], proj[i]
+    cj, ci = L.map._proj[j], L.map._proj[i]
     bad = np.flatnonzero((value > TOL["entry_clamp"]) & (ci != cj) & ~L.base._adjacency[ci, cj])
     if bad.size:
         k = bad[0]
@@ -245,10 +248,7 @@ def fiber_uniform_init(m: LiftMap, pi: Distribution) -> Distribution:
     """The canonical x with C x = pi: each fiber shares its mass uniformly."""
     if pi.n != m.base_n:
         raise DimensionMismatch(f"pi has size {pi.n}, base has {m.base_n}")
-    x = np.zeros(m.lifted_n)
-    for j, fiber in enumerate(m.fibers):
-        x[list(fiber)] = pi.weights[j] / len(fiber)
-    return Distribution(x)
+    return Distribution(pi.weights[m._proj] / m._sizes[m._proj])
 
 
 def conditional_unlift(L: Lift, x) -> StochasticMatrix:
@@ -262,37 +262,30 @@ def conditional_unlift(L: Lift, x) -> StochasticMatrix:
     w = x.weights if isinstance(x, Distribution) else np.asarray(x, dtype=float)
     if w.shape != (m.lifted_n,):
         raise DimensionMismatch("distribution does not live on the lifted nodes")
-    B = np.zeros((m.lifted_n, m.base_n))
-    for j, fiber in enumerate(m.fibers):
-        idx = list(fiber)
-        mass = float(w[idx].sum())
-        if mass > 0.0:
-            B[idx, j] = w[idx] / mass
-        else:
-            B[idx, j] = 1.0 / len(fiber)
-    return StochasticMatrix(_marginal_step(L) @ B, locality=L.base)
+    w = np.where((m.C @ w)[m._proj] > 0.0, w, 1.0)
+    # column j of C A B^(x) is fiber j's flows under x over its mass
+    return StochasticMatrix(_collapsed_flows(L, w) / (m.C @ w), locality=L.base)
 
 
 def induced_chain(L: Lift, pi_hat: Distribution) -> StochasticMatrix:
-    """Base chain induced by a steady state: collapsed flows over marginals.
+    """Base chain induced by a steady state: the conditional unlift at pi_hat.
 
     P_{i,j} = (sum of A-flows from fiber(j) into fiber(i) under pi_hat)
     divided by the marginal mass of j; stationary at marginal(pi_hat).
     """
-    collapsed = _collapsed_flows(L, pi_hat)
+    if pi_hat.weights.shape != (L.map.lifted_n,):
+        raise DimensionMismatch("pi_hat does not live on the lifted nodes")
     check_stationary(L.A, pi_hat, tol=TOL["steady_state_residual"])
-    marg = L.map.C @ pi_hat.weights
-    dead = np.nonzero(marg <= TOL["dead_marginal"])[0]
-    if len(dead):
+    dead = np.flatnonzero(L.map.C @ pi_hat.weights <= TOL["dead_marginal"])
+    if dead.size:
         raise ZeroMarginalSupport(
             f"marginal of pi_hat vanishes on base nodes {dead.tolist()}"
         )
-    return StochasticMatrix(collapsed / marg[None, :], locality=L.base)
+    return conditional_unlift(L, pi_hat)
 
 
-def _collapsed_flows(L: Lift, pi_hat: Distribution) -> np.ndarray:
-    """The lift's flows under pi_hat summed over fibers, C (A o pi_hat) C^T."""
-    w = pi_hat.weights
+def _collapsed_flows(L: Lift, w: np.ndarray) -> np.ndarray:
+    """The lift's flows under weights w summed over fibers, C (A o w) C^T."""
     if w.shape != (L.map.lifted_n,):
         raise DimensionMismatch("pi_hat does not live on the lifted nodes")
     # C S in C order, as the dense C @ A is, so that C^T is summed alike
@@ -450,7 +443,7 @@ def check_flow_match(
     marginal, judged at max(delta, flow_exact_slack), so no budget is
     judged more strictly than exact matching (delta = 0).
     """
-    collapsed = _collapsed_flows(L, pi_hat)
+    collapsed = _collapsed_flows(L, pi_hat.weights)
     if P_ref.n != L.map.base_n:
         raise DimensionMismatch("reference chain is not on the base nodes")
     marg = Distribution(L.map.C @ pi_hat.weights)
@@ -472,13 +465,12 @@ def _fiber_column_mismatch(M: np.ndarray, m: LiftMap) -> tuple[int, int] | None:
     None means the marginal step does not depend on where mass sits within
     a fiber; j0 is the first lifted node of the fiber holding k.
     """
-    tol = TOL["invariance_one_step"]
-    for fiber in m.fibers:
-        j0 = fiber[0]
-        for k in fiber[1:]:
-            if np.abs(M[:, k] - M[:, j0]).max() > tol:
-                return j0, k
-    return None
+    head = np.unique(m._proj, return_index=True)[1][m._proj]  # each node's j0
+    bad = np.flatnonzero(np.abs(M - M[:, head]).max(axis=0) > TOL["invariance_one_step"])
+    if not bad.size:
+        return None
+    k = bad[m._proj[bad].argmin()]  # the lowest fiber, then the lowest node
+    return int(head[k]), int(k)
 
 
 def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
@@ -490,12 +482,12 @@ def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
     it is still returned, with a warning that it is not equivalent.
     """
     m = L.map
-    q = [int(q_choice[j]) for j in range(m.base_n)]
-    for j, k in enumerate(q):
-        if not 0 <= k < m.lifted_n or m.projection[k] != j:
-            raise BadChoiceMap(
-                f"choice for base node {j} is {k}, not in its fiber"
-            )
+    q = np.array([int(q_choice[j]) for j in range(m.base_n)])
+    inside = (q >= 0) & (q < m.lifted_n)
+    owner = m._proj[np.where(inside, q, 0).astype(np.intp)]
+    bad = np.flatnonzero(~inside | (owner != np.arange(m.base_n)))
+    if bad.size:
+        raise BadChoiceMap(f"choice for base node {bad[0]} is {q[bad[0]]}, not in its fiber")
     M = _marginal_step(L)
     if _fiber_column_mismatch(M, m) is not None:
         warnings.warn(
@@ -512,7 +504,7 @@ def adversarial_init(
     """pi_hat conditioned on the fiber preimage of a base node set X."""
     if pi_hat.n != m.lifted_n:
         raise DimensionMismatch("pi_hat does not live on the lifted nodes")
-    sel = _members_of(X, m.base_n)[np.array(m.projection)]
+    sel = _members_of(X, m.base_n)[m._proj]
     mass = float(pi_hat.weights[sel].sum())
     if mass <= 0.0:
         raise EmptyCutWeight("fiber preimage of the cut carries no mass")

@@ -564,6 +564,31 @@ def test_lift_build_names_the_option_it_needs(tmp_path, capsys, construction, gi
     assert captured.err == f"error: --construction {construction} needs {option}\n"
 
 
+@pytest.mark.parametrize("construction, given, option", [
+    ("diameter", ["--graph", "G", "--ref-out", "R"], "--ref-out"),
+    ("diaconis", ["--nodes", "8", "--graph", "M", "--chains", "M", "--ref-chain", "M"],
+     "--graph"),
+    ("node-clock", ["--graph", "G", "--chain", "M"], "--chain"),
+    ("periodic-node-clock", ["--graph", "G", "--delta", "0.1"], "--delta"),
+    ("clock", ["--graph", "G", "--chain", "M", "--pi", "uniform"], "--pi"),
+    ("periodic-clock", ["--graph", "G", "--chain", "M", "--chains", "M"], "--chains"),
+    ("four-cycle", ["--delta", "0.05", "--nodes", "4"], "--nodes"),
+    ("four-cycle", ["--delta", "0.05", "--ref-chain", "M"], "--ref-chain"),
+])
+def test_lift_build_refuses_an_option_its_construction_never_reads(tmp_path, capsys,
+                                                                  construction, given, option):
+    # refused before any file is read (M is missing) or written (R, --out)
+    files = {"G": write_graph(tmp_path, cycle(4)), "M": str(tmp_path / "missing.json"),
+             "R": str(tmp_path / "ref.json")}
+    out = tmp_path / "out.json"
+    assert main(["lift", "build", "--construction", construction,
+                 *[files.get(arg, arg) for arg in given], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --construction {construction} does not read {option}\n"
+    assert not out.exists() and not (tmp_path / "ref.json").exists()
+
+
 def test_lift_analyze_rejects_negative_window(tmp_path, capsys):
     bundle = tmp_path / "lift.json"
     assert main([

@@ -570,6 +570,61 @@ def test_full_mixing_time_matches_chain_mixing_time_when_irreducible(seed):
     assert full_mixing_time(L, 0.25, "s", t_max) == expected
 
 
+def _loop_fibers(m):
+    """Reference fibers: one pass over the lifted nodes."""
+    fibers = [[] for _ in range(m.base_n)]
+    for k, c in enumerate(m.projection):
+        fibers[c].append(k)
+    return tuple(tuple(f) for f in fibers)
+
+
+def _loop_fiber_uniform_init(m, pi):
+    """Reference fiber-uniform spread: each fiber's share, fiber by fiber."""
+    x = np.zeros(m.lifted_n)
+    for j, fiber in enumerate(_loop_fibers(m)):
+        x[list(fiber)] = pi.weights[j] / len(fiber)
+    return x
+
+
+def _loop_fiber_column_mismatch(M, m):
+    """Reference mismatch: each fiber's columns against its first, in
+    fiber order, then lifted order."""
+    tol = TOL["invariance_one_step"]
+    for fiber in _loop_fibers(m):
+        j0 = fiber[0]
+        for k in fiber[1:]:
+            if np.abs(M[:, k] - M[:, j0]).max() > tol:
+                return j0, k
+    return None
+
+
+def test_fiber_column_mismatch_reports_the_lowest_fiber_first():
+    # fiber(1) = {0, 2} differs at a lower lifted node than fiber(0) = {1, 3}
+    m = LiftMap(2, (1, 0, 1, 0))
+    M = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    assert lift_module._fiber_column_mismatch(M, m) == (1, 3) == _loop_fiber_column_mismatch(M, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_fiber_rules_read_off_the_projection_match_the_fiber_loops(seed, drop_init):
+    # every per-fiber rule reads the projection array; the loops they
+    # replace give the same bits, and at a steady state the induced chain
+    # is the conditional unlift
+    rng = rng_from_seed(seed)
+    L, pi = _random_lift(rng)
+    if drop_init:
+        L = Lift(base=L.base, map=L.map, A=L.A, metadata=L.metadata)
+    m = L.map
+    assert m.fibers == _loop_fibers(m)
+    assert np.array_equal(fiber_uniform_init(m, pi).weights, _loop_fiber_uniform_init(m, pi))
+    M = lift_module._marginal_step(L)
+    assert lift_module._fiber_column_mismatch(M, m) == _loop_fiber_column_mismatch(M, m)
+    pi_hat = lifted_stationary(L, lift_module._stationary_seed(L, pi)[0])
+    assert np.array_equal(induced_chain(L, pi_hat).entries,
+                          conditional_unlift(L, pi_hat).entries)
+
+
 def _dense_window_tv(A, X, target, t_max, C=None):
     """Reference window scan: dense forward propagation of the whole batch."""
     worst = np.empty(t_max + 1)
@@ -1131,7 +1186,7 @@ def test_report_path_never_forms_the_dense_lifted_view(monkeypatch):
 
 
 def test_marginal_step_and_thm2_never_form_the_dense_view(monkeypatch):
-    # unlift_si and conditional_unlift read C A off A's CSR form, and thm2's
+    # unlift_si reads C A and conditional_unlift its flows off A's CSR form, and thm2's
     # exact-at-diameter row is a window scan: no sparse-built matrix gets
     # its dense view, except an irreducible one, whose stationary law is
     # still a dense least-squares solve
