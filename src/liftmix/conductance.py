@@ -305,25 +305,26 @@ def phi_chain_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
             "phi_chain_cycle needs off-diagonal support on cycle arcs only"
         ) from None
     w, flows = pi.weights, ergodic_flows(P, pi)
-    best, cap = None, _cut_cap()
-    for a in range(n):
-        weight = 0.0
-        for length in range(1, n):
-            b = (a + length - 1) % n
-            weight += w[b]
-            if weight > cap or weight <= 0.0:
-                continue
-            cross = flows[(a - 1) % n, a] + flows[(b + 1) % n, b]
-            phi = max(cross, 0.0) / weight
-            mask = 0
-            for off_i in range(length):
-                mask |= 1 << ((a + off_i) % n)
-            cand = (phi, mask, weight)
-            if best is None or (phi, mask) < (best[0], best[1]):
-                best = cand
-    if best is None:
+    # window (a, off) holds nodes a, a + 1, ..., a + off mod n; add.accumulate
+    # adds its weights one by one in that order, as a running sum would
+    ends = (np.arange(n)[:, None] + np.arange(n - 1)) % n
+    weights = np.add.accumulate(w[ends], axis=1)
+    cross = flows[np.arange(n) - 1, np.arange(n)][:, None] + flows[(ends + 1) % n, ends]
+    a, off = np.nonzero((weights <= _cut_cap()) & (weights > 0.0))
+    if not len(a):
         raise EmptyCutWeight("no window carries positive stationary mass")
-    return best[0], Cut(member_mask=best[1], weight=best[2])
+    weights, cross = weights[a, off], cross[a, off]
+    # max(cross, 0.0): a negative zero stays, as Python's max keeps it
+    phis = np.where(cross < 0.0, 0.0, cross) / weights
+    full = (1 << n) - 1
+
+    def mask(k: int) -> int:
+        run = (1 << (int(off[k]) + 1)) - 1
+        return ((run << int(a[k])) | (run >> (n - int(a[k])))) & full
+
+    # ties break toward the lowest mask; only the tied windows get one
+    k = min(np.flatnonzero(phis == phis.min()).tolist(), key=mask)
+    return phis[k], Cut(member_mask=mask(k), weight=weights[k])
 
 
 def _phi_chain_or_cycle(P: StochasticMatrix, pi: Distribution) -> tuple[float, Cut]:
@@ -349,16 +350,18 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     plus the diagonal) and a scalar t; constraints fix column sums to one,
     impose P pi = pi, and require every cut's outflow to be at least
     t * pi(X); the objective maximizes t.  The cut rows are generated
-    (Kelley's cutting planes): starting from the identity chain at t = 1,
+    (Kelley's cutting planes): starting at t = 1 from the uniform chain
+    over each column's admissible entries, whose conductance is below 1,
     every cut is scanned against the current chain and t, each chunk's
     most violated cuts join the LP, and the LP is solved again, until no
     cut's conductance falls below t by more than lp_cut_violation.  HiGHS
     accepts rows broken within its own primal tolerance; if a cut row is
     then broken by more than the lp_feasibility that the result must meet,
     the LP is solved once more at lp_resolve and the loop goes on.  The LP is
-    degenerate, so the chain is one optimal chain among possibly many.
+    degenerate, so the chain is one optimal chain among possibly many, and
+    which one depends on the cuts the loop added.
     """
-    from scipy.optimize import linprog  # here: its import adds ~0.4 s to every CLI start
+    from scipy.optimize import linprog  # here: its import adds 0.09-0.16 s to every CLI start
 
     n = g.n
     if n != pi.n:
@@ -381,7 +384,10 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     bounds = [(0.0, 1.0)] * nv
     rows: list[np.ndarray] = []
     in_lp: set[int] = set()
-    P, phi = np.eye(n), 1.0
+    # round 0 separates at the uniform admissible chain, not the identity,
+    # where every cut's conductance is 0 and rounding would pick the cuts
+    P, phi = np.zeros((n, n)), 1.0
+    P[rows_e, cols_e] = 1.0 / np.bincount(cols_e)[cols_e]
     options: dict = {}
     violation, feasible = TOL["lp_cut_violation"], TOL["lp_feasibility"]
     while True:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -44,6 +45,7 @@ from liftmix import (
     uniform_distribution,
 )
 from liftmix import conductance
+from liftmix._tolerances import TOL
 from liftmix.conductance import _cut_chunks, _cut_phis, _screen_bounds, _screen_cuts
 from liftmix.randomgen import (
     random_connected_graph,
@@ -216,6 +218,81 @@ def test_phi_chain_cycle_rejects_an_off_cycle_entry():
     M[0, 0] = M[3, 3] = 0.4
     with pytest.raises(DimensionMismatch, match="cycle arcs only"):
         phi_chain_cycle(StochasticMatrix(M), uniform_distribution(n))
+
+
+def loop_phi_chain_cycle(P: StochasticMatrix, pi) -> tuple[float, Cut]:
+    """phi_chain_cycle as a loop over every contiguous window: the oracle
+    its array form must match bit for bit, lowest mask winning ties."""
+    n, w, flows = P.n, pi.weights, ergodic_flows(P, pi)
+    best, cap = None, 0.5 + TOL["cut_weight"]
+    for a in range(n):
+        weight = 0.0
+        for length in range(1, n):
+            b = (a + length - 1) % n
+            weight += w[b]
+            if weight > cap or weight <= 0.0:
+                continue
+            cross = flows[(a - 1) % n, a] + flows[(b + 1) % n, b]
+            phi = max(cross, 0.0) / weight
+            mask = 0
+            for off_i in range(length):
+                mask |= 1 << ((a + off_i) % n)
+            if best is None or (phi, mask) < (best[0], best[1]):
+                best = (phi, mask, weight)
+    if best is None:
+        raise EmptyCutWeight("no window carries positive stationary mass")
+    return best[0], Cut(member_mask=best[1], weight=best[2])
+
+
+def _with_a_zero_entry(rng, pi):
+    """pi with one random entry set to 0, the rest rescaled to sum to 1."""
+    w = pi.weights.copy()
+    w[int(rng.integers(len(w)))] = 0.0
+    return Distribution(w / w.sum())
+
+
+def cycle_chain(pi, conductances) -> StochasticMatrix:
+    """The pi-reversible chain on the standard cycle whose edge (i, i + 1)
+    carries flow conductances[i] each way; a node of zero mass, whose two
+    edges must carry 0, steps to its successor."""
+    n, w = pi.n, pi.weights
+    M = np.zeros((n, n))
+    for i, c in enumerate(conductances):
+        j = (i + 1) % n
+        if c > 0.0:
+            M[j, i], M[i, j] = c / w[i], c / w[j]
+    for i in range(n):
+        if w[i] == 0.0:
+            M[(i + 1) % n, i] = 1.0
+        else:
+            M[i, i] = 1.0 - M[:, i].sum()
+    return StochasticMatrix(M, locality=cycle(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 40), st.integers(0, 2**32 - 1), st.booleans(),
+    st.sampled_from(["random", "dyadic", "zero-mass"]),
+)
+def test_phi_chain_cycle_matches_the_window_loop_bit_for_bit(n, seed, uniform, kind):
+    # dyadic edge flows on uniform pi tie many windows exactly, zero flows
+    # tie them at phi = 0, and a zero-mass node gives windows of weight 0
+    rng = rng_from_seed(seed)
+    pi = uniform_distribution(n) if uniform else random_distribution(rng, n)
+    if kind == "zero-mass":
+        pi = _with_a_zero_entry(rng, pi)
+    w = pi.weights
+    room = np.minimum(w, np.roll(w, -1)) / 2.0
+    if kind == "dyadic":
+        scale = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+    else:
+        scale = rng.random(n)
+    P = cycle_chain(pi, room * scale)
+    phi, cut = phi_chain_cycle(P, pi)
+    want, want_cut = loop_phi_chain_cycle(P, pi)
+    assert (phi.hex(), cut.member_mask, cut.weight.hex()) == (
+        want.hex(), want_cut.member_mask, want_cut.weight.hex()
+    )
 
 
 def full_scan_phi_chain(P: StochasticMatrix, pi) -> tuple[str, int, str]:
@@ -524,8 +601,10 @@ def test_phi_graph_matches_full_cut_lp():
 
 
 def test_phi_graph_tightens_highs_when_a_cut_row_is_broken():
-    # HiGHS's first solution of this LP broke a cut row by 4.3e-8: inside its
-    # own 1e-7 primal tolerance, above phi_graph's 1e-8 check
+    # HiGHS broke a cut row of this LP by 4.3e-8, inside its own 1e-7 primal
+    # tolerance and above phi_graph's 1e-8 check, when Kelley's loop started
+    # from the identity chain; from the uniform admissible chain it solves
+    # in 3 LPs and never re-solves, so the re-solve is driven by the next test
     g = graph_from_edges(12, [
         (0, 1), (0, 2), (0, 10), (1, 2), (1, 4), (1, 5), (1, 7), (1, 9),
         (1, 10), (2, 3), (3, 5), (3, 6), (3, 8), (3, 11), (4, 6), (4, 8),
@@ -543,6 +622,70 @@ def test_phi_graph_tightens_highs_when_a_cut_row_is_broken():
     assert abs(val - full_cut_lp_phi(g, pi)) <= 1e-9
     back, _ = phi_chain(P, pi)
     assert abs(back - val) <= 1e-9
+
+
+def _row_breaking_linprog(calls):
+    """linprog that, on a call without primal_feasibility_tolerance, raises
+    t so that the heaviest tight cut row is broken by 5e-8, as HiGHS may
+    return a point inside its own 1e-7 primal tolerance; every call's
+    options are appended to calls."""
+    honest = scipy.optimize.linprog
+
+    def linprog(c, A_ub, b_ub, **kwargs):
+        options = dict(kwargs.get("options") or {})
+        calls.append(options)
+        res = honest(c, A_ub=A_ub, b_ub=b_ub, **kwargs)
+        if res.success and "primal_feasibility_tolerance" not in options:
+            weights = A_ub[:, -1]
+            tight = A_ub @ res.x - b_ub >= -1e-9
+            k = int(np.argmax(np.where(tight, weights, -np.inf)))
+            res.x[-1] += 5e-8 / weights[k]
+        return res
+
+    return linprog
+
+
+@pytest.mark.parametrize("g, pi", [
+    (barbell(3), uniform_distribution(6)),
+    (cycle(7), random_distribution(rng_from_seed(7), 7)),
+    (random_connected_graph(rng_from_seed(8), n=10), random_distribution(rng_from_seed(9), 10)),
+])
+def test_phi_graph_resolves_at_lp_resolve_when_highs_leaves_a_cut_row_broken(
+    monkeypatch, g, pi
+):
+    calls: list[dict] = []
+    monkeypatch.setattr(scipy.optimize, "linprog", _row_breaking_linprog(calls))
+    val, P = phi_graph(g, pi)
+    assert {"primal_feasibility_tolerance": TOL["lp_resolve"]} in calls
+    assert abs(val - full_cut_lp_phi(g, pi)) <= 1e-9
+    back, _ = phi_chain(P, pi)
+    assert abs(back - val) <= 1e-9
+
+
+def _strongly_connected_digraph(rng, n: int):
+    """A directed cycle plus n random extra arcs."""
+    extra = rng.integers(0, n, size=(n, 2)).tolist()
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)] + extra, directed=True)
+
+
+@pytest.mark.parametrize("directed, zero", [(True, False), (True, True), (False, True)])
+def test_phi_graph_matches_full_cut_lp_on_digraphs_and_pi_with_a_zero(directed, zero):
+    # Kelley's first round separates at the uniform chain over each column's
+    # admissible entries, which exists on any graph and for any pi
+    rng = rng_from_seed(31 + 2 * directed + zero)
+    for _ in range(10):
+        n = int(rng.integers(3, 10))
+        if directed:
+            g = _strongly_connected_digraph(rng, n)
+        else:
+            g = random_connected_graph(rng, n=n)
+        pi = random_distribution(rng, n)
+        if zero:
+            pi = _with_a_zero_entry(rng, pi)
+        val, P = phi_graph(g, pi)
+        assert abs(val - full_cut_lp_phi(g, pi)) <= 1e-9
+        back, _ = phi_chain(P, pi)
+        assert abs(back - val) <= 1e-9
 
 
 def test_lemma1_t1_leakage_equals_cut_conductance():
