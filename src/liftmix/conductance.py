@@ -6,8 +6,10 @@ minimizes over cuts; graph conductance maximizes chain conductance over all
 chains respecting the graph's locality, solved here as a single linear
 program (the cut minimum linearizes because the pi(X) are constants) whose
 cut rows are generated on demand.  The cut layer is all here: how a cut
-is encoded (2^16-mask chunks), capped (`_cut_cap`), screened
-(`_screened_chunks`) and evaluated (`_cut_phis`, in `_SLAB_ROWS`-row slabs).
+is encoded (2^16-mask chunks), guarded (`_cut_guard`, the one 24-node
+limit), capped (`_cut_cap`), screened by subset recursion (`_screen_cuts`,
+which also separates phi_graph's Kelley rounds) and evaluated
+(`_cut_phis`, in slabs of `_SLAB_ROWS` to 2 `_SLAB_ROWS` - 1 rows).
 """
 
 from __future__ import annotations
@@ -70,32 +72,39 @@ def _cut_cap() -> float:
     return 0.5 + TOL["cut_weight"]
 
 
+def _cut_guard(n: int) -> None:
+    """The one size guard of the cut layer: over 24 nodes raises TooManyNodes."""
+    if n > 24:
+        raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
+
+
 def _by_slabs(product, members: np.ndarray) -> np.ndarray:
-    """product(rows) over consecutive `_SLAB_ROWS`-row slabs of members,
-    concatenated: product's temporaries hold one slab, never the chunk."""
-    return np.concatenate(
-        [product(members[i : i + _SLAB_ROWS]) for i in range(0, len(members), _SLAB_ROWS)]
-    )
+    """product(rows) over consecutive slabs of members, concatenated:
+    `_SLAB_ROWS` rows each, the last taking the remainder, so a slab of a
+    multi-slab chunk holds `_SLAB_ROWS` to 2 `_SLAB_ROWS` - 1 rows and
+    product's temporaries hold one slab, never the chunk."""
+    ends = range(_SLAB_ROWS, len(members) - _SLAB_ROWS + 1, _SLAB_ROWS)
+    return np.concatenate([product(slab) for slab in np.split(members, ends)])
 
 
 def _cut_chunks(n: int, w: np.ndarray, _only=None):
     """Lazy (masks, members, weights) chunks of up to 2^16 ascending masks,
     covering every cut under `_cut_cap` (both sides when pi(X) = 1/2);
-    weights are BLAS dot products.  The only cut enumerator and the only
-    size guard: over 24 nodes raises TooManyNodes at the call.  `_only`, an
+    weights are BLAS dot products.  The only cut enumerator; `_cut_guard`
+    raises TooManyNodes at the call.  `_only`, an
     iterable of chunk indices (mask >> 16) read on the first chunk, gives
     just those chunks, in its order.
 
     Members are unpacked as bool from the masks' little-endian bytes, so a
     chunk holds 2^16 n bytes of membership.  Its products (here and in
-    `_cut_phis`) run by `_by_slabs` over slabs of `_SLAB_ROWS` rows, never
-    holding more than `_SLAB_ROWS` n floats at a time, not 2^16 n (11.5 MB
-    at n = 22).  The slab is a power of two far above the BLAS kernels' row
-    blocking, so every row meets the kernel it meets in a product of the
-    whole chunk and gets the same bits; slabs of a few rows change them.
+    `_cut_phis`) run by `_by_slabs` over slabs of `_SLAB_ROWS` to
+    2 `_SLAB_ROWS` - 1 rows, never holding more than 2 `_SLAB_ROWS` n floats
+    at a time, not 2^16 n (11.5 MB at n = 22).  Every slab is far above the
+    BLAS kernels' row blocking, so every row meets the kernel it meets in a
+    product of the whole chunk and gets the same bits; slabs of a few rows
+    change them, which is why the last slab takes the remainder.
     """
-    if n > 24:
-        raise TooManyNodes(f"cut enumeration guarded to n <= 24, got {n}")
+    _cut_guard(n)
     total = (1 << n) - 1
     step = 1 << _CHUNK_BITS
     cap = _cut_cap()
@@ -111,7 +120,9 @@ def _cut_chunks(n: int, w: np.ndarray, _only=None):
             weights = _by_slabs(lambda m: m @ w, members)
             keep = weights <= cap
             if keep.any():
-                yield masks[keep], members[keep], weights[keep]
+                # rebound, so the whole chunk is freed while the caller works
+                masks, members, weights = masks[keep], members[keep], weights[keep]
+                yield masks, members, weights
 
     return chunks()
 
@@ -139,7 +150,8 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
 
 def _screen_cuts(flows: np.ndarray, w: np.ndarray):
     """Yield (chunk index, weights, phis) of every cut, chunk by chunk in
-    `_cut_chunks` order, position l of chunk c being mask (c << 16) + l.
+    `_cut_chunks` order, position l of chunk c being mask (c << 16) + l;
+    `_cut_guard` raises TooManyNodes on the first read.
 
     The conductances come by subset recursion in O(2^n) additions:
     adding node b to a set m adds flows[b, b] and the sum over j in m of
@@ -150,6 +162,7 @@ def _screen_cuts(flows: np.ndarray, w: np.ndarray):
     order only; phis are inf where the weight is 0.
     """
     n = len(w)
+    _cut_guard(n)
     lo = min(n, _CHUNK_BITS)
     internal_lo = np.zeros(1 << lo)
     for b in range(lo):
@@ -162,8 +175,10 @@ def _screen_cuts(flows: np.ndarray, w: np.ndarray):
         weights = w[high].sum() + weight_lo
         cross = _subset_sums(flows[:lo, high].sum(axis=1) + flows[high, :lo].sum(axis=0))
         internal = flows[np.ix_(high, high)].sum() + internal_lo + cross
-        phis = np.full_like(weights, np.inf)
-        np.divide(np.maximum(weights - internal, 0.0), weights, out=phis, where=weights > 0.0)
+        # a cut of weight 0 has no internal flow either: 0 / 0, then inf
+        with np.errstate(invalid="ignore"):
+            phis = np.maximum(weights - internal, 0.0) / weights
+        phis[weights == 0.0] = np.inf
         yield c, weights, phis
 
 
@@ -354,7 +369,12 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     over each column's admissible entries, whose conductance is below 1,
     every cut is scanned against the current chain and t, each chunk's
     most violated cuts join the LP, and the LP is solved again, until no
-    cut's conductance falls below t by more than lp_cut_violation.  HiGHS
+    cut's conductance falls below t by more than lp_cut_violation.  The
+    scan is `_screen_cuts`' subset recursion, which gives every cut's
+    weight and conductance in O(2^n) additions and holds the cut layer's
+    one 24-node guard; only the new cuts' rows are built, from their masks.
+    HiGHS runs without presolve: each LP is small and solved once with
+    fresh rows, so presolve's reductions cost more than they save.  It
     accepts rows broken within its own primal tolerance; if a cut row is
     then broken by more than the lp_feasibility that the result must meet,
     the LP is solved once more at lp_resolve and the loop goes on.  The LP is
@@ -388,29 +408,38 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     # where every cut's conductance is 0 and rounding would pick the cuts
     P, phi = np.zeros((n, n)), 1.0
     P[rows_e, cols_e] = 1.0 / np.bincount(cols_e)[cols_e]
-    options: dict = {}
-    violation, feasible = TOL["lp_cut_violation"], TOL["lp_feasibility"]
+    options: dict = {"presolve": False}
+    violation, feasible, cap = TOL["lp_cut_violation"], TOL["lp_feasibility"], _cut_cap()
+    bits = np.arange(n, dtype=np.int64)
     while True:
         lp_masks = np.fromiter(in_lp, dtype=np.int64, count=len(in_lp))
         cut_err = -math.inf
-        for masks, members, weights, phis in _cut_phis(_cut_chunks(n, w), P * w[None, :]):
-            short = phi - phis
+        for c, weights, phis in _screen_cuts(P * w[None, :], w):
+            kept = np.flatnonzero((weights > 0.0) & (weights <= cap))
+            if not len(kept):
+                continue
+            weights, short = weights[kept], phi - phis[kept]
             cut_err = max(cut_err, float((short * weights).max()))
+            new = np.flatnonzero(short > violation)
+            masks = (c << _CHUNK_BITS) + kept[new]
             # LP cuts can read as violated by solver tolerance: drop them first
-            new = np.flatnonzero((short > violation) & ~np.isin(masks, lp_masks))
+            fresh = ~np.isin(masks, lp_masks)
+            new, masks = new[fresh], masks[fresh]
             if len(new) > _CUTS_PER_ROUND:
-                new = new[np.argpartition(-short[new], _CUTS_PER_ROUND - 1)[:_CUTS_PER_ROUND]]
-            in_lp.update(masks[new].tolist())
-            crossing = members[new][:, cols_e] & ~members[new][:, rows_e]
+                top = np.argpartition(-short[new], _CUTS_PER_ROUND - 1)[:_CUTS_PER_ROUND]
+                new, masks = new[top], masks[top]
+            in_lp.update(masks.tolist())
+            members = (masks[:, None] >> bits & 1).astype(bool)
+            crossing = members[:, cols_e] & ~members[:, rows_e]
             rows.append(np.column_stack([-(crossing * w[cols_e]), weights[new]]))
         if not math.isfinite(cut_err):
             raise EmptyCutWeight("no cut carries positive stationary mass")
         if len(in_lp) == len(lp_masks):
-            if cut_err <= feasible or options:
+            if cut_err <= feasible or "primal_feasibility_tolerance" in options:
                 break
             # HiGHS accepts rows broken within its default primal tolerance:
             # re-solve the same rows once, tighter, and rescan
-            options = {"primal_feasibility_tolerance": TOL["lp_resolve"]}
+            options = {**options, "primal_feasibility_tolerance": TOL["lp_resolve"]}
         res = linprog(
             cost, A_ub=np.vstack(rows), b_ub=np.zeros(len(in_lp)), A_eq=a_eq,
             b_eq=b_eq, bounds=bounds, method="highs", options=options,

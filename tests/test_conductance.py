@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -412,6 +412,25 @@ def test_screened_phis_lie_within_delta_of_the_full_scan(kind, n, seed):
         assert np.abs(screened[masks] - phis).max() <= delta
 
 
+@pytest.mark.parametrize("kind, n, seed", [
+    ("reversible", 17, 3), ("transient", 18, 4), ("uniform", 19, 5), ("local", 20, 6),
+])
+def test_screened_phis_index_every_chunk_by_mask(kind, n, seed):
+    # past 16 nodes position l of chunk c is mask (c << 16) + l, and
+    # phi_graph's LP rows are built from masks read off that position;
+    # `_cut_chunks` chunk 0 starts at mask 1 and so also holds mask 1 << 16
+    P, pi = chain_of_kind(kind, n, seed)
+    w = pi.weights
+    flows = P.entries * w[None, :]
+    delta, _, _ = _screen_bounds(n)
+    screened = list(_screen_cuts(flows, w))
+    assert [c for c, _, _ in screened] == list(range(1 << (n - 16)))
+    by_mask = np.concatenate([phis for _, _, phis in screened])
+    for c in range(len(screened)):
+        for masks, _, _, want in _cut_phis(_cut_chunks(n, w, [c]), flows):
+            assert np.abs(by_mask[masks] - want).max() <= delta
+
+
 def test_screen_weight_caps_bracket_the_full_scan_cap():
     # every cut the full scan keeps passes the widened cap, and every cut
     # under the narrowed cap is kept, though the two sum in different orders
@@ -463,9 +482,13 @@ def one_shot_cut_phis(n: int, w: np.ndarray, flows: np.ndarray, only):
     st.integers(0, 2**32 - 1),
     st.sampled_from([64, 256, 4096]),
 )
+@example("reversible", 20, 87649, 64)
+@example("reversible", 20, 87649, 256)
 def test_slabbed_cut_products_match_whole_chunk_products(kind, n, seed, slab_rows):
     # chunk 0 holds 2^16 - 1 masks (2^n - 2 below 17 nodes); the cap and the
-    # positivity filter leave the rest of the lengths
+    # positivity filter leave the rest of the lengths.  In the examples the
+    # last chunk keeps 14,593 rows, one past a multiple of every slab size,
+    # and a 1-row product takes other bits than the whole chunk's
     P, pi = chain_of_kind(kind, n, seed)
     w = pi.weights
     flows = P.entries * w[None, :]
@@ -579,6 +602,34 @@ def test_phi_graph_guard():
         phi_graph(cycle(25), uniform_distribution(25))
 
 
+def test_phi_graph_separates_on_the_screen_once_per_round(monkeypatch):
+    # a 17-node graph fills two chunks; each Kelley round, the last one
+    # included, reads the subset recursion once and unpacks no chunk
+    screens, solves = [], []
+    screen, honest = conductance._screen_cuts, scipy.optimize.linprog
+
+    def spy_screen(flows, w):
+        screens.append(len(w))
+        return screen(flows, w)
+
+    def spy_linprog(*args, **kwargs):
+        solves.append(kwargs["options"])
+        return honest(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi_graph unpacked a cut chunk")
+
+    monkeypatch.setattr(conductance, "_screen_cuts", spy_screen)
+    monkeypatch.setattr(conductance, "_cut_chunks", refuse)
+    monkeypatch.setattr(conductance, "_cut_phis", refuse)
+    monkeypatch.setattr(scipy.optimize, "linprog", spy_linprog)
+    rng = rng_from_seed(17)
+    g = random_connected_graph(rng, n=17)
+    phi_graph(g, random_distribution(rng, 17))
+    assert screens == [17] * (len(solves) + 1)
+    assert all(options["presolve"] is False for options in solves)
+
+
 def test_phi_graph_matches_full_cut_lp():
     # cut generation must reach the optimum of the LP holding every cut
     rng = rng_from_seed(21)
@@ -656,7 +707,7 @@ def test_phi_graph_resolves_at_lp_resolve_when_highs_leaves_a_cut_row_broken(
     calls: list[dict] = []
     monkeypatch.setattr(scipy.optimize, "linprog", _row_breaking_linprog(calls))
     val, P = phi_graph(g, pi)
-    assert {"primal_feasibility_tolerance": TOL["lp_resolve"]} in calls
+    assert any(call.get("primal_feasibility_tolerance") == TOL["lp_resolve"] for call in calls)
     assert abs(val - full_cut_lp_phi(g, pi)) <= 1e-9
     back, _ = phi_chain(P, pi)
     assert abs(back - val) <= 1e-9
