@@ -77,8 +77,8 @@ from .lift import (
 from .markov import (
     UNMIXED,
     Distribution,
-    StochasticMatrix,
     TimeVaryingChain,
+    _json_floats,
     _settle_time,
     _window_tv,
     distribution_from_json,
@@ -213,10 +213,8 @@ def _read_distribution(spec: str, n: int) -> Distribution:
 
 
 def _chain_from_steps(steps: list, g: Graph) -> TimeVaryingChain:
-    mats = [
-        matrix_from_json({"n": g.n, "rows": rows}, locality=g) for rows in steps
-    ]
-    return TimeVaryingChain(mats)
+    """A chain file's steps as dense rows, validated once as a chain on g."""
+    return TimeVaryingChain([_json_floats(rows, "matrix rows") for rows in steps], g)
 
 
 def _check(name: str, measured, bound, ok=None) -> dict:
@@ -387,17 +385,11 @@ def _rotation_cycle_fixture():
     """Rotation-symmetric periodic node-clock lift on the 8-cycle."""
     g = cycle(8)
     pi = uniform_distribution(8)
-    base_bridge = stochastic_bridge(g, point_distribution(8, 0), pi)
+    base_bridge = stochastic_bridge(g, point_distribution(8, 0), pi).steps
     per_node = []
     for i in range(8):
-        R = np.zeros((8, 8))
-        for v in range(8):
-            R[(v + i) % 8, v] = 1.0
-        steps = [
-            StochasticMatrix(R @ step.entries @ R.T, locality=g)
-            for step in base_bridge.steps
-        ]
-        per_node.append(TimeVaryingChain(steps))
+        p = (np.arange(8) - i) % 8  # start i's bridge is start 0's, node v moved to v + i
+        per_node.append(TimeVaryingChain([E[np.ix_(p, p)] for E in base_bridge], g))
     return periodic_node_clock_lift(g, per_node, pi), g, pi
 
 
@@ -664,13 +656,11 @@ def _cmd_conductance(args) -> int:
 def _cmd_bridge(args) -> int:
     g = _read(args.graph, graph_from_json)
     dst = _read_distribution(args.dst, g.n)
-    if args.all_sources:
-        steps = _point_bridges(g, dst)
-        report = {"n": g.n, "T": steps.shape[1], "per_node": steps.tolist()}
-    else:
-        src = _read_distribution(args.src, g.n)
-        chain = stochastic_bridge(g, src, dst)
-        report = {"n": g.n, "T": chain.T, "steps": [P.entries.tolist() for P in chain.steps]}
+    if args.all_sources:  # (n, T, n, n): one bridge per start node
+        key, steps = "per_node", _point_bridges(g, dst)
+    else:  # (T, n, n)
+        key, steps = "steps", stochastic_bridge(g, _read_distribution(args.src, g.n), dst).steps
+    report = {"n": g.n, "T": steps.shape[-3], key: steps.tolist()}
     _emit((_dump_json(report), args.out))
     return 0
 

@@ -6,10 +6,11 @@ minimizes over cuts; graph conductance maximizes chain conductance over all
 chains respecting the graph's locality, solved here as a single linear
 program (the cut minimum linearizes because the pi(X) are constants) whose
 cut rows are generated on demand.  The cut layer is all here: how a cut
-is encoded (2^16-mask chunks), guarded (`_cut_guard`, the one 24-node
-limit), capped (`_cut_cap`), screened by subset recursion (`_screen_cuts`,
-which also separates phi_graph's Kelley rounds) and evaluated
-(`_cut_phis`, in slabs of `_SLAB_ROWS` to 2 `_SLAB_ROWS` - 1 rows).
+is encoded (a mask in chunk mask >> 16, unpacked by `_mask_members`),
+guarded (`_cut_guard`, the one 24-node limit), capped (`_cut_cap`),
+screened by subset recursion (`_screen_cuts`, which also separates
+phi_graph's Kelley rounds) and evaluated (`_cut_phis`, in slabs of
+`_SLAB_ROWS` to 2 `_SLAB_ROWS` - 1 rows).
 """
 
 from __future__ import annotations
@@ -87,36 +88,35 @@ def _by_slabs(product, members: np.ndarray) -> np.ndarray:
     return np.concatenate([product(slab) for slab in np.split(members, ends)])
 
 
-def _cut_chunks(n: int, w: np.ndarray, _only=None):
-    """Lazy (masks, members, weights) chunks of up to 2^16 ascending masks,
-    covering every cut under `_cut_cap` (both sides when pi(X) = 1/2);
-    weights are BLAS dot products.  The only cut enumerator; `_cut_guard`
-    raises TooManyNodes at the call.  `_only`, an
-    iterable of chunk indices (mask >> 16) read on the first chunk, gives
-    just those chunks, in its order.
+def _mask_members(masks: np.ndarray, n: int) -> np.ndarray:
+    """The one mask-to-members rule: row k holds the n low bits of masks[k]
+    as bool, unpacked from its little-endian bytes."""
+    octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
 
-    Members are unpacked as bool from the masks' little-endian bytes, so a
-    chunk holds 2^16 n bytes of membership.  Its products (here and in
-    `_cut_phis`) run by `_by_slabs` over slabs of `_SLAB_ROWS` to
-    2 `_SLAB_ROWS` - 1 rows, never holding more than 2 `_SLAB_ROWS` n floats
-    at a time, not 2^16 n (11.5 MB at n = 22).  Every slab is far above the
-    BLAS kernels' row blocking, so every row meets the kernel it meets in a
-    product of the whole chunk and gets the same bits; slabs of a few rows
-    change them, which is why the last slab takes the remainder.
+
+def _cut_chunks(n: int, w: np.ndarray, chunks):
+    """Lazy (masks, members, weights) of each of the given chunks, in their
+    order: chunk c's cuts under `_cut_cap` (both sides when pi(X) = 1/2),
+    from masks c << 16 to ((c + 1) << 16) - 1 without 0 and 2^n - 1, as
+    `_screen_cuts` indexes them; weights are BLAS dot products.  The only
+    cut enumerator; `_cut_guard` raises TooManyNodes at the call.
+
+    Members come from `_mask_members`, 2^16 n bytes a chunk.  Its products
+    (here and in `_cut_phis`) run by `_by_slabs`, never holding more than
+    2 `_SLAB_ROWS` n floats, not 2^16 n (11.5 MB at n = 22).  Every slab is
+    far above the BLAS kernels' row blocking, so every row gets the bits of
+    a whole-chunk product; slabs of a few rows would change them.
     """
     _cut_guard(n)
     total = (1 << n) - 1
-    step = 1 << _CHUNK_BITS
     cap = _cut_cap()
 
-    def chunks():
-        starts = range(1, total, step)
-        if _only is not None:
-            starts = (max(c << _CHUNK_BITS, 1) for c in _only)
-        for start in starts:
-            masks = np.arange(start, min(start + step, total), dtype=np.int64)
-            octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
-            members = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+    def cuts():
+        for c in chunks:
+            masks = np.arange(max(c << _CHUNK_BITS, 1), min((c + 1) << _CHUNK_BITS, total),
+                              dtype=np.int64)
+            members = _mask_members(masks, n)
             weights = _by_slabs(lambda m: m @ w, members)
             keep = weights <= cap
             if keep.any():
@@ -124,7 +124,7 @@ def _cut_chunks(n: int, w: np.ndarray, _only=None):
                 masks, members, weights = masks[keep], members[keep], weights[keep]
                 yield masks, members, weights
 
-    return chunks()
+    return cuts()
 
 
 def enumerate_cuts(g_or_n, pi) -> list[Cut]:
@@ -134,7 +134,7 @@ def enumerate_cuts(g_or_n, pi) -> list[Cut]:
     w = np.asarray(getattr(pi, "weights", pi), dtype=float)
     return [
         Cut(member_mask=mask, weight=weight)
-        for masks, _, weights in _cut_chunks(n, w)
+        for masks, _, weights in _cut_chunks(n, w, range(1 << max(n - _CHUNK_BITS, 0)))
         for mask, weight in zip(masks.tolist(), weights.tolist())
     ]
 
@@ -149,8 +149,8 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
 
 
 def _screen_cuts(flows: np.ndarray, w: np.ndarray):
-    """Yield (chunk index, weights, phis) of every cut, chunk by chunk in
-    `_cut_chunks` order, position l of chunk c being mask (c << 16) + l;
+    """Yield (chunk index, weights, phis) of every mask, chunk by chunk in
+    `_cut_chunks`' layout, position l of chunk c being mask (c << 16) + l;
     `_cut_guard` raises TooManyNodes on the first read.
 
     The conductances come by subset recursion in O(2^n) additions:
@@ -410,7 +410,6 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     P[rows_e, cols_e] = 1.0 / np.bincount(cols_e)[cols_e]
     options: dict = {"presolve": False}
     violation, feasible, cap = TOL["lp_cut_violation"], TOL["lp_feasibility"], _cut_cap()
-    bits = np.arange(n, dtype=np.int64)
     while True:
         lp_masks = np.fromiter(in_lp, dtype=np.int64, count=len(in_lp))
         cut_err = -math.inf
@@ -429,7 +428,7 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
                 top = np.argpartition(-short[new], _CUTS_PER_ROUND - 1)[:_CUTS_PER_ROUND]
                 new, masks = new[top], masks[top]
             in_lp.update(masks.tolist())
-            members = (masks[:, None] >> bits & 1).astype(bool)
+            members = _mask_members(masks, n)
             crossing = members[:, cols_e] & ~members[:, rows_e]
             rows.append(np.column_stack([-(crossing * w[cols_e]), weights[new]]))
         if not math.isfinite(cut_err):

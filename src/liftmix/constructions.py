@@ -112,19 +112,17 @@ def stochastic_bridge(
     shortest path: each hop goes to the lowest-index out-neighbour one step
     closer to u.  Aggregating commodity flows per node and per step gives
     column-stochastic, locality-respecting kernels whose product maps
-    p_src to p_dst exactly.
+    p_src to p_dst exactly; they are routed and validated in one pass.
     """
     if p_src.n != g.n or p_dst.n != g.n:
         raise LengthMismatch("endpoint distributions must live on the graph")
-    raw = _route(g, p_src.weights[None], p_dst.weights)[0]
-    return TimeVaryingChain([StochasticMatrix(P, locality=g) for P in raw])
+    return TimeVaryingChain(_route(g, p_src.weights[None], p_dst.weights)[0], g)
 
 
 def _point_bridges(g: Graph, pi: Distribution) -> np.ndarray:
     """The steps of every start node's bridge e_i -> pi as one read-only
     (n, D, n, n) array, routed in one pass and validated once as a family;
-    slice [i, t] is stochastic_bridge(g, e_i, pi).steps[t].entries, bit for
-    bit."""
+    slice [i, t] is stochastic_bridge(g, e_i, pi).steps[t], bit for bit."""
     if pi.n != g.n:
         raise LengthMismatch("endpoint distributions must live on the graph")
     return _stochastic_stack(_route(g, np.eye(g.n), pi.weights), g)
@@ -170,7 +168,7 @@ def _clock(g: Graph, chain: TimeVaryingChain, periodic: bool, name: str) -> Lift
         raise EmptyChain(f"{name.replace('-', ' ')} lift needs at least one step")
     if chain.n != g.n:
         raise LengthMismatch(f"chain is on {chain.n} nodes, graph has {g.n}")
-    A = _layered(g.n, [_block_diagonal([P.entries]) for P in chain.steps], periodic)
+    A = _layered(g.n, [_block_diagonal([P]) for P in chain.steps], periodic)
     F = np.eye(A.shape[0], g.n)
     proj = np.tile(np.arange(g.n), A.shape[0] // g.n)
     return _make_lift(g, proj, A, F, {"construction": name, "T": chain.T})
@@ -203,12 +201,10 @@ def _stacked(g: Graph, per_node, pi: Distribution) -> np.ndarray:
     T = chains[0].T
     for v0, ch in enumerate(chains):
         if ch.T != T:
-            raise LengthMismatch(
-                f"chain for node {v0} has length {ch.T}, expected {T}"
-            )
+            raise LengthMismatch(f"chain for node {v0} has length {ch.T}, expected {T}")
         if T and ch.n != n:
             raise LengthMismatch(f"chain for node {v0} is on {ch.n} nodes, graph has {n}")
-    return np.array([[P.entries for P in ch.steps] for ch in chains]).reshape(n, T, n, n)
+    return np.array([ch.steps for ch in chains]).reshape(n, T, n, n)
 
 
 def _node_clock_blocks(

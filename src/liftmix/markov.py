@@ -236,7 +236,7 @@ def _stochastic_stack(stack: np.ndarray, locality: Graph | None) -> np.ndarray:
     C-ordered: each slice holds what StochasticMatrix(slice, locality)
     would, bit for bit."""
     n = stack.shape[-1]
-    flat = stack.reshape(-1, n, n)
+    flat = stack.reshape(math.prod(stack.shape[:-2]), n, n)  # -1 fails on (0, 0, 0)
     m, row, col = np.nonzero(flat)
     value = flat[m, row, col]
     _normalise(m, row, col, value, len(flat), n, locality)
@@ -245,11 +245,16 @@ def _stochastic_stack(stack: np.ndarray, locality: Graph | None) -> np.ndarray:
     return _read_only(out.reshape(stack.shape))
 
 
+def _check_size(n: int, g: Graph) -> None:
+    """An n x n matrix can be local on g only if g has n nodes."""
+    if g.n != n:
+        raise DimensionMismatch(f"matrix is {n}x{n} but graph has {g.n} nodes")
+
+
 def _check_local(j, i, value, n: int, g: Graph) -> None:
     """The one locality check: each entry (j, i) > entry_clamp off the
     diagonal needs the arc (i, j) of g."""
-    if g.n != n:
-        raise DimensionMismatch(f"matrix is {n}x{n} but graph has {g.n} nodes")
+    _check_size(n, g)
     illegal = (value > TOL["entry_clamp"]) & (j != i) & ~g._adjacency[i, j]
     if illegal.any():
         e = int(np.argmax(illegal))
@@ -302,34 +307,41 @@ def _triplet_indices(seq, key: str, n: int) -> np.ndarray:
     return np.array(seq, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeVaryingChain:
-    """Finite sequence P(1..T) of stochastic matrices over one node set."""
+    """Finite sequence P(1..T) of stochastic matrices over one node set, as
+    one read-only, C-ordered (T, n, n) array: each raw step's shape is
+    checked, then all pass `_normalise` at once (`_stochastic_stack`), so
+    steps[t] holds what StochasticMatrix(steps[t], locality) would."""
 
-    steps: tuple[StochasticMatrix, ...]
+    steps: np.ndarray
 
-    def __init__(self, steps) -> None:
-        steps = tuple(steps)
-        if steps:
-            n = steps[0].n
-            for k, P in enumerate(steps):
-                if P.n != n:
-                    raise LengthMismatch(f"step {k + 1} has size {P.n}, expected {n}")
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps, locality: Graph | None = None) -> None:
+        steps = [np.asarray(P, dtype=float) for P in steps]
+        for k, P in enumerate(steps, start=1):
+            if P.ndim != 2 or P.shape[0] != P.shape[1]:
+                raise DimensionMismatch(f"expected a square matrix, got shape {P.shape}")
+            if locality is not None:
+                _check_size(len(P), locality)
+            if len(P) != len(steps[0]):
+                raise LengthMismatch(f"step {k} has size {len(P)}, expected {len(steps[0])}")
+        n = len(steps[0]) if steps else (0 if locality is None else locality.n)
+        stack = np.array(steps).reshape(len(steps), n, n)
+        object.__setattr__(self, "steps", _stochastic_stack(stack, locality))
 
     @property
     def T(self) -> int:
-        return len(self.steps)
+        return self.steps.shape[0]
 
     @property
     def n(self) -> int:
-        return self.steps[0].n
+        return self.steps.shape[1]
 
     def product(self) -> np.ndarray:
         """P(T) ... P(1) as a plain array."""
         M = np.eye(self.n)
         for P in self.steps:
-            M = P.entries @ M
+            M = P @ M
         return M
 
 

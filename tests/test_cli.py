@@ -20,6 +20,7 @@ from liftmix import (
     uniform_distribution,
 )
 from liftmix.cli import SUITE_NAMES, _dump_json, main, run_suite
+from liftmix.randomgen import random_connected_graph, random_distribution, rng_from_seed
 
 EXPECTED_SUITE_PASS = {
     "lemma1": True,
@@ -508,26 +509,34 @@ def test_output_to_a_device_or_pipe_is_written_without_truncation(capsys):
 
 def test_lift_build_chain_constructions_from_bridge_output(tmp_path):
     # the clock lifts read one bridge's steps, the node-clock lifts every
-    # source's bridge from --chains; each bundle is the library's
-    g, pi = cycle(5), uniform_distribution(5)
-    gfile = write_graph(tmp_path, g)
-    one, every = str(tmp_path / "one.json"), str(tmp_path / "every.json")
-    assert main(["bridge", "--graph", gfile, "--src", "e:0", "--dst", "uniform",
-                 "--out", one]) == 0
-    assert main(["bridge", "--graph", gfile, "--all-sources", "--dst", "uniform",
-                 "--out", every]) == 0
-    chain = stochastic_bridge(g, point_distribution(5, 0), pi)
-    per_node = [stochastic_bridge(g, point_distribution(5, i), pi) for i in range(5)]
-    for construction, option, expected in (
-        ("clock", ["--chain", one], clock_lift(g, chain)),
-        ("periodic-clock", ["--chain", one], periodic_clock_lift(g, chain)),
-        ("node-clock", ["--chains", every], node_clock_lift(g, per_node, pi)),
-        ("periodic-node-clock", ["--chains", every], periodic_node_clock_lift(g, per_node, pi)),
-    ):
-        out = tmp_path / f"{construction}.json"
-        assert main(["lift", "build", "--construction", construction, "--graph", gfile,
-                     *option, "--out", str(out)]) == 0
-        assert out.read_text() == _dump_json(lift_to_json(expected))
+    # source's bridge from --chains; each bundle is the library's, bit for
+    # bit, also on a random graph whose random pi makes the steps non-dyadic
+    rng = rng_from_seed(23)
+    g_random = random_connected_graph(rng, n=7)
+    inputs = [(cycle(5), uniform_distribution(5)),
+              (g_random, random_distribution(rng, g_random.n))]
+    for k, (g, pi) in enumerate(inputs):
+        gfile = write_graph(tmp_path, g, f"g{k}.json")
+        pi_file = str(tmp_path / f"pi{k}.json")
+        Path(pi_file).write_text(json.dumps(pi.to_json()))
+        one, every = str(tmp_path / f"one{k}.json"), str(tmp_path / f"every{k}.json")
+        assert main(["bridge", "--graph", gfile, "--src", "e:0", "--dst", pi_file,
+                     "--out", one]) == 0
+        assert main(["bridge", "--graph", gfile, "--all-sources", "--dst", pi_file,
+                     "--out", every]) == 0
+        chain = stochastic_bridge(g, point_distribution(g.n, 0), pi)
+        per_node = [stochastic_bridge(g, point_distribution(g.n, i), pi) for i in range(g.n)]
+        chains = ["--pi", pi_file, "--chains", every]
+        for construction, option, expected in (
+            ("clock", ["--chain", one], clock_lift(g, chain)),
+            ("periodic-clock", ["--chain", one], periodic_clock_lift(g, chain)),
+            ("node-clock", chains, node_clock_lift(g, per_node, pi)),
+            ("periodic-node-clock", chains, periodic_node_clock_lift(g, per_node, pi)),
+        ):
+            out = tmp_path / f"{construction}{k}.json"
+            assert main(["lift", "build", "--construction", construction, "--graph", gfile,
+                         *option, "--out", str(out)]) == 0
+            assert out.read_text() == _dump_json(lift_to_json(expected))
 
 
 @pytest.mark.parametrize("construction, build", [

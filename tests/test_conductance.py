@@ -300,7 +300,8 @@ def full_scan_phi_chain(P: StochasticMatrix, pi) -> tuple[str, int, str]:
     `_cut_chunks` chunks, the lowest mask winning ties; floats as hex."""
     w = pi.weights
     best = (math.inf, 0, 0.0)
-    for masks, _, weights, phis in _cut_phis(_cut_chunks(P.n, w), P.entries * w[None, :]):
+    chunks = _cut_chunks(P.n, w, range(1 << max(P.n - 16, 0)))  # every chunk
+    for masks, _, weights, phis in _cut_phis(chunks, P.entries * w[None, :]):
         k = int(np.argmin(phis))
         if phis[k] < best[0]:
             best = (float(phis[k]), int(masks[k]), float(weights[k]))
@@ -408,7 +409,7 @@ def test_screened_phis_lie_within_delta_of_the_full_scan(kind, n, seed):
     flows = P.entries * w[None, :]
     [(_, _, screened)] = _screen_cuts(flows, w)  # one chunk: position = mask
     delta, _, _ = _screen_bounds(P.n)
-    for masks, _, _, phis in _cut_phis(_cut_chunks(P.n, w), flows):
+    for masks, _, _, phis in _cut_phis(_cut_chunks(P.n, w, [0]), flows):
         assert np.abs(screened[masks] - phis).max() <= delta
 
 
@@ -417,8 +418,8 @@ def test_screened_phis_lie_within_delta_of_the_full_scan(kind, n, seed):
 ])
 def test_screened_phis_index_every_chunk_by_mask(kind, n, seed):
     # past 16 nodes position l of chunk c is mask (c << 16) + l, and
-    # phi_graph's LP rows are built from masks read off that position;
-    # `_cut_chunks` chunk 0 starts at mask 1 and so also holds mask 1 << 16
+    # phi_graph's LP rows are built from masks read off that position, and
+    # `_cut_chunks` chunk c holds exactly the cuts whose mask >> 16 is c
     P, pi = chain_of_kind(kind, n, seed)
     w = pi.weights
     flows = P.entries * w[None, :]
@@ -428,6 +429,7 @@ def test_screened_phis_index_every_chunk_by_mask(kind, n, seed):
     by_mask = np.concatenate([phis for _, _, phis in screened])
     for c in range(len(screened)):
         for masks, _, _, want in _cut_phis(_cut_chunks(n, w, [c]), flows):
+            assert (masks >> 16 == c).all()
             assert np.abs(by_mask[masks] - want).max() <= delta
 
 
@@ -440,7 +442,7 @@ def test_screen_weight_caps_bracket_the_full_scan_cap():
         w = near_cap_weights(rng, n)
         [(_, weights, _)] = _screen_cuts(np.zeros((n, n)), w)
         _, sure, wide = _screen_bounds(n)
-        kept = np.concatenate([m for m, _, _ in _cut_chunks(n, w)])
+        kept = np.concatenate([m for m, _, _ in _cut_chunks(n, w, [0])])
         assert (weights[kept] <= wide).all()
         surely = np.flatnonzero(weights <= sure)
         assert np.isin(surely[surely > 0], kept).all()
@@ -464,8 +466,8 @@ def one_shot_cut_phis(n: int, w: np.ndarray, flows: np.ndarray, only):
     total = (1 << n) - 1
     bits = np.arange(n, dtype=np.int64)
     for c in only:
-        start = max(c << 16, 1)
-        masks = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        masks = np.arange(max(c << 16, 1), min((c + 1) << 16, total), dtype=np.int64)
+        assert (masks >> 16 == c).all()
         members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
         weights = members @ w
         kept = (weights <= 0.5 + 1e-12) & (weights > 0.0)

@@ -90,8 +90,7 @@ def test_bridge_exactness_random_property():
             chain = stochastic_bridge(g, point_distribution(g.n, src), target)
             assert chain.T == D
             p = np.eye(g.n)[src]
-            for step in chain.steps:
-                E = step.entries
+            for E in chain.steps:
                 assert np.abs(E.sum(axis=0) - 1.0).max() <= 1e-12
                 off = E > 1e-12
                 np.fill_diagonal(off, False)
@@ -151,7 +150,7 @@ def test_bridge_hops_match_memoised_shortest_paths(seed, spread):
     expect = _memo_path_bridge(g, src, dst)
     assert len(chain.steps) == len(expect)
     for step, E in zip(chain.steps, expect):
-        assert np.array_equal(step.entries, E)
+        assert np.array_equal(step, E)
 
 
 def _strongly_connected_digraph(rng, n_max=9):
@@ -177,8 +176,22 @@ def test_point_bridges_equal_the_public_bridge_bit_for_bit(seed, directed):
     for i in range(g.n):
         chain = stochastic_bridge(g, point_distribution(g.n, i), pi)
         assert family.shape == (g.n, chain.T, g.n, g.n)
-        for t, step in enumerate(chain.steps):
-            assert family[i, t].tobytes() == step.entries.tobytes()
+        assert family[i].tobytes() == chain.steps.tobytes()
+
+
+def test_bridge_wraps_no_step_as_a_matrix(monkeypatch):
+    # the bridge is routed, then validated in one pass as one step array
+    built = []
+    init = StochasticMatrix.__init__
+
+    def counting(self, entries, locality=None):
+        built.append(locality)
+        init(self, entries, locality)
+
+    monkeypatch.setattr(StochasticMatrix, "__init__", counting)
+    chain = stochastic_bridge(cycle(7), point_distribution(7, 0), uniform_distribution(7))
+    assert built == []
+    assert chain.steps.shape == (3, 7, 7) and not chain.steps.flags.writeable
 
 
 def test_bridge_size_mismatch():
@@ -200,21 +213,21 @@ def test_clock_lifts_reject_a_step_off_the_graph(build, entry):
     # lifted entry and the missing base arc
     P = np.eye(3)
     P[0, 0] = P[2, 0] = 0.5
-    chain = TimeVaryingChain([StochasticMatrix(P)])
+    chain = TimeVaryingChain([P])
     with pytest.raises(LocalityViolation,
                        match=rf"entry \({entry}\) = 0.5 projects to missing base arc \(0,2\)"):
         build(path(3), chain)
     # the lifts check only that their chains live on the graph's nodes
     with pytest.raises(LengthMismatch, match="on 4 nodes, graph has 3"):
-        build(path(3), TimeVaryingChain([lazy_walk(path(4))]))
+        build(path(3), TimeVaryingChain([lazy_walk(path(4)).entries]))
 
 
 def test_locality_is_checked_once_per_matrix(monkeypatch):
-    # a step built against g is not wrapped again, and the lifted A is
+    # a chain built against g is not wrapped again, and the lifted A is
     # checked through the projection; the clock lift builds its A and
     # nothing else
     g = cycle(5)
-    chain = TimeVaryingChain([random_local_chain(rng_from_seed(4), g)])
+    chain = TimeVaryingChain([random_local_chain(rng_from_seed(4), g).entries], g)
     built = []
     init = StochasticMatrix.__init__
 
@@ -233,9 +246,9 @@ def _loop_clock(g, chain, periodic):
     size = T * n if periodic else (T + 1) * n
     A = np.zeros((size, size))
     for t in range(1, T if periodic else T + 1):
-        A[t * n:(t + 1) * n, (t - 1) * n:t * n] = chain.steps[t - 1].entries
+        A[t * n:(t + 1) * n, (t - 1) * n:t * n] = chain.steps[t - 1]
     if periodic:
-        A[:n, (T - 1) * n:] = chain.steps[T - 1].entries
+        A[:n, (T - 1) * n:] = chain.steps[T - 1]
     else:
         A[T * n:, T * n:] = np.eye(n)
     F = np.zeros((size, n))
@@ -256,7 +269,7 @@ def _loop_node_clock(g, chains, pi, periodic):
     for t in range(1, T + 1):
         for v0 in range(n):
             A[idx(t, v0, 0):idx(t, v0, n), idx(t - 1, v0, 0):idx(t - 1, v0, n)] = (
-                chains[v0].steps[t - 1].entries)
+                chains[v0].steps[t - 1])
     for v0 in range(n):
         for v in range(n):
             if periodic:
@@ -281,7 +294,7 @@ def _loop_mixer(g, pi, variant, gamma):
     reference = mixer_default_reference(g, pi)
     held = reference.entries
     if variant == "irreducible":
-        stack = np.array([[P.entries for P in b.steps] for b in bridges])
+        stack = np.array([b.steps for b in bridges])
         held = (1.0 - gamma) * _solve_top_chain(g, pi, stack, gamma, reference)[0].entries
     top = (bridges[0].T + 1) * n * n
     for v0 in range(n):
@@ -312,7 +325,7 @@ def test_layered_lifts_match_loop_builders(seed):
     g = random_connected_graph(rng, n_max=7)
     pi = random_distribution(rng, g.n)
     T = int(rng.integers(1, 4))
-    chains = [TimeVaryingChain([random_local_chain(rng, g) for _ in range(T)])
+    chains = [TimeVaryingChain([random_local_chain(rng, g).entries for _ in range(T)])
               for _ in range(g.n)]
     cases = [
         (clock_lift(g, chains[0]), _loop_clock(g, chains[0], False)),
@@ -333,7 +346,7 @@ def test_clock_lift_tracks_schedule_then_freezes():
     rng = rng_from_seed(3)
     g = cycle(5)
     steps = [random_local_chain(rng, g) for _ in range(4)]
-    chain = TimeVaryingChain(steps)
+    chain = TimeVaryingChain([P.entries for P in steps])
     L = clock_lift(g, chain)
     assert L.metadata == {"construction": "clock", "T": 4}
     p0 = random_distribution(rng, 5)
@@ -358,7 +371,7 @@ def test_periodic_clock_lift_wraps_cleanly():
     # powers of P across several full periods
     g = cycle(4)
     P = lazy_walk(g)
-    L = periodic_clock_lift(g, TimeVaryingChain([P, P, P]))
+    L = periodic_clock_lift(g, TimeVaryingChain([P.entries] * 3))
     assert L.metadata["construction"] == "periodic-clock"
     p0 = point_distribution(4, 1)
     x = L.F.apply(p0).weights
@@ -530,7 +543,8 @@ def test_mixer_refuses_a_one_node_graph():
 @pytest.mark.parametrize("build", [node_clock_lift, periodic_node_clock_lift])
 def test_node_clock_lifts_refuse_mismatched_chains(build):
     g, pi = path(3), uniform_distribution(3)
-    one, two = TimeVaryingChain([lazy_walk(g)]), TimeVaryingChain([lazy_walk(g)] * 2)
+    step = lazy_walk(g).entries
+    one, two = TimeVaryingChain([step]), TimeVaryingChain([step] * 2)
     with pytest.raises(LengthMismatch, match="need one chain per node: got 2 for 3"):
         build(g, [one] * 2, pi)
     with pytest.raises(LengthMismatch, match="target distribution must live on the graph"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,8 +154,10 @@ def test_stacked_validation_refuses_what_stochastic_matrix_refuses(defect):
         bad[2, 0], bad[0, 0] = 1e-6, bad[0, 0] - 1e-6
     with pytest.raises(LiftmixError) as single:
         StochasticMatrix(bad, locality=g)
-    with pytest.raises(type(single.value)):
+    with pytest.raises(type(single.value), match=re.escape(str(single.value))):
         _stochastic_stack(stack, g)
+    with pytest.raises(type(single.value), match=re.escape(str(single.value))):
+        TimeVaryingChain(stack, g)
 
 
 @settings(max_examples=30, deadline=None)
@@ -169,6 +172,9 @@ def test_stacked_validation_equals_each_stochastic_matrix(seed):
     got = _stochastic_stack(stack.reshape(2, 2, g.n, g.n), g)
     want = np.array([StochasticMatrix(S, locality=g).entries for S in stack])
     assert got.tobytes() == want.tobytes()
+    chain = TimeVaryingChain(list(stack), g)
+    assert chain.steps.flags.c_contiguous and not chain.steps.flags.writeable
+    assert chain.steps.tobytes() == want.tobytes()
 
 
 def test_matrix_clamps_its_own_copy():
@@ -426,15 +432,23 @@ def test_default_t_max():
 def test_time_varying_chain_product_and_errors():
     rng = rng_from_seed(7)
     g = complete(3)
-    steps = [random_local_chain(rng, g) for _ in range(4)]
+    steps = [random_local_chain(rng, g).entries for _ in range(4)]
     chain = TimeVaryingChain(steps)
-    assert chain.T == 4
+    assert (chain.T, chain.n) == (4, 3)
     expect = np.eye(3)
     for P in steps:
-        expect = P.entries @ expect
+        expect = P @ expect
     assert np.allclose(chain.product(), expect, atol=1e-14)
-    with pytest.raises(LengthMismatch):
-        TimeVaryingChain([lazy_walk(cycle(4)), lazy_walk(cycle(5))])
+    with pytest.raises(LengthMismatch, match="step 2 has size 5, expected 4"):
+        TimeVaryingChain([lazy_walk(cycle(4)).entries, lazy_walk(cycle(5)).entries])
+    with pytest.raises(DimensionMismatch, match=re.escape("got shape (3, 2)")):
+        TimeVaryingChain([np.eye(3), np.full((3, 2), 1 / 3)])
+    # against a graph, a step of another size is named as a single matrix names it
+    with pytest.raises(DimensionMismatch, match="matrix is 4x4 but graph has 3 nodes"):
+        TimeVaryingChain([steps[0], np.eye(4)], g)
+    # an empty chain builds, on the graph's nodes when one is given
+    assert TimeVaryingChain([]).steps.shape == (0, 0, 0)
+    assert TimeVaryingChain([], g).steps.shape == (0, 3, 3)
 
 
 def test_barbell_walk_mixes_slower_than_cycle():

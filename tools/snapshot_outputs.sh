@@ -43,6 +43,12 @@
 #   - lift analyze SIMRE and sIMRE on those bundles and on every node-clock
 #     and periodic-node-clock bundle (diaconis has no init map, so its
 #     SIMRE exits 2);
+#   - lift build for node-clock and periodic-node-clock on every graph and
+#     pi above, directed-7 included, with --chains from that tree's own
+#     `bridge --all-sources` output, and lift analyze SIMRE on each;
+#   - lift build clock on cycle-6 from three chain files the reader
+#     refuses: steps of two sizes, a non-square step, and a step with mass
+#     off the graph's arcs (exit code and stderr);
 #   - diaconis bundles for N = 32 and 64 with lift analyze sIMRE, and sIMRE
 #     with --t-max 3000 on N = 16: the periodic lifts at example1's sizes
 #     and far past the default window.
@@ -51,9 +57,9 @@
 #     reference chain: chains past the 24-node cut guard, whose conductance
 #     comes from contiguous windows.
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
-# NAME.err (stderr, with SRC written as "SRC").  The inputs are written by
-# this script, not by liftmix, so two trees read the same files.  Compare
-# two trees with `diff -r OUT_A OUT_B`.
+# NAME.err (stderr, with OUT written as "OUT" and SRC as "SRC").  The
+# inputs are written by this script, not by liftmix, so two trees read the
+# same files.  Compare two trees with `diff -r OUT_A OUT_B`.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -89,6 +95,14 @@ with open(f"{out}/directed-7.json", "w") as fh:
 w = rng.random(7) + 0.1
 with open(f"{out}/directed-7.pi.json", "w") as fh:
     json.dump({"weights": (w / w.sum()).tolist()}, fh)
+# chain files the reader refuses, each for the 6-cycle
+off_graph = np.eye(6)
+off_graph[[0, 3], 0] = 0.5  # mass 0 -> 3 rides no arc
+for name, steps in (("two-sizes", [np.eye(6), np.eye(5)]),
+                    ("non-square", [np.full((6, 5), 1 / 6)]),
+                    ("off-graph", [np.eye(6), off_graph])):
+    with open(f"{out}/chain-{name}.json", "w") as fh:
+        json.dump({"steps": [S.tolist() for S in steps]}, fh)
 with open(f"{out}/cycle-16.json", "w") as fh:
     json.dump({"n": 16, "edges": [[i, (i + 1) % 16] for i in range(16)],
                "directed": False}, fh)
@@ -132,7 +146,7 @@ run() {
     (cd "$OUT" && PYTHONPATH="$SRC/src" python3 -m liftmix.cli "$@") \
         >"$OUT/$name.out" 2>"$OUT/$name.err.raw" || code=$?
     echo "$code" >"$OUT/$name.code"
-    sed "s#$SRC#SRC#g" "$OUT/$name.err.raw" >"$OUT/$name.err"
+    sed -e "s#$OUT#OUT#g" -e "s#$SRC#SRC#g" "$OUT/$name.err.raw" >"$OUT/$name.err"
     rm -f "$OUT/$name.err.raw"
 }
 
@@ -142,6 +156,17 @@ for suite in lemma1 thm1 thm2 thm3 thm4 example1 example2 example3 \
         run "verify-$suite-$seed" verify --suite "$suite" --seed "$seed"
     done
 done
+
+# node-clock lifts read from the graph's `bridge --all-sources` output
+chains_from_bridges() {
+    local g=$1 pi=$2 tag=$3 c
+    for c in node-clock periodic-node-clock; do
+        run "build-$c-chains-$tag" lift build --construction "$c" --graph "$IN/$g.json" \
+            --pi "$pi" --chains "$OUT/bridge-$tag.out" --out "$OUT/build-$c-chains-$tag.bundle.json"
+        run "analyze-SIMRE-$c-chains-$tag" lift analyze \
+            --lift "$OUT/build-$c-chains-$tag.bundle.json" --pi "$pi" --scenario SIMRE
+    done
+}
 
 graphs="cycle-6 cycle-7 cycle-8 cycle-9 cycle-10 cycle-11 cycle-12 random-7"
 for g in $graphs directed-7; do
@@ -157,6 +182,7 @@ for p in uniform random; do
         --graph "$IN/directed-7.json" --pi "$pi" --out "$OUT/build-node-clock-$tag.bundle.json"
     run "build-diameter-reducible-$tag" lift build --construction diameter --variant reducible \
         --graph "$IN/directed-7.json" --pi "$pi" --out "$OUT/build-diameter-reducible-$tag.bundle.json"
+    chains_from_bridges directed-7 "$pi" "$tag"
 done
 
 for g in $graphs; do
@@ -175,6 +201,7 @@ for g in $graphs; do
             run "build-$c-$tag" lift build --construction "$c" \
                 --graph "$IN/$g.json" --pi "$pi" --out "$OUT/build-$c-$tag.bundle.json"
         done
+        chains_from_bridges "$g" "$pi" "$tag"
         for c in clock periodic-clock node-clock periodic-node-clock; do
             for s in SIMRE sIMRE; do
                 run "analyze-$s-$c-$tag" lift analyze \
@@ -287,3 +314,9 @@ run build-diaconis-26 lift build --construction diaconis --nodes 26 \
 run analyze-sIMRE-diaconis-26-lazy-reference lift analyze \
     --lift "$OUT/build-diaconis-26.bundle.json" --pi uniform --scenario sIMRE \
     --ref-chain "$IN/cycle-26.lazy.json"
+
+for name in two-sizes non-square off-graph; do
+    run "build-clock-chain-$name" lift build --construction clock \
+        --graph "$IN/cycle-6.json" --chain "$IN/chain-$name.json" \
+        --out "$OUT/build-clock-chain-$name.bundle.json"
+done
