@@ -656,11 +656,13 @@ def _cmd_conductance(args) -> int:
 def _cmd_bridge(args) -> int:
     g = _read(args.graph, graph_from_json)
     dst = _read_distribution(args.dst, g.n)
-    if args.all_sources:  # (n, T, n, n): one bridge per start node
-        key, steps = "per_node", _point_bridges(g, dst)
-    else:  # (T, n, n)
-        key, steps = "steps", stochastic_bridge(g, _read_distribution(args.src, g.n), dst).steps
-    report = {"n": g.n, "T": steps.shape[-3], key: steps.tolist()}
+    if args.all_sources:
+        steps = _point_bridges(g, dst)
+        report = {"n": g.n, "T": steps.shape[1], "per_node": steps.tolist()}
+    else:
+        src = _read_distribution(args.src, g.n)
+        chain = stochastic_bridge(g, src, dst)
+        report = {"n": g.n, "T": chain.T, "steps": chain.steps.tolist()}
     _emit((_dump_json(report), args.out))
     return 0
 

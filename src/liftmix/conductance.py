@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 
+def _chunk_count(n: int) -> int:
+    """Chunks covering every mask on n nodes."""
+    return 1 << max(n - _CHUNK_BITS, 0)
+
+
 @dataclass(frozen=True)
 class Cut:
     """Node subset X encoded as a bit mask, with its stationary weight pi(X)."""
@@ -134,7 +139,7 @@ def enumerate_cuts(g_or_n, pi) -> list[Cut]:
     w = np.asarray(getattr(pi, "weights", pi), dtype=float)
     return [
         Cut(member_mask=mask, weight=weight)
-        for masks, _, weights in _cut_chunks(n, w, range(1 << max(n - _CHUNK_BITS, 0)))
+        for masks, _, weights in _cut_chunks(n, w, range(_chunk_count(n)))
         for mask, weight in zip(masks.tolist(), weights.tolist())
     ]
 
@@ -170,7 +175,7 @@ def _screen_cuts(flows: np.ndarray, w: np.ndarray):
         internal_lo[1 << b : 2 << b] = internal_lo[: 1 << b] + flows[b, b] + cross
     weight_lo = _subset_sums(w[:lo])
     high_bits = np.arange(n - lo)
-    for c in range(1 << (n - lo)):
+    for c in range(_chunk_count(n)):
         high = lo + np.flatnonzero((c >> high_bits) & 1)
         weights = w[high].sum() + weight_lo
         cross = _subset_sums(flows[:lo, high].sum(axis=1) + flows[high, :lo].sum(axis=0))
@@ -216,7 +221,7 @@ def _screened_chunks(flows: np.ndarray, w: np.ndarray):
         yield 0
         return
     delta, sure, wide = _screen_bounds(n)
-    least = np.empty(1 << (n - _CHUNK_BITS))
+    least = np.empty(_chunk_count(n))
     least_sure = math.inf
     for c, weights, phis in _screen_cuts(flows, w):
         # phis lie in [0, 1] or are inf, so adding 4 past a cap takes a cut

@@ -201,7 +201,9 @@ def _stacked(g: Graph, per_node, pi: Distribution) -> np.ndarray:
     T = chains[0].T
     for v0, ch in enumerate(chains):
         if ch.T != T:
-            raise LengthMismatch(f"chain for node {v0} has length {ch.T}, expected {T}")
+            raise LengthMismatch(
+                f"chain for node {v0} has length {ch.T}, expected {T}"
+            )
         if T and ch.n != n:
             raise LengthMismatch(f"chain for node {v0} is on {ch.n} nodes, graph has {n}")
     return np.array([ch.steps for ch in chains]).reshape(n, T, n, n)

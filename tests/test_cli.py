@@ -510,23 +510,25 @@ def test_output_to_a_device_or_pipe_is_written_without_truncation(capsys):
 def test_lift_build_chain_constructions_from_bridge_output(tmp_path):
     # the clock lifts read one bridge's steps, the node-clock lifts every
     # source's bridge from --chains; each bundle is the library's, bit for
-    # bit, also on a random graph whose random pi makes the steps non-dyadic
+    # bit.  The cycle runs on the default uniform pi (no --pi); the random
+    # graph's random pi, passed as a file, makes the steps non-dyadic
     rng = rng_from_seed(23)
     g_random = random_connected_graph(rng, n=7)
-    inputs = [(cycle(5), uniform_distribution(5)),
-              (g_random, random_distribution(rng, g_random.n))]
-    for k, (g, pi) in enumerate(inputs):
+    pi_random = random_distribution(rng, g_random.n)
+    pi_file = str(tmp_path / "pi.json")
+    Path(pi_file).write_text(json.dumps(pi_random.to_json()))
+    inputs = [(cycle(5), uniform_distribution(5), "uniform", []),
+              (g_random, pi_random, pi_file, ["--pi", pi_file])]
+    for k, (g, pi, dst, pi_option) in enumerate(inputs):
         gfile = write_graph(tmp_path, g, f"g{k}.json")
-        pi_file = str(tmp_path / f"pi{k}.json")
-        Path(pi_file).write_text(json.dumps(pi.to_json()))
         one, every = str(tmp_path / f"one{k}.json"), str(tmp_path / f"every{k}.json")
-        assert main(["bridge", "--graph", gfile, "--src", "e:0", "--dst", pi_file,
+        assert main(["bridge", "--graph", gfile, "--src", "e:0", "--dst", dst,
                      "--out", one]) == 0
-        assert main(["bridge", "--graph", gfile, "--all-sources", "--dst", pi_file,
+        assert main(["bridge", "--graph", gfile, "--all-sources", "--dst", dst,
                      "--out", every]) == 0
         chain = stochastic_bridge(g, point_distribution(g.n, 0), pi)
         per_node = [stochastic_bridge(g, point_distribution(g.n, i), pi) for i in range(g.n)]
-        chains = ["--pi", pi_file, "--chains", every]
+        chains = [*pi_option, "--chains", every]
         for construction, option, expected in (
             ("clock", ["--chain", one], clock_lift(g, chain)),
             ("periodic-clock", ["--chain", one], periodic_clock_lift(g, chain)),

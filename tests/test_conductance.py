@@ -46,7 +46,14 @@ from liftmix import (
 )
 from liftmix import conductance
 from liftmix._tolerances import TOL
-from liftmix.conductance import _cut_chunks, _cut_phis, _screen_bounds, _screen_cuts
+from liftmix.conductance import (
+    _CHUNK_BITS,
+    _chunk_count,
+    _cut_chunks,
+    _cut_phis,
+    _screen_bounds,
+    _screen_cuts,
+)
 from liftmix.randomgen import (
     random_connected_graph,
     random_distribution,
@@ -300,7 +307,7 @@ def full_scan_phi_chain(P: StochasticMatrix, pi) -> tuple[str, int, str]:
     `_cut_chunks` chunks, the lowest mask winning ties; floats as hex."""
     w = pi.weights
     best = (math.inf, 0, 0.0)
-    chunks = _cut_chunks(P.n, w, range(1 << max(P.n - 16, 0)))  # every chunk
+    chunks = _cut_chunks(P.n, w, range(_chunk_count(P.n)))  # every chunk
     for masks, _, weights, phis in _cut_phis(chunks, P.entries * w[None, :]):
         k = int(np.argmin(phis))
         if phis[k] < best[0]:
@@ -373,7 +380,7 @@ def test_phi_chain_is_bit_identical_to_the_full_scan(kind, n, seed):
 def test_phi_chain_matches_the_full_scan_past_the_first_chunk(n, seed):
     rng = rng_from_seed(seed)
     P, pi = random_reversible_chain(rng, random_connected_graph(rng, n=n))
-    assert assert_matches_full_scan(P, pi).member_mask >> 16 > 0
+    assert assert_matches_full_scan(P, pi).member_mask >> _CHUNK_BITS > 0
 
 
 def test_phi_chain_matches_the_full_scan_on_larger_noise_level_chains():
@@ -425,11 +432,11 @@ def test_screened_phis_index_every_chunk_by_mask(kind, n, seed):
     flows = P.entries * w[None, :]
     delta, _, _ = _screen_bounds(n)
     screened = list(_screen_cuts(flows, w))
-    assert [c for c, _, _ in screened] == list(range(1 << (n - 16)))
+    assert [c for c, _, _ in screened] == list(range(_chunk_count(n)))
     by_mask = np.concatenate([phis for _, _, phis in screened])
     for c in range(len(screened)):
         for masks, _, _, want in _cut_phis(_cut_chunks(n, w, [c]), flows):
-            assert (masks >> 16 == c).all()
+            assert (masks >> _CHUNK_BITS == c).all()
             assert np.abs(by_mask[masks] - want).max() <= delta
 
 
@@ -466,8 +473,9 @@ def one_shot_cut_phis(n: int, w: np.ndarray, flows: np.ndarray, only):
     total = (1 << n) - 1
     bits = np.arange(n, dtype=np.int64)
     for c in only:
-        masks = np.arange(max(c << 16, 1), min((c + 1) << 16, total), dtype=np.int64)
-        assert (masks >> 16 == c).all()
+        masks = np.arange(max(c << _CHUNK_BITS, 1), min((c + 1) << _CHUNK_BITS, total),
+                          dtype=np.int64)
+        assert (masks >> _CHUNK_BITS == c).all()
         members = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
         weights = members @ w
         kept = (weights <= 0.5 + 1e-12) & (weights > 0.0)
@@ -494,7 +502,7 @@ def test_slabbed_cut_products_match_whole_chunk_products(kind, n, seed, slab_row
     P, pi = chain_of_kind(kind, n, seed)
     w = pi.weights
     flows = P.entries * w[None, :]
-    chunks = 1 << max(n - 16, 0)
+    chunks = _chunk_count(n)
     only = sorted({0, seed % chunks, chunks - 1})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conductance, "_SLAB_ROWS", slab_rows)

@@ -446,6 +446,16 @@ def test_time_varying_chain_product_and_errors():
     # against a graph, a step of another size is named as a single matrix names it
     with pytest.raises(DimensionMismatch, match="matrix is 4x4 but graph has 3 nodes"):
         TimeVaryingChain([steps[0], np.eye(4)], g)
+    # the steps' values pass one check at a time over the whole chain
+    # (entry range, column sums, locality), so with step 1 off the graph
+    # and step 2's column 1 summing to 0.9 the column sum is named
+    off_graph, short = np.eye(4), np.eye(4)
+    off_graph[:, 0] = [0.5, 0.0, 0.5, 0.0]  # mass 0 -> 2, no arc on the 4-cycle
+    short[1, 1] = 0.9
+    with pytest.raises(BadColumnSum, match="column 1 sums to 0.9"):
+        TimeVaryingChain([off_graph, short], cycle(4))
+    with pytest.raises(LocalityViolation, match=re.escape("entry (2,0)")):
+        TimeVaryingChain([off_graph, np.eye(4)], cycle(4))
     # an empty chain builds, on the graph's nodes when one is given
     assert TimeVaryingChain([]).steps.shape == (0, 0, 0)
     assert TimeVaryingChain([], g).steps.shape == (0, 3, 3)
