@@ -267,7 +267,7 @@ def _suite_thm2(seed: int):
     for name, g, pi in _criterion1_cases(seed):
         L = diameter_mixer(g, pi, "reducible")
         D = diameter(g)
-        tv = _window_tv(L.A, L.F.entries, pi.weights[:, None], D, L.map.C)[D]
+        tv = _window_tv(L.A, L.F, pi.weights[:, None], D, L.map.C)[D]
         checks.append(_check(f"thm2/{name}/exact-at-diameter", tv, tols["exact_tv"]))
         tau = marginal_mixing_time(L, pi, _EPS, "S", t_max=max(20, 4 * (D + 1)))
         checks.append(_check(f"thm2/{name}/marginal-mixing", tau, D + 1))
@@ -363,7 +363,7 @@ def _criterion_lifts(seed: int):
         yield f"mixer-irreducible/{name}", L, pi
     for N in (16, 32, 64):
         yield f"direction-lift/cycle-{N}", diaconis_cycle_lift(N), uniform_distribution(N)
-    L, _, _, _ = four_cycle_lift(0.05, 0.01)
+    L, _ = four_cycle_lift(0.05, 0.01)
     yield "four-cycle", L, uniform_distribution(4)
 
 
@@ -400,7 +400,7 @@ def _suite_thm4(seed: int):
     tau = marginal_mixing_time(L, pi, _EPS, "s")
     checks.append(_check("thm4/periodic-node-clock/marginal-mixing", tau, 2 * (D + 1)))
 
-    L4, ref, _, _ = four_cycle_lift(0.05, 0.01)
+    L4, ref = four_cycle_lift(0.05, 0.01)
     pi4 = uniform_distribution(4)
     rep = scenario_report(L4, parse_scenario("SiMre", reference_chain=ref), pi4)
     eight = [b for b in rep["bounds"] if b["name"] == "one-over-8-phi"]
@@ -489,7 +489,7 @@ def _suite_example2(seed: int):
 def _suite_example3(seed: int):
     delta, gamma = 0.05, 0.01
     tols = {"flow_tv": TOL["flow_tv"], "eps": _EPS, "delta": delta, "gamma": gamma}
-    L, ref, phi, epsilon = four_cycle_lift(delta, gamma)
+    L, ref = four_cycle_lift(delta, gamma)
     pi = uniform_distribution(4)
     tau = marginal_mixing_time(L, pi, _EPS, "S")
     checks = [_check("example3/marginal-mixing", tau, 2, tau == 2)]
@@ -510,8 +510,8 @@ def _suite_example3(seed: int):
         "tau_M": tau,
         "flow_dev": dev,
         "bound_1_over_4PhiP": bound_ref,
-        "phi": phi,
-        "epsilon": epsilon,
+        "phi": L.metadata["phi"],
+        "epsilon": L.metadata["epsilon"],
     }
     return checks, [], extras
 
@@ -667,42 +667,40 @@ def _cmd_bridge(args) -> int:
     return 0
 
 
-# every construction, with the options without a default that it reads; any
-# other one given is refused, never silently ignored
+# every construction, with the options without a default that it needs and
+# those it reads besides; a needed one missing is refused, and so is any
+# other one given, never silently ignored
 _BUILD_OPTIONS = ("graph", "pi", "chain", "chains", "delta", "nodes", "ref_chain", "ref_out")
 _BUILD_READS = {
-    "clock": ("graph", "chain"), "periodic-clock": ("graph", "chain"),
-    "node-clock": ("graph", "pi", "chains"), "periodic-node-clock": ("graph", "pi", "chains"),
-    "diameter": ("graph", "pi", "ref_chain"), "diaconis": ("nodes",),
-    "four-cycle": ("delta", "ref_out"),
+    "clock": (("graph", "chain"), ()), "periodic-clock": (("graph", "chain"), ()),
+    "node-clock": (("graph",), ("pi", "chains")),
+    "periodic-node-clock": (("graph",), ("pi", "chains")),
+    "diameter": (("graph",), ("pi", "ref_chain")), "diaconis": (("nodes",), ()),
+    "four-cycle": (("delta",), ("ref_out",)),
 }
 
 
 def _build_lift(args, outputs: list) -> Lift:
     """The lift; a --ref-out text joins outputs."""
     kind = args.construction
+    needs, reads = _BUILD_READS[kind]
     unread = [o for o in _BUILD_OPTIONS if getattr(args, o) is not None
-              and o not in _BUILD_READS[kind]]
+              and o not in needs + reads]
     if unread:
         raise BadSize(f"--construction {kind} does not read --{unread[0].replace('_', '-')}")
+    for o in needs:
+        if getattr(args, o) is None:
+            raise BadSize(f"--construction {kind} needs --{o}")
     if kind == "diaconis":
-        if args.nodes is None:
-            raise BadSize("--construction diaconis needs --nodes")
         return diaconis_cycle_lift(args.nodes)
     if kind == "four-cycle":
-        if args.delta is None:
-            raise BadSize("--construction four-cycle needs --delta")
-        L, ref, _, _ = four_cycle_lift(args.delta, args.gamma)
+        L, ref = four_cycle_lift(args.delta, args.gamma)
         if args.ref_out:
             outputs.append((_dump_json(ref.to_json()), args.ref_out))
         return L
 
-    if args.graph is None:
-        raise BadSize(f"--construction {kind} needs --graph")
     g = _read(args.graph, graph_from_json)
     if kind in ("clock", "periodic-clock"):
-        if args.chain is None:
-            raise BadSize(f"--construction {kind} needs --chain")
         chain = _read(args.chain, lambda blob: _chain_from_steps(blob["steps"], g))
         builder = clock_lift if kind == "clock" else periodic_clock_lift
         return builder(g, chain)

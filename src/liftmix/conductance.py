@@ -392,12 +392,13 @@ def phi_graph(g: Graph, pi: Distribution) -> tuple[float, StochasticMatrix]:
     if n != pi.n:
         raise DimensionMismatch("graph and distribution sizes differ")
     w = pi.weights
-    entries = [(i, i) for i in range(n)] + [(j, i) for (i, j) in sorted(g.arcs)]
-    ne = len(entries)
+    # the diagonal, then each arc (i, j) as entry (j, i), ascending in i * n + j
+    tail, head = np.divmod(g._arc_keys, n)
+    rows_e = np.concatenate([np.arange(n), head])
+    cols_e = np.concatenate([np.arange(n), tail])
+    ne = len(rows_e)
     t_col = ne
     nv = ne + 1
-    rows_e = np.array([e[0] for e in entries])
-    cols_e = np.array([e[1] for e in entries])
 
     a_eq = np.zeros((2 * n, nv))
     a_eq[cols_e, np.arange(ne)] = 1.0

@@ -34,7 +34,7 @@ from .graph_core import (
     distance_matrix,
     rooted_spanning_tree,
 )
-from .lift import InitMap, Lift, LiftMap
+from .lift import Lift, LiftMap
 from .markov import (
     Distribution,
     StochasticMatrix,
@@ -69,9 +69,8 @@ def mixer_default_reference(g: Graph, pi: Distribution) -> StochasticMatrix:
 
 
 def _make_lift(base: Graph, proj, A, F: np.ndarray | None, metadata: dict) -> Lift:
-    m = LiftMap(base.n, tuple(proj))
-    init = None if F is None else InitMap(m, F)
-    return Lift(base=base, map=m, A=StochasticMatrix(A), F=init, metadata=metadata)
+    m = LiftMap(base.n, proj)
+    return Lift(base=base, map=m, A=StochasticMatrix(A), F=F, metadata=metadata)
 
 
 def _route(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -437,7 +436,7 @@ def diaconis_cycle_lift(N: int) -> Lift:
 
 def four_cycle_lift(
     delta: float, gamma: float
-) -> tuple[Lift, StochasticMatrix, float, float]:
+) -> tuple[Lift, StochasticMatrix]:
     """Three-layer lift of the 4-cycle beating its flow conductance bound.
 
     Layer 0 scatters to the two neighbors, layer 1 spreads over a
@@ -445,8 +444,8 @@ def four_cycle_lift(
     layer 0 at rate gamma.  The internal bias epsilon and the reference
     chain's laziness phi are tuned so the lift's ergodic flows equal those
     of the reference chain with edge weights delta / (1 - delta), while
-    the designed initialization mixes in two steps.  Returns
-    (lift, reference chain, phi, epsilon).
+    the designed initialization mixes in two steps.  Returns (lift,
+    reference chain); phi and epsilon are in the lift's metadata.
     """
     if not 0 < delta < 1:
         raise BadSize(f"delta must lie in (0,1), got {delta}")
@@ -483,7 +482,7 @@ def four_cycle_lift(
         {"construction": "four-cycle", "delta": delta, "gamma": gamma,
          "phi": phi, "epsilon": epsilon},
     )
-    return L, reference, phi, epsilon
+    return L, reference
 
 
 def si_replicated_lift(P: StochasticMatrix, copies: int = 2) -> Lift:

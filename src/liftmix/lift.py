@@ -65,7 +65,6 @@ from .markov import (
 
 __all__ = [
     "LiftMap",
-    "InitMap",
     "Lift",
     "ScenarioSpec",
     "parse_scenario",
@@ -94,23 +93,22 @@ _INVARIANCE_HORIZON = 50
 @dataclass(frozen=True, eq=False)
 class LiftMap:
     """Surjective projection c from lifted nodes onto base nodes 0..base_n-1,
-    also kept as one read-only int array, _proj, with its fiber sizes, _sizes."""
+    held as one read-only int array, with its fiber sizes, _sizes."""
 
     base_n: int
-    projection: tuple[int, ...]
+    projection: np.ndarray
 
     def __post_init__(self) -> None:
         # a bool is refused too: its type is neither int nor an np.integer
         if not all(k is int or issubclass(k, np.integer) for k in set(map(type, self.projection))):
             raise BadSize("lift projection values must be integers")
-        object.__setattr__(self, "projection", tuple(map(int, self.projection)))
         if self.base_n < 1:
             raise DimensionMismatch("base needs at least one node")
         # int64, or object for ints past it, until the range is checked
-        proj = np.array(self.projection)
+        proj = np.array(list(map(int, self.projection)))
         outside = (proj < 0) | (proj >= self.base_n)
         if outside.any():
-            c = self.projection[outside.argmax()]
+            c = proj[outside.argmax()]
             raise DimensionMismatch(f"projection value {c} outside base range [0, {self.base_n})")
         proj = proj.astype(np.intp)
         sizes = np.bincount(proj, minlength=self.base_n)
@@ -119,7 +117,7 @@ class LiftMap:
             raise DimensionMismatch(f"projection misses base nodes {empty}")
         C = np.zeros((self.base_n, len(proj)))
         C[proj, np.arange(len(proj))] = 1.0
-        for name, value in (("_proj", proj), ("_sizes", sizes), ("_C", C)):
+        for name, value in (("projection", proj), ("_sizes", sizes), ("_C", C)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -130,7 +128,7 @@ class LiftMap:
     @property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """Each base node's lifted nodes, in lifted order."""
-        parts = np.split(np.argsort(self._proj, kind="stable"), np.cumsum(self._sizes)[:-1])
+        parts = np.split(np.argsort(self.projection, kind="stable"), np.cumsum(self._sizes)[:-1])
         return tuple(map(tuple, map(np.ndarray.tolist, parts)))
 
     def fiber(self, j: int) -> tuple[int, ...]:
@@ -142,62 +140,52 @@ class LiftMap:
         return self._C
 
 
-@dataclass(frozen=True, eq=False)
-class InitMap:
-    """Column-stochastic F sending base distributions into the lift.
+def _init_map(m: LiftMap, entries) -> np.ndarray:
+    """F as a read-only column-stochastic array sending base distributions
+    into the lift, checked and renormalised.
 
     Column j is supported inside fiber(j), which makes C F the identity, so
     the designed initialization is marginal-faithful by construction.
     """
-
-    map: LiftMap
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        F = np.array(self.entries, dtype=float)
-        expected = (self.map.lifted_n, self.map.base_n)
-        if F.shape != expected:
-            raise DimensionMismatch(
-                f"init map shape {F.shape}, expected {expected}"
-            )
-        if (F < -TOL["entry_clamp"]).any():
-            raise DimensionMismatch("init map has negative entries")
-        F[F < 0] = 0.0
-        sums = F.sum(axis=0)
-        if not np.abs(sums - 1.0).max() <= TOL["vector_sum"]:
-            j = int(np.abs(sums - 1.0).argmax())
-            raise DimensionMismatch(f"init map column {j} sums to {sums[j]}")
-        F /= sums[None, :]
-        proj = self.map._proj
-        outside = (F > TOL["entry_clamp"]) & (proj[:, None] != np.arange(self.map.base_n)[None, :])
-        if outside.any():
-            k, j = np.argwhere(outside)[0]
-            raise LocalityViolation(
-                f"init map sends base node {j} mass outside its fiber (lifted node {k})"
-            )
-        F.setflags(write=False)
-        object.__setattr__(self, "entries", F)
-
-    def apply(self, p: Distribution) -> Distribution:
-        if p.n != self.map.base_n:
-            raise DimensionMismatch(
-                f"init map expects base size {self.map.base_n}, got {p.n}"
-            )
-        return Distribution(self.entries @ p.weights)
+    F = np.array(entries, dtype=float)
+    expected = (m.lifted_n, m.base_n)
+    if F.shape != expected:
+        raise DimensionMismatch(
+            f"init map shape {F.shape}, expected {expected}"
+        )
+    if (F < -TOL["entry_clamp"]).any():
+        raise DimensionMismatch("init map has negative entries")
+    F[F < 0] = 0.0
+    sums = F.sum(axis=0)
+    if not np.abs(sums - 1.0).max() <= TOL["vector_sum"]:
+        j = int(np.abs(sums - 1.0).argmax())
+        raise DimensionMismatch(f"init map column {j} sums to {sums[j]}")
+    F /= sums[None, :]
+    outside = (F > TOL["entry_clamp"]) & (m.projection[:, None] != np.arange(m.base_n)[None, :])
+    if outside.any():
+        k, j = np.argwhere(outside)[0]
+        raise LocalityViolation(
+            f"init map sends base node {j} mass outside its fiber (lifted node {k})"
+        )
+    F.setflags(write=False)
+    return F
 
 
 @dataclass(frozen=True, eq=False)
 class Lift:
     """A lifted chain: base graph, projection, dynamics A, optional
-    designed-initialization map F, and construction metadata."""
+    designed-initialization map F (`_init_map`, checked first), and
+    construction metadata."""
 
     base: Graph
     map: LiftMap
     A: StochasticMatrix
-    F: InitMap | None = None
+    F: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.F is not None:
+            object.__setattr__(self, "F", _init_map(self.map, self.F))
         validate_lift(self)
 
     @functools.cached_property
@@ -208,10 +196,10 @@ class Lift:
 
 
 def validate_lift(L: Lift) -> None:
-    """Structural checks, run by every Lift: sizes, the init map's
-    projection, and locality through the projection: every off-diagonal
-    entry (j, i) of A above entry_clamp stays in one fiber or projects
-    onto the base arc (c(i), c(j))."""
+    """Structural checks, run by every Lift after its init map's: sizes,
+    and locality through the projection: every off-diagonal entry (j, i)
+    of A above entry_clamp stays in one fiber or projects onto the base
+    arc (c(i), c(j)).  Read-only."""
     if L.map.base_n != L.base.n:
         raise DimensionMismatch(
             f"projection targets {L.map.base_n} nodes, base has {L.base.n}"
@@ -221,16 +209,13 @@ def validate_lift(L: Lift) -> None:
             f"dynamics on {L.A.n} nodes, projection covers {L.map.lifted_n}"
         )
     j, i, value = L.A._triplets()
-    cj, ci = L.map._proj[j], L.map._proj[i]
+    cj, ci = L.map.projection[j], L.map.projection[i]
     bad = np.flatnonzero((value > TOL["entry_clamp"]) & (ci != cj) & ~L.base._adjacency[ci, cj])
     if bad.size:
         k = bad[0]
         raise LocalityViolation(
             f"entry ({j[k]},{i[k]}) = {value[k]} projects to missing base arc ({ci[k]},{cj[k]})"
         )
-    if L.F is not None:
-        if L.F.map.projection != L.map.projection:
-            raise DimensionMismatch("init map built for a different projection")
 
 
 def marginal(lift_or_map, x) -> Distribution:
@@ -248,7 +233,7 @@ def fiber_uniform_init(m: LiftMap, pi: Distribution) -> Distribution:
     """The canonical x with C x = pi: each fiber shares its mass uniformly."""
     if pi.n != m.base_n:
         raise DimensionMismatch(f"pi has size {pi.n}, base has {m.base_n}")
-    return Distribution(pi.weights[m._proj] / m._sizes[m._proj])
+    return Distribution(pi.weights[m.projection] / m._sizes[m.projection])
 
 
 def conditional_unlift(L: Lift, x) -> StochasticMatrix:
@@ -262,7 +247,7 @@ def conditional_unlift(L: Lift, x) -> StochasticMatrix:
     w = x.weights if isinstance(x, Distribution) else np.asarray(x, dtype=float)
     if w.shape != (m.lifted_n,):
         raise DimensionMismatch("distribution does not live on the lifted nodes")
-    w = np.where((m.C @ w)[m._proj] > 0.0, w, 1.0)
+    w = np.where((m.C @ w)[m.projection] > 0.0, w, 1.0)
     # column j of C A B^(x) is fiber j's flows under x over its mass
     return StochasticMatrix(_collapsed_flows(L, w) / (m.C @ w), locality=L.base)
 
@@ -313,7 +298,7 @@ def _stationary_seed(L: Lift, pi: Distribution) -> tuple[Distribution, str]:
     """The seed of a reducible lift's steady state, and its name: F pi when
     the lift has an init map, otherwise the fiber-uniform spread of pi."""
     if L.F is not None:
-        return L.F.apply(pi), "init-map"
+        return Distribution(L.F @ pi.weights), "init-map"
     return fiber_uniform_init(L.map, pi), "fiber-uniform"
 
 
@@ -363,7 +348,7 @@ def _init_batch(L: Lift, scenario_init: str) -> np.ndarray | None:
     if scenario_init == "S":
         if L.F is None:
             raise MissingInitMap("scenario (S) needs an initialization map")
-        return L.F.entries
+        return L.F
     raise BadScenario(f"scenario_init must be 'S' or 's', got {scenario_init!r}")
 
 
@@ -465,11 +450,11 @@ def _fiber_column_mismatch(M: np.ndarray, m: LiftMap) -> tuple[int, int] | None:
     None means the marginal step does not depend on where mass sits within
     a fiber; j0 is the first lifted node of the fiber holding k.
     """
-    head = np.unique(m._proj, return_index=True)[1][m._proj]  # each node's j0
+    head = np.unique(m.projection, return_index=True)[1][m.projection]  # each node's j0
     bad = np.flatnonzero(np.abs(M - M[:, head]).max(axis=0) > TOL["invariance_one_step"])
     if not bad.size:
         return None
-    k = bad[m._proj[bad].argmin()]  # the lowest fiber, then the lowest node
+    k = bad[m.projection[bad].argmin()]  # the lowest fiber, then the lowest node
     return int(head[k]), int(k)
 
 
@@ -484,7 +469,7 @@ def unlift_si(L: Lift, q_choice) -> StochasticMatrix:
     m = L.map
     q = np.array([int(q_choice[j]) for j in range(m.base_n)])
     inside = (q >= 0) & (q < m.lifted_n)
-    owner = m._proj[np.where(inside, q, 0).astype(np.intp)]
+    owner = m.projection[np.where(inside, q, 0).astype(np.intp)]
     bad = np.flatnonzero(~inside | (owner != np.arange(m.base_n)))
     if bad.size:
         raise BadChoiceMap(f"choice for base node {bad[0]} is {q[bad[0]]}, not in its fiber")
@@ -504,7 +489,7 @@ def adversarial_init(
     """pi_hat conditioned on the fiber preimage of a base node set X."""
     if pi_hat.n != m.lifted_n:
         raise DimensionMismatch("pi_hat does not live on the lifted nodes")
-    sel = _members_of(X, m.base_n)[m._proj]
+    sel = _members_of(X, m.base_n)[m.projection]
     mass = float(pi_hat.weights[sel].sum())
     if mass <= 0.0:
         raise EmptyCutWeight("fiber preimage of the cut carries no mass")
@@ -800,12 +785,11 @@ def scenario_report(
 def lift_to_json(L: Lift) -> dict:
     """A and F as nonzero triplets in row-major order; F's shape is implied,
     and the lifted graph is A's support, so it is not written."""
-    F = None if L.F is None else L.F.entries
     return {
         "base": graph_to_json(L.base),
-        "projection": list(L.map.projection),
+        "projection": L.map.projection.tolist(),
         "A": L.A._sparse_json(),
-        "F": None if F is None else _triplet_json(*np.nonzero(F), F[F != 0]),
+        "F": None if L.F is None else _triplet_json(*np.nonzero(L.F), L.F[L.F != 0]),
         "metadata": dict(L.metadata),
     }
 
@@ -817,12 +801,12 @@ def lift_from_json(obj: dict) -> Lift:
     projection = obj["projection"]
     if type(projection) is not list:
         raise BadSize("lift projection must be a list of integers")
-    m = LiftMap(base.n, tuple(projection))
+    m = LiftMap(base.n, projection)
     A = matrix_from_json(obj["A"])
     F = obj.get("F")
     if F is not None:
-        F = InitMap(m, _json_floats(F["rows"], "init map rows") if "rows" in F
-                    else _sparse_from_json(F, (m.lifted_n, m.base_n)).toarray())
+        F = (_json_floats(F["rows"], "init map rows") if "rows" in F
+             else _sparse_from_json(F, (m.lifted_n, m.base_n)).toarray())
     return Lift(
         base=base, map=m, A=A, F=F,
         metadata=dict(obj.get("metadata", {})),

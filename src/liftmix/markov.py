@@ -307,6 +307,17 @@ def _triplet_indices(seq, key: str, n: int) -> np.ndarray:
     return np.array(seq, dtype=np.int64)
 
 
+def _step_array(k: int, P) -> np.ndarray:
+    """Step k of a chain as a float array; a step that is not a numeric
+    array (a StochasticMatrix, ragged rows) is refused by its number."""
+    try:
+        return np.asarray(P, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(
+            f"step {k} is not a numeric array ({exc}); pass a StochasticMatrix P as P.entries"
+        ) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class TimeVaryingChain:
     """Finite sequence P(1..T) of stochastic matrices over one node set, as
@@ -317,7 +328,7 @@ class TimeVaryingChain:
     steps: np.ndarray
 
     def __init__(self, steps, locality: Graph | None = None) -> None:
-        steps = [np.asarray(P, dtype=float) for P in steps]
+        steps = [_step_array(k, P) for k, P in enumerate(steps, start=1)]
         for k, P in enumerate(steps, start=1):
             if P.ndim != 2 or P.shape[0] != P.shape[1]:
                 raise DimensionMismatch(f"expected a square matrix, got shape {P.shape}")

@@ -564,9 +564,10 @@ def test_lift_build_node_clock_without_chains_rides_every_bridge_to_pi(tmp_path,
     ("four-cycle", [], "--delta"),
     ("clock", [], "--graph"),
     ("periodic-clock", ["--graph", "G"], "--chain"),
+    ("clock", ["--graph", "M"], "--chain"),  # named before any file is read (M is missing)
 ])
 def test_lift_build_names_the_option_it_needs(tmp_path, capsys, construction, given, option):
-    files = {"G": write_graph(tmp_path, cycle(4))}
+    files = {"G": write_graph(tmp_path, cycle(4)), "M": str(tmp_path / "missing.json")}
     assert main(["lift", "build", "--construction", construction,
                  *[files.get(arg, arg) for arg in given],
                  "--out", str(tmp_path / "out.json")]) == 2

@@ -192,7 +192,8 @@ def test_phi_chain_guards():
 def test_phi_chain_four_cycle_reference_value():
     # reference chain of the three-layer cycle lift at delta=0.05, gamma=0.01:
     # conductance equals (1 - phi) * delta with phi = 1.5g/(1+2g)
-    _, ref, phi, _ = four_cycle_lift(0.05, 0.01)
+    L, ref = four_cycle_lift(0.05, 0.01)
+    phi = L.metadata["phi"]
     expect = (1.0 - phi) * 0.05
     val, _ = phi_chain(ref, uniform_distribution(4))
     assert val == pytest.approx(expect, abs=1e-12)
@@ -343,7 +344,7 @@ def reducible_mixer_chain(g, pi):
     """The chain the reducible diameter mixer induces on g, with its
     marginal: its conductance is rounding noise, about 1e-12."""
     L = diameter_mixer(g, pi, "reducible")
-    pi_hat = lifted_stationary(L, L.F.apply(pi))
+    pi_hat = lifted_stationary(L, Distribution(L.F @ pi.weights))
     return induced_chain(L, pi_hat), marginal(L, pi_hat)
 
 

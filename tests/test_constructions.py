@@ -338,8 +338,8 @@ def test_layered_lifts_match_loop_builders(seed):
         cases.append((L, _loop_mixer(g, pi, variant, L.metadata.get("gamma"))))
     for L, (A, F, proj) in cases:
         assert L.A.entries.tobytes() == StochasticMatrix(A).entries.tobytes()
-        assert L.F.entries.tobytes() == F.tobytes()
-        assert L.map.projection == tuple(proj)
+        assert L.F.tobytes() == F.tobytes()
+        assert L.map.projection.tolist() == list(proj)
         assert L.lifted.arcs == _loop_support_arcs(A)
 
 def test_clock_lift_tracks_schedule_then_freezes():
@@ -350,7 +350,7 @@ def test_clock_lift_tracks_schedule_then_freezes():
     L = clock_lift(g, chain)
     assert L.metadata == {"construction": "clock", "T": 4}
     p0 = random_distribution(rng, 5)
-    x = L.F.apply(p0).weights
+    x = L.F @ p0.weights
     p = p0.weights.copy()
     for t in range(4):
         x = L.A.entries @ x
@@ -374,7 +374,7 @@ def test_periodic_clock_lift_wraps_cleanly():
     L = periodic_clock_lift(g, TimeVaryingChain([P.entries] * 3))
     assert L.metadata["construction"] == "periodic-clock"
     p0 = point_distribution(4, 1)
-    x = L.F.apply(p0).weights
+    x = L.F @ p0.weights
     p = p0.weights.copy()
     for _ in range(10):
         x = L.A.entries @ x
@@ -389,7 +389,7 @@ def test_node_clock_lift_reaches_target_from_any_start():
     L = node_clock_lift(g, bridges, pi)
     T = bridges[0].T
     rng = rng_from_seed(10)
-    A, C, F = L.A.entries, L.map.C, L.F.entries
+    A, C, F = L.A.entries, L.map.C, L.F
     for _ in range(20):
         p0 = random_distribution(rng, 6)
         x = F @ p0.weights
@@ -408,7 +408,7 @@ def test_periodic_node_clock_returns_to_target_every_period():
     assert L.metadata["construction"] == "periodic-node-clock"
     T = bridges[0].T
     A, C = L.A.entries, L.map.C
-    x = L.F.apply(pi).weights
+    x = L.F @ pi.weights
     tv = []
     for _ in range(3 * (T + 1) + 1):
         tv.append(0.5 * np.abs(C @ x - pi.weights).sum())
@@ -428,7 +428,7 @@ def test_reducible_mixer_exact_at_diameter():
         L = diameter_mixer(g, pi, variant="reducible")
         D = diameter(g)
         assert L.metadata["T"] == D
-        X = L.F.entries.copy()  # all vertex starts at once
+        X = L.F.copy()  # all vertex starts at once
         for _ in range(D):
             X = L.A.entries @ X
         gap = 0.5 * np.abs(L.map.C @ X - pi.weights[:, None]).sum(axis=0).max()
@@ -446,7 +446,7 @@ def test_flows_mixer_matches_reference_flows():
     ref = lazy_walk(g)
     L = diameter_mixer(g, pi, variant="flows", reference=ref)
     assert not is_irreducible(L.A)
-    pi_hat = lifted_stationary(L, L.F.apply(pi))
+    pi_hat = lifted_stationary(L, Distribution(L.F @ pi.weights))
     dev, ok = check_flow_match(L, pi_hat, ref)
     assert ok
     assert dev <= 1e-8
@@ -460,7 +460,7 @@ def test_irreducible_mixer_cycle4():
                        reference=lazy_walk(g))
     assert is_irreducible(L.A)
     assert L.metadata["gamma"] == gamma  # no retry needed
-    pi_hat = lifted_stationary(L, L.F.apply(pi))
+    pi_hat = lifted_stationary(L, Distribution(L.F @ pi.weights))
     assert tv_distance(marginal(L, pi_hat), pi) <= 1e-8
     dev, _ = check_flow_match(L, pi_hat, lazy_walk(g), delta=10 * gamma)
     assert dev <= 10 * gamma
@@ -473,7 +473,7 @@ def test_irreducible_mixer_barbell_default_reference():
     gamma = 1e-3
     L = diameter_mixer(g, pi, variant="irreducible", gamma=gamma)
     assert is_irreducible(L.A)
-    pi_hat = lifted_stationary(L, L.F.apply(pi))
+    pi_hat = lifted_stationary(L, Distribution(L.F @ pi.weights))
     assert tv_distance(marginal(L, pi_hat), pi) <= 1e-8
     ref = mixer_default_reference(g, pi)
     dev, _ = check_flow_match(L, pi_hat, ref, delta=10 * gamma)
@@ -698,7 +698,8 @@ def test_direction_lift_even_cycle_is_periodic():
 
 def test_four_cycle_tuning_formulas():
     delta, gamma = 0.05, 0.01
-    L, ref, phi, epsilon = four_cycle_lift(delta, gamma)
+    L, ref = four_cycle_lift(delta, gamma)
+    phi, epsilon = L.metadata["phi"], L.metadata["epsilon"]
     assert phi == pytest.approx(1.5 * gamma / (1 + 2 * gamma), abs=1e-15)
     ratio = (1 + gamma / 2) / (1 - gamma) * (1 - 2 * delta)
     assert epsilon == pytest.approx((1 - ratio) / 2, abs=1e-15)
@@ -709,8 +710,8 @@ def test_four_cycle_tuning_formulas():
 
 
 def test_four_cycle_flows_match_reference_exactly():
-    L, ref, _, _ = four_cycle_lift(0.05, 0.01)
-    pi_hat = lifted_stationary(L, L.F.apply(uniform_distribution(4)))
+    L, ref = four_cycle_lift(0.05, 0.01)
+    pi_hat = lifted_stationary(L, Distribution(L.F @ uniform_distribution(4).weights))
     dev, ok = check_flow_match(L, pi_hat, ref)
     assert ok and dev <= 1e-12
 
@@ -719,8 +720,8 @@ def test_four_cycle_speedup_scales_with_delta():
     # the reference conductance is (1 - phi) * delta, so shrinking delta
     # by 5x inflates the flow bound by exactly 5x at fixed gamma
     pi = uniform_distribution(4)
-    _, ref_a, _, _ = four_cycle_lift(0.05, 0.01)
-    _, ref_b, _, _ = four_cycle_lift(0.01, 0.01)
+    _, ref_a = four_cycle_lift(0.05, 0.01)
+    _, ref_b = four_cycle_lift(0.01, 0.01)
     phi_a, _ = phi_chain(ref_a, pi)
     phi_b, _ = phi_chain(ref_b, pi)
     assert phi_a / phi_b == pytest.approx(5.0, abs=1e-9)
@@ -747,7 +748,7 @@ def test_replicated_lift_block_structure():
         L = si_replicated_lift(P, copies=k)
         assert L.metadata == {"construction": "si-replicated", "copies": k}
         assert np.allclose(L.A.entries, np.tile(P.entries / k, (k, k)), atol=0)
-        assert L.map.projection == tuple(range(g.n)) * k
+        assert L.map.projection.tolist() == list(range(g.n)) * k
 
 
 def test_replicated_lift_stationary_splits_mass():

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 import sys
 import tracemalloc
 import warnings
@@ -20,7 +21,6 @@ from liftmix import (
     Distribution,
     EmptyCutWeight,
     Graph,
-    InitMap,
     LengthMismatch,
     Lift,
     LiftMap,
@@ -75,6 +75,7 @@ from liftmix import (
     stochastic_bridge,
     uniform_distribution,
     unlift_si,
+    validate_lift,
 )
 import liftmix.cli as cli_module
 import liftmix.lift as lift_module
@@ -121,22 +122,28 @@ def test_lift_map_refuses_non_integer_projections():
     for projection in ((0, 1.7, 1), (0, 1.0), (0, "1"), (0, True), (np.bool_(False), 1)):
         with pytest.raises(BadSize, match="must be integers"):
             LiftMap(2, projection)
-    # the constructions pass NumPy integers, kept as plain ints
+    # the constructions pass NumPy integers, kept as one read-only int array
     for projection in (tuple(np.array([0, 1, 1])), np.array([1, 0], dtype=np.int32)):
         m = LiftMap(2, projection)
-        assert m.projection == tuple(projection)
-        assert {type(c) for c in m.projection} == {int}
+        assert m.projection.tolist() == list(projection)
+        assert m.projection.dtype == np.intp and not m.projection.flags.writeable
 
 
 def test_init_map_columns_confined_to_fibers():
     m = LiftMap(base_n=2, projection=(0, 1, 0))
+    A = StochasticMatrix(np.eye(3))
     F = np.array([[0.5, 0.0], [0.0, 1.0], [0.5, 0.0]])
-    im = InitMap(map=m, entries=F)
-    assert np.allclose(m.C @ im.entries, np.eye(2))
+    L = Lift(base=path(2), map=m, A=A, F=F)
+    assert np.allclose(m.C @ L.F, np.eye(2))
+    # checked and renormalised once: validate_lift writes nothing
+    before = L.F.tobytes()
+    validate_lift(L)
+    validate_lift(L)
+    assert L.F.tobytes() == before and not L.F.flags.writeable
     with pytest.raises(LocalityViolation):
-        InitMap(map=m, entries=np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]]))
+        Lift(base=path(2), map=m, A=A, F=np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(DimensionMismatch):
-        InitMap(map=m, entries=np.eye(3))
+        Lift(base=path(2), map=m, A=A, F=np.eye(3))
 
 
 def test_lift_validation_catches_bad_arcs_and_dynamics():
@@ -279,21 +286,18 @@ def test_lift_and_map_constructors_refuse_inconsistent_parts():
     with pytest.raises(DimensionMismatch, match="base needs at least one node"):
         LiftMap(0, ())
     m = LiftMap(2, (0, 1, 0, 1))
+    A = StochasticMatrix(np.eye(4))
     F = np.eye(4, 2)
     F[0, 0], F[2, 0] = 1.5, -0.5
     with pytest.raises(DimensionMismatch, match="init map has negative entries"):
-        InitMap(m, F)
-    with pytest.raises(DimensionMismatch, match="init map expects base size 2, got 3"):
-        InitMap(m, np.eye(4, 2)).apply(uniform_distribution(3))
-    A = StochasticMatrix(np.eye(4))
+        Lift(base=path(2), map=m, A=A, F=F)
     with pytest.raises(DimensionMismatch, match="projection targets 2 nodes, base has 3"):
         Lift(base=path(3), map=m, A=A)
     with pytest.raises(DimensionMismatch, match="dynamics on 3 nodes, projection covers 4"):
         Lift(base=path(2), map=m, A=StochasticMatrix(np.eye(3)))
-    other = np.zeros((4, 2))
-    other[0, 0] = other[2, 1] = 1.0
-    with pytest.raises(DimensionMismatch, match="init map built for a different projection"):
-        Lift(base=path(2), map=m, A=A, F=InitMap(LiftMap(2, (0, 0, 1, 1)), other))
+    # the init map is checked before the sizes, as a bundle reports it
+    with pytest.raises(DimensionMismatch, match=re.escape("init map shape (3, 2), expected (4, 2)")):
+        Lift(base=path(3), map=m, A=StochasticMatrix(np.eye(3)), F=np.eye(3, 2))
 
 
 def test_lift_from_json_refuses_a_projection_that_is_not_a_list():
@@ -340,8 +344,8 @@ def test_induced_chain_guards():
 
 def test_lifted_stationary_four_cycle_closed_form():
     gamma = 0.01
-    L, _, _, _ = four_cycle_lift(0.05, gamma)
-    pi_hat = lifted_stationary(L, L.F.apply(uniform_distribution(4)))
+    L, _ = four_cycle_lift(0.05, gamma)
+    pi_hat = lifted_stationary(L, Distribution(L.F @ uniform_distribution(4).weights))
     layer = np.array([gamma, gamma, 1.0]) / (1.0 + 2.0 * gamma)
     expect = np.kron(layer, np.full(4, 0.25))
     assert np.abs(pi_hat.weights - expect).max() <= 1e-12
@@ -351,7 +355,7 @@ def test_lifted_stationary_reducible_depends_on_seed():
     g = path(4)
     bridge = stochastic_bridge(g, point_distribution(4, 0), uniform_distribution(4))
     L = clock_lift(g, bridge)
-    from_design = lifted_stationary(L, L.F.apply(point_distribution(4, 0)))
+    from_design = lifted_stationary(L, Distribution(L.F @ point_distribution(4, 0).weights))
     wrong = np.zeros(L.map.lifted_n)
     wrong[3] = 1.0  # designed source is node 0; start the clock at node 3
     from_wrong = lifted_stationary(L, Distribution(wrong))
@@ -399,7 +403,7 @@ def test_direction_lift_example_witness_exact():
 
 
 def test_check_invariance_controlled_four_cycle():
-    L, _, _, _ = four_cycle_lift(0.05, 0.01)
+    L, _ = four_cycle_lift(0.05, 0.01)
     ok, witness = check_invariance(L, uniform_distribution(4), "S")
     assert ok and witness is None
 
@@ -410,7 +414,7 @@ def test_check_invariance_S_fails_on_reducible_mixer():
     L = diameter_mixer(path(4), pi, "reducible")
     ok, witness = check_invariance(L, pi, "S")
     assert not ok
-    assert np.array_equal(witness.weights, L.F.entries @ pi.weights)
+    assert np.array_equal(witness.weights, L.F @ pi.weights)
 
 
 def test_check_invariance_errors():
@@ -458,8 +462,8 @@ def test_unlift_si_rejects_foreign_choices():
 
 
 def test_check_flow_match_four_cycle_exact():
-    L, ref, _, _ = four_cycle_lift(0.05, 0.01)
-    pi_hat = lifted_stationary(L, L.F.apply(uniform_distribution(4)))
+    L, ref = four_cycle_lift(0.05, 0.01)
+    pi_hat = lifted_stationary(L, Distribution(L.F @ uniform_distribution(4).weights))
     for delta in (0.0, 1e-17):  # a tiny budget is judged no stricter than exact matching
         dev, ok = check_flow_match(L, pi_hat, ref, delta)
         assert ok
@@ -505,7 +509,7 @@ def test_adversarial_init_errors():
 
 
 def test_marginal_mixing_time_four_cycle_is_two():
-    L, _, _, _ = four_cycle_lift(0.05, 0.01)
+    L, _ = four_cycle_lift(0.05, 0.01)
     pi = uniform_distribution(4)
     tau_m = marginal_mixing_time(L, pi, 0.25, "S")
     assert tau_m == 2
@@ -524,7 +528,7 @@ def test_mixing_times_unmixed_on_even_direction_lift():
 
 def test_mixing_times_reject_negative_window():
     # an empty window once read as "mixed at t = 0"
-    L, _, _, _ = four_cycle_lift(0.05, 0.01)
+    L, _ = four_cycle_lift(0.05, 0.01)
     pi = uniform_distribution(4)
     for init in ("S", "s"):
         with pytest.raises(DimensionMismatch):
@@ -673,7 +677,7 @@ def test_window_scan_matches_dense_propagation(seed, t_max):
         _assert_same_scan(_dense_window_tv(A, narrow, limits[:, :L.map.base_n], t),
                           _window_tv(P, narrow, limits[:, :L.map.base_n], t))
         if L.F is not None:
-            F = L.F.entries
+            F = L.F
             _assert_same_scan(_dense_window_tv(A, F, target, t, C),
                               _window_tv(P, F, target, t, C))
 
@@ -740,7 +744,7 @@ def test_early_stop_is_a_prefix_of_the_full_window(seed, t_max, eps):
     P = random_local_chain(rng, random_connected_graph(rng, n_max=5))
     # the targets full_mixing_time scans against
     scans = [(A, X, _ergodic_limits(A, X))
-             for X in ([None] if L.F is None else [None, L.F.entries])]
+             for X in ([None] if L.F is None else [None, L.F])]
     scans.append((P, None, _ergodic_limits(P, None)))
     # off the fixed points of A, where TV may dip under eps and rise again
     scans.append((A, None, random_distribution(rng, n).weights[:, None]))
@@ -937,14 +941,14 @@ def test_frozen_state_stop_is_bit_identical_to_the_whole_window(seed, t_max, eps
     # marginal: adjoint (s), init-map batch (S), one 1-D start
     marginal = [(None, pi.weights[:, None]), (x, pi.weights)]
     if L.F is not None:
-        marginal.append((L.F.entries, pi.weights[:, None]))
+        marginal.append((L.F, pi.weights[:, None]))
     for X, target in marginal:
         whole = _whole_window_tv(A.entries, X, target, t_max, C)
         assert np.array_equal(_window_tv(A, X, target, t_max, C), whole)
     # full state, against the exact long-run targets, without and with eps
     full = [(None, _ergodic_limits(A, None)), (x, _ergodic_limits(A, x[:, None])[:, 0])]
     if L.F is not None:
-        full.append((L.F.entries, _ergodic_limits(A, L.F.entries)))
+        full.append((L.F, _ergodic_limits(A, L.F)))
     for X, target in full:
         whole = _whole_window_tv(A.entries, X, target, t_max)
         assert np.array_equal(_window_tv(A, X, target, t_max), whole)
@@ -987,7 +991,7 @@ def test_certified_stop_gives_the_whole_window_tau(seed, t_max):
     A, C, n = L.A, L.map.C, L.map.lifted_n
     assert A._cyclic is not None
     x = random_distribution(rng, n).weights if rng.random() < 0.5 else np.eye(n)[0]
-    batch = L.F.entries if L.F is not None else np.column_stack(
+    batch = L.F if L.F is not None else np.column_stack(
         [np.eye(n)[int(rng.integers(0, n))], random_distribution(rng, n).weights])
     off = random_distribution(rng, L.map.base_n).weights  # a target off the fixed points
     wild = random_distribution(rng, n).weights
@@ -1177,7 +1181,7 @@ def test_report_path_never_forms_the_dense_lifted_view(monkeypatch):
     report = scenario_report(back, "SIMRE", pi)
     assert report["measured"]["marginal"]["mixed"]
     check_invariance(back, pi, "s")
-    pi_hat = Distribution(_ergodic_limits(back.A, back.F.entries @ pi.weights))
+    pi_hat = Distribution(_ergodic_limits(back.A, back.F @ pi.weights))
     check_flow_match(back, pi_hat, metropolis_chain(g, pi))
     assert conversions == []
     for A in (L.A, back.A):
@@ -1334,7 +1338,7 @@ def test_scenario_report_reducible_mixer_diameter_bound():
 
 
 def test_scenario_report_four_cycle_beats_reference_bound():
-    L, ref, _, _ = four_cycle_lift(0.05, 0.01)
+    L, ref = four_cycle_lift(0.05, 0.01)
     pi = uniform_distribution(4)
     report = scenario_report(L, parse_scenario("SiMre", reference_chain=ref), pi)
     by_name = bounds_by_name(report)
@@ -1375,12 +1379,12 @@ def test_lift_json_round_trip():
         obj = lift_to_json(L)
         back = lift_from_json(obj)
         assert np.allclose(back.A.entries, L.A.entries, atol=0)
-        assert back.map.projection == L.map.projection
+        assert np.array_equal(back.map.projection, L.map.projection)
         assert back.metadata == L.metadata
         if L.F is None:
             assert back.F is None
         else:
-            assert np.allclose(back.F.entries, L.F.entries, atol=0)
+            assert np.allclose(back.F, L.F, atol=0)
         assert back.base.arcs == L.base.arcs
         assert back.lifted.arcs == L.lifted.arcs
 
@@ -1410,7 +1414,7 @@ def test_lift_json_rejects_nan_in_init_map():
     # F is read from dense "rows" as from triplets
     L = four_cycle_lift(0.05, 0.01)[0]
     rows = lift_to_json(L)
-    rows["F"] = {"rows": L.F.entries.tolist()}
+    rows["F"] = {"rows": L.F.tolist()}
     rows["F"]["rows"][0][0] = float("nan")
     triplets = lift_to_json(L)
     triplets["F"]["value"][0] = float("nan")
@@ -1444,12 +1448,12 @@ def test_init_map_triplets_round_trip_like_dense_rows(seed):
     L = _random_init_lift(rng_from_seed(seed))
     obj = json.loads(json.dumps(lift_to_json(L)))
     F = obj["F"]
-    row, col = np.nonzero(L.F.entries)
+    row, col = np.nonzero(L.F)
     assert F == {"row": row.tolist(), "col": col.tolist(),
-                 "value": L.F.entries[row, col].tolist()}
+                 "value": L.F[row, col].tolist()}
     back = lift_from_json(obj)
-    dense = lift_from_json({**obj, "F": {"rows": L.F.entries.tolist()}})
-    assert np.array_equal(back.F.entries, dense.F.entries)
+    dense = lift_from_json({**obj, "F": {"rows": L.F.tolist()}})
+    assert np.array_equal(back.F, dense.F)
 
 
 @pytest.mark.parametrize("change, error", [
@@ -1561,8 +1565,8 @@ def test_scenario_report_runs_graph_program_once(monkeypatch):
 
 def test_evolve_matches_lift_dynamics():
     # a lift's A is an ordinary stochastic matrix; evolve applies to it
-    L, _, _, _ = four_cycle_lift(0.05, 0.01)
-    x0 = L.F.apply(uniform_distribution(4))
+    L, _ = four_cycle_lift(0.05, 0.01)
+    x0 = Distribution(L.F @ uniform_distribution(4).weights)
     x3 = evolve(L.A, x0, 3)
     manual = np.linalg.matrix_power(L.A.entries, 3) @ x0.weights
     assert np.allclose(x3.weights, manual, atol=1e-14)
@@ -1570,8 +1574,8 @@ def test_evolve_matches_lift_dynamics():
 
 def test_flow_collapse_consistency():
     # collapsed lifted flows equal the induced chain's flows at the marginal
-    L, _, _, _ = four_cycle_lift(0.05, 0.01)
-    pi_hat = lifted_stationary(L, L.F.apply(uniform_distribution(4)))
+    L, _ = four_cycle_lift(0.05, 0.01)
+    pi_hat = lifted_stationary(L, Distribution(L.F @ uniform_distribution(4).weights))
     ind = induced_chain(L, pi_hat)
     marg = marginal(L, pi_hat)
     collapsed = L.map.C @ (L.A.entries * pi_hat.weights[None, :]) @ L.map.C.T

@@ -446,6 +446,10 @@ def test_time_varying_chain_product_and_errors():
     # against a graph, a step of another size is named as a single matrix names it
     with pytest.raises(DimensionMismatch, match="matrix is 4x4 but graph has 3 nodes"):
         TimeVaryingChain([steps[0], np.eye(4)], g)
+    # a step that is not a numeric array is named, with the way to pass a matrix
+    for bad in (lazy_walk(cycle(3)), [[1.0, 0.0], [0.0]]):
+        with pytest.raises(DimensionMismatch, match="step 2 is not a numeric array.*P.entries"):
+            TimeVaryingChain([steps[0], bad])
     # the steps' values pass one check at a time over the whole chain
     # (entry range, column sums, locality), so with step 1 off the graph
     # and step 2's column 1 summing to 0.9 the column sum is named

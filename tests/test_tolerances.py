@@ -12,7 +12,7 @@ from liftmix.cli import run_suite
 
 
 def test_patched_entry_moves_the_report_and_the_verdict_that_reads_it(monkeypatch):
-    L, ref, _, _ = four_cycle_lift(0.05, 0.01)
+    L, ref = four_cycle_lift(0.05, 0.01)
     spec = parse_scenario("SiMre", reference_chain=ref)
     pi = uniform_distribution(4)
     before = scenario_report(L, spec, pi)

@@ -49,6 +49,11 @@
 #   - lift build clock on cycle-6 from three chain files the reader
 #     refuses: steps of two sizes, a non-square step, and a step with mass
 #     off the graph's arcs (exit code and stderr);
+#   - lift analyze SIMRE on five copies of the four-cycle bundle (delta
+#     0.05) that the reader refuses: F with mass outside its fiber, an F
+#     column summing to 0.9, F of the wrong shape (dense rows), a bool in
+#     the projection, and a projection value past int64 (exit code and
+#     stderr);
 #   - diaconis bundles for N = 32 and 64 with lift analyze sIMRE, and sIMRE
 #     with --t-max 3000 on N = 16: the periodic lifts at example1's sizes
 #     and far past the default window.
@@ -319,4 +324,27 @@ for name in two-sizes non-square off-graph; do
     run "build-clock-chain-$name" lift build --construction clock \
         --graph "$IN/cycle-6.json" --chain "$IN/chain-$name.json" \
         --out "$OUT/build-clock-chain-$name.bundle.json"
+done
+
+python3 - "$OUT/build-four-cycle.bundle.json" "$IN" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    bundle = json.load(fh)
+F, proj = bundle["F"], bundle["projection"]  # F: row k, column k, value 1
+refused = {
+    "F-outside-fiber": {**bundle, "F": {**F, "row": [1] + F["row"][1:]}},
+    "F-column-0.9": {**bundle, "F": {**F, "value": [0.9] + F["value"][1:]}},
+    "F-shape": {**bundle, "F": {"rows": [[1.0, 0.0, 0.0, 0.0]] * 11}},
+    "projection-bool": {**bundle, "projection": [True] + proj[1:]},
+    "projection-past-int64": {**bundle, "projection": [2**64] + proj[1:]},
+}
+for name, obj in refused.items():
+    with open(f"{sys.argv[2]}/four-cycle-{name}.json", "w") as fh:
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+EOF
+for name in F-outside-fiber F-column-0.9 F-shape projection-bool projection-past-int64; do
+    run "analyze-SIMRE-four-cycle-$name" lift analyze --lift "$IN/four-cycle-$name.json" \
+        --pi uniform --scenario SIMRE
 done
