@@ -622,12 +622,8 @@ def _csv_text(report: dict) -> str:
 
 def _cmd_graph_stats(args) -> int:
     g = _read(args.graph, graph_from_json)
-    report = {
-        "n": g.n,
-        "arcs": len(g.arcs),
-        "connected": is_connected(g),
-        "diameter": diameter(g) if is_connected(g) else None,
-    }
+    report = {"n": g.n, "arcs": len(g.arcs), "connected": is_connected(g)}
+    report["diameter"] = diameter(g) if report["connected"] else None
     _emit((_dump_json(report), args.out))
     return 0
 

@@ -289,9 +289,7 @@ def spanning_tree_correction(
         width = np.maximum(width, np.minimum(width[u], W[u]))
     beta = width[1:].min()
     # raises NoSpanningTree unless the positive arcs span
-    parent, leaves_first = rooted_spanning_tree(
-        g, lambda child, p: P.entries[child, p] > 0 and P.entries[child, p] >= beta, 0
-    )
+    parent, leaves_first = rooted_spanning_tree(g, (P.entries > 0) & (P.entries >= beta), 0)
 
     corr = np.zeros((n, n))
     flow = y.copy()

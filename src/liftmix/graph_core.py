@@ -5,11 +5,11 @@ self-transitions are always legal for dynamics, so locality checks only look
 at off-diagonal entries. Undirected input expands to both ordered arcs.
 
 A Graph builds its boolean adjacency and distance matrix once, on first use,
-and shares them read-only.  Every search runs through scipy.sparse.csgraph,
-which scans each row in ascending index order, so all tie-breaking (BFS
-order, shortest-path successor choice) is by lowest node index and every
-derived object is deterministic.  Cuts, their encoding, cap, screen and
-evaluation, live in conductance.
+and shares them read-only.  Every search runs through scipy.sparse.csgraph
+on a CSR of the ascending arc keys and scans each row in ascending index
+order, so all tie-breaking (BFS order, shortest-path successor choice) is by
+lowest node index and every derived object is deterministic.  Cuts, their
+encoding, cap, screen and evaluation, live in conductance.
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ def _read_only(a):
     return a
 
 
+def _arc_csr(keys: np.ndarray, n: int) -> csr_array:
+    """0/1 CSR of the arcs i -> j keyed i * n + j by the ascending `keys`."""
+    i, j = np.divmod(keys, n)
+    return csr_array((np.ones(len(keys)), j, np.searchsorted(i, np.arange(n + 1))), shape=(n, n))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed graph on nodes 0..n-1 with arcs as ordered pairs (i, j), i != j."""
@@ -45,6 +51,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise BadSize(f"graph needs at least one node, got n={self.n}")
+        if self.n**2 > 2**63:  # arc keys i * n + j must fit in int64
+            raise BadSize(f"graph size n={self.n} is too large: arc keys i*n + j overflow int64")
         for i, j in self.arcs:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise BadSize(f"arc ({i},{j}) out of range for n={self.n}")
@@ -75,8 +83,8 @@ class Graph:
 
     @cached_property
     def _distances(self) -> np.ndarray:
-        """Arc-path lengths D[i, j] from i to j, -1 where j is unreachable."""
-        D = _csgraph_distances(self._adjacency, unweighted=True)
+        """Arc-path lengths D[i, j] from i to j, -1 if unreachable: the one BFS."""
+        D = _csgraph_distances(_arc_csr(self._arc_keys, self.n), unweighted=True)
         return _read_only(np.where(np.isinf(D), -1, D).astype(int))
 
     def _check_node(self, v: int, role: str) -> None:
@@ -142,7 +150,7 @@ def _levels(support, root: int) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """Strong connectivity of the arc digraph (single node counts as connected)."""
-    return bool(_strong_components(g.adjacency()).max() == 0)
+    return bool((g._distances >= 0).all())
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -172,10 +180,9 @@ def shortest_path(g: Graph, i: int, j: int) -> list[int]:
     """Minimal arc path i -> j, hop by hop under `_next_hops`."""
     g._check_node(i, "path start")
     g._check_node(j, "path end")
-    dist_to_j = _csgraph_distances(g.adjacency().T, unweighted=True, indices=j)
-    if np.isinf(dist_to_j[i]):
+    if g._distances[i, j] < 0:
         raise DisconnectedGraph(f"no path from {i} to {j}")
-    hop = _next_hops(g.adjacency(), dist_to_j[:, None])[:, 0]
+    hop = _next_hops(g.adjacency(), g._distances[:, [j]])[:, 0]
     path = [i]
     while path[-1] != j:
         path.append(int(hop[path[-1]]))
@@ -183,19 +190,18 @@ def shortest_path(g: Graph, i: int, j: int) -> list[int]:
 
 
 def rooted_spanning_tree(
-    g: Graph, allowed, root: int
+    g: Graph, allowed: np.ndarray, root: int
 ) -> tuple[dict[int, int], list[int]]:
-    """BFS spanning tree over arcs admitted by `allowed(child, parent)`.
+    """BFS spanning tree over the arcs admitted by the (n, n) bool mask `allowed`.
 
     Tree arcs are oriented child -> parent toward the root: node u gets parent
-    p when `allowed(u, p)` holds and (p, u) is a graph arc (p discovered
+    p when `allowed[u, p]` holds and (p, u) is a graph arc (p discovered
     first, lowest index wins). Returns (parent map with parent[root] = root,
     leaves-first node order = reversed BFS discovery).
     """
     g._check_node(root, "root")
-    sub = g.adjacency().copy()  # then only the arcs p -> u that allowed(u, p) admits
-    for p, u in zip(*np.nonzero(sub)):
-        sub[p, u] = allowed(int(u), int(p))
+    p, u = np.divmod(g._arc_keys, g.n)
+    sub = _arc_csr(g._arc_keys[np.asarray(allowed, dtype=bool)[u, p]], g.n)
     order, pred = breadth_first_order(sub, root, return_predecessors=True)
     if len(order) != g.n:
         missing = sorted(set(range(g.n)) - set(order.tolist()))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import liftmix
 from liftmix import (
@@ -160,6 +161,25 @@ def test_graph_stats_barbell(tmp_path, capsys):
     assert got["n"] == 12
     assert got["diameter"] == 3
     assert got["connected"] is True
+
+
+@pytest.mark.parametrize("g, expected", [
+    (barbell(6), {"n": 12, "arcs": 62, "connected": True, "diameter": 3}),
+    (liftmix.graph_from_edges(3, [(0, 1), (1, 2)], directed=True),
+     {"n": 3, "arcs": 2, "connected": False, "diameter": None}),
+])
+def test_graph_stats_runs_one_sparse_distance_search(tmp_path, capsys, monkeypatch, g, expected):
+    # one all-pairs BFS on the arc-key CSR answers both connectivity and
+    # diameter: no component search, and no csgraph call gets a dense array
+    calls = []
+    for name in ("_csgraph_distances", "connected_components", "breadth_first_order"):
+        def spy(graph, *args, _name=name, _search=getattr(liftmix.graph_core, name), **kwargs):
+            calls.append((_name, issparse(graph)))
+            return _search(graph, *args, **kwargs)
+        monkeypatch.setattr(liftmix.graph_core, name, spy)
+    assert main(["graph", "stats", write_graph(tmp_path, g)]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert calls == [("_csgraph_distances", True)]
 
 
 def test_graph_stats_missing_file(tmp_path, capsys):
@@ -412,6 +432,7 @@ _ANALYZE = ["lift", "analyze", "--lift", "F", "--pi", "uniform", "--scenario", "
      ["conductance", "chain", "--chain", "F", "--pi", "uniform"]),
     ({"n": 10**30, "row": [0], "col": [0], "value": [1.0]},
      ["conductance", "chain", "--chain", "F", "--pi", "uniform"]),
+    ({"n": 10**30, "edges": []}, ["graph", "stats", "F"]),
 ])
 def test_malformed_input_file_is_an_input_error(tmp_path, capsys, content, command):
     # a file of the wrong shape exits 2 with one error line naming it, not a traceback

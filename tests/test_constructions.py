@@ -625,7 +625,7 @@ def test_tree_correction_uses_the_widest_spanning_tree():
         spanning = []
         for beta in {float(P.entries[j, i]) for i, j in g.arcs}:
             try:
-                rooted_spanning_tree(g, lambda child, p: P.entries[child, p] >= beta, 0)
+                rooted_spanning_tree(g, P.entries >= beta, 0)
                 spanning.append(beta)
             except NoSpanningTree:
                 pass

@@ -118,9 +118,20 @@ def test_graph_searches_reject_a_path_end_past_n():
 
 def test_graph_searches_reject_a_root_outside_the_graph():
     with pytest.raises(BadSize):
-        rooted_spanning_tree(path(3), lambda child, p: True, 5)
+        rooted_spanning_tree(path(3), np.ones((3, 3), dtype=bool), 5)
     with pytest.raises(BadSize):
-        rooted_spanning_tree(path(3), lambda child, p: True, -1)
+        rooted_spanning_tree(path(3), np.ones((3, 3), dtype=bool), -1)
+
+
+def test_graph_refuses_a_size_whose_arc_keys_overflow_int64():
+    # past the limit an arc key i * n + j wraps: (2**32, 1) at n = 2**33 would read as (0, 1)
+    with pytest.raises(BadSize, match="overflow int64"):
+        graph_from_edges(2**33, [(2**32, 1)], directed=True)
+    with pytest.raises(BadSize, match="overflow int64"):
+        Graph(n=3_037_000_500, arcs=frozenset())
+    n = 3_037_000_499  # the largest n whose keys fit
+    g = graph_from_edges(n, [(n - 1, n - 2)], directed=True)
+    assert graph_to_json(g)["edges"] == [[n - 1, n - 2]]
 
 
 # Loop-built references: the per-source BFS searches the csgraph ones replaced.
@@ -213,6 +224,10 @@ def test_csgraph_searches_match_loop_bfs(seed, directed):
     def allowed(child, p):
         return (p, child) in allowed_arcs
 
+    mask = np.zeros((n, n), dtype=bool)  # mask[child, p]: the same arcs
+    for p, child in allowed_arcs:
+        mask[child, p] = True
+
     assert np.array_equal(g.adjacency(), _ref_adjacency(g))
     shared = [g.adjacency()]
     D, err = _outcome(distance_matrix, g)
@@ -221,6 +236,7 @@ def test_csgraph_searches_match_loop_bfs(seed, directed):
     if err is None:
         assert np.array_equal(D, D_ref)
         shared.append(D)
+    assert is_connected(g) == (err_ref is None)
     for arr in shared:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -229,7 +245,7 @@ def test_csgraph_searches_match_loop_bfs(seed, directed):
         for j in range(n):
             assert _outcome(shortest_path, g, i, j) == _outcome(_ref_shortest_path, g, i, j)
     root = int(rng.integers(n))
-    tree, err = _outcome(rooted_spanning_tree, g, allowed, root)
+    tree, err = _outcome(rooted_spanning_tree, g, mask, root)
     tree_ref, err_ref = _outcome(_ref_rooted_spanning_tree, g, allowed, root)
     assert err == err_ref
     if err is None:
@@ -291,7 +307,7 @@ def test_cut_membership_helpers():
 
 def test_rooted_spanning_tree_covers_and_orients():
     g = barbell(3)
-    parent, leaves_first = rooted_spanning_tree(g, lambda child, p: True, 0)
+    parent, leaves_first = rooted_spanning_tree(g, np.ones((6, 6), dtype=bool), 0)
     assert parent[0] == 0
     assert set(parent) == set(range(6))
     assert set(leaves_first) == set(range(6))
@@ -311,7 +327,7 @@ def test_rooted_spanning_tree_covers_and_orients():
 def test_rooted_spanning_tree_respects_filter():
     g = path(3)
     with pytest.raises(NoSpanningTree):
-        rooted_spanning_tree(g, lambda child, p: child < 2, 0)
+        rooted_spanning_tree(g, np.tile(np.arange(3)[:, None] < 2, 3), 0)  # child < 2
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -61,6 +61,10 @@
 #     analyze sIMRE on the N = 26 diaconis bundle with that walk as the
 #     reference chain: chains past the 24-node cut guard, whose conductance
 #     comes from contiguous windows.
+#   - graph stats on every graph file above, on a 4-node directed graph
+#     that is not strongly connected (connected false, diameter null), and
+#     on a graph of 10^30 nodes, whose arc keys overflow int64 (exit code
+#     and stderr).
 # Every command gets a NAME.out (stdout), NAME.code (exit code) and
 # NAME.err (stderr, with OUT written as "OUT" and SRC as "SRC").  The
 # inputs are written by this script, not by liftmix, so two trees read the
@@ -108,6 +112,10 @@ for name, steps in (("two-sizes", [np.eye(6), np.eye(5)]),
                     ("off-graph", [np.eye(6), off_graph])):
     with open(f"{out}/chain-{name}.json", "w") as fh:
         json.dump({"steps": [S.tolist() for S in steps]}, fh)
+with open(f"{out}/one-way-4.json", "w") as fh:  # node 0 is reached from no other node
+    json.dump({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 1]], "directed": True}, fh)
+with open(f"{out}/n-1e30.json", "w") as fh:
+    json.dump({"n": 10**30, "edges": []}, fh)
 with open(f"{out}/cycle-16.json", "w") as fh:
     json.dump({"n": 16, "edges": [[i, (i + 1) % 16] for i in range(16)],
                "directed": False}, fh)
@@ -347,4 +355,8 @@ EOF
 for name in F-outside-fiber F-column-0.9 F-shape projection-bool projection-past-int64; do
     run "analyze-SIMRE-four-cycle-$name" lift analyze --lift "$IN/four-cycle-$name.json" \
         --pi uniform --scenario SIMRE
+done
+
+for g in $graphs directed-7 cycle-16 chain-17.support one-way-4 n-1e30; do
+    run "graph-stats-$g" graph stats "$IN/$g.json"
 done
